@@ -160,7 +160,7 @@ let campaign_cmd =
       in
       (* record spans/counters only when an artifact actually wants them *)
       let recording = trace <> None || metrics <> None in
-      if recording then Core.Telemetry.start ();
+      if recording then Obs.Telemetry.start ();
       let budget =
         match (deadline, node_limit, no_incremental) with
         | None, None, false -> None
@@ -265,7 +265,7 @@ let campaign_cmd =
            "diagnosis written to %s (%d falsified, %d confirmed by replay)\n"
            dir n confirmed);
       let report =
-        if recording then Some (Core.Telemetry.stop ()) else None
+        if recording then Some (Obs.Telemetry.stop ()) else None
       in
       (match (trace, report) with
        | Some path, Some rep ->
@@ -464,7 +464,7 @@ let campaign_cmd =
          & opt ~vopt:(Some "default") (some string) None
          & info [ "portfolio" ] ~docv:"SPEC"
              ~doc:"Check each obligation with a portfolio of engine \
-                   strategies instead of the auto escalation ladder. SPEC \
+                   strategies instead of the auto portfolio. SPEC \
                    is $(b,default) (a node-capped bdd-combined probe, then \
                    k-induction, ic3, and a full-budget pobdd backstop) or a \
                    comma-separated list of strategy names. With --jobs > 1 \

@@ -333,11 +333,13 @@ let run ?budget ?strategy ?portfolio ?(progress = fun (_ : progress) -> ())
   (* The racing path: preparation and cache/journal lookup happen when the
      scheduler opens the group; on a miss the portfolio members become the
      group's attempts, each a full engine run under its own member budget
-     with the scheduler's cancellation hook (plus the obligation's wall
-     deadline, fixed here at open — exactly where the sequential ladder
-     fixes it) threaded into every engine loop. [Engine.combine_portfolio]
-     folds the attributed prefix, so a raced group reports byte-identically
-     to the same portfolio laddered on one domain. Member crashes become
+     and under the obligation's deadline (fixed here at open — exactly where
+     the sequential runner fixes it) with the scheduler's cancellation hook
+     attached, both threaded into every engine loop. [Engine.settles]
+     decides the group, as it stops the sequential runner, and
+     [Engine.combine_portfolio] folds the attributed prefix, so a raced
+     group reports byte-identically to the same portfolio laddered on one
+     domain. Member crashes become
      non-conclusive [Error] member outcomes — the race continues and the
      sibling verdicts still decide the obligation. *)
   let open_group (w : work) =
@@ -391,8 +393,7 @@ let run ?budget ?strategy ?portfolio ?(progress = fun (_ : progress) -> ())
                     fault w ~fingerprint:key (k + 1);
                     Mc.Engine.check_netlist ~budget:m.Mc.Engine.m_budget
                       ?constraint_signal:ob.Mc.Obligation.constraint_signal
-                      ~cancel:(fun () ->
-                        cancel () || Mc.Deadline.expired outer)
+                      ~deadline:(Mc.Deadline.with_stop outer cancel)
                       ~strategy:m.Mc.Engine.m_strategy ob.Mc.Obligation.nl
                       ~ok_signal:ob.Mc.Obligation.ok_signal
                   with
@@ -404,7 +405,7 @@ let run ?budget ?strategy ?portfolio ?(progress = fun (_ : progress) -> ())
                 Obs.Flight.record "race.member"
                   ~detail:(ob_name ^ "#" ^ mname ^ " " ^ verdict_str out);
                 out);
-            conclusive = Mc.Engine.conclusive;
+            conclusive = Mc.Engine.settles;
             combine =
               (fun outs ->
                 let outcome = Mc.Engine.combine_portfolio outs in

@@ -71,19 +71,19 @@ let analyze ?constraint_signal nl ~ok_signal ~failing stimulus =
       let legal = make_legality_check ?constraint_signal nl in
       let golden_stimulus = List.map (neutralize_cycle legal) stimulus in
       let golden =
-        Replay.run ?constraint_signal nl ~ok_signal golden_stimulus
+        Core.Replay.run ?constraint_signal nl ~ok_signal golden_stimulus
       in
       let input_names = List.map fst nl.Rtl.Netlist.inputs in
       let cones =
         List.mapi
           (fun j fail_snap ->
             let golden_snap =
-              match List.nth_opt golden.Replay.snapshots j with
+              match List.nth_opt golden.Core.Replay.snapshots j with
               | Some s -> s
               | None -> []
             in
             { cone_step = j;
               corrupted = diff_cycle ~input_names fail_snap golden_snap })
-          failing.Replay.snapshots
+          failing.Core.Replay.snapshots
       in
-      { cones; golden_failed = Replay.fails golden; golden_stimulus })
+      { cones; golden_failed = Core.Replay.fails golden; golden_stimulus })

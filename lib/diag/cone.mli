@@ -28,7 +28,7 @@ val analyze :
   ?constraint_signal:string ->
   Rtl.Netlist.t ->
   ok_signal:string ->
-  failing:Replay.run ->
+  failing:Core.Replay.run ->
   (string * Bitvec.t) list list ->
   t
 (** [analyze nl ~ok_signal ~failing stimulus] — [failing] must be the

@@ -29,7 +29,7 @@ type t = {
 type artifacts = {
   diag : t;
   minimized_trace : Mc.Trace.t;
-  replay_snapshots : Replay.snapshot list;
+  replay_snapshots : Core.Replay.snapshot list;
 }
 
 let schema = "dicheck-diag-v1"
@@ -81,11 +81,13 @@ let explanation_of ~cls ~he_signal ~bug =
 
 let registers_of nl = List.map (fun (r : Rtl.Netlist.flat_reg) -> r.Rtl.Netlist.name) nl.Rtl.Netlist.regs
 
-let trace_of_replay ~registers stimulus (r : Replay.run) : Mc.Trace.t =
+let trace_of_replay ~registers stimulus (r : Core.Replay.run) : Mc.Trace.t =
   List.mapi
     (fun j cycle_inputs ->
       let snap =
-        match List.nth_opt r.Replay.snapshots j with Some s -> s | None -> []
+        match List.nth_opt r.Core.Replay.snapshots j with
+        | Some s -> s
+        | None -> []
       in
       let state =
         List.filter_map
@@ -114,9 +116,9 @@ let diagnose ?he_signal (w : Core.Campaign.work) (trace : Mc.Trace.t) =
       let stimulus0 = Mc.Trace.replay_stimulus trace in
       let r0 =
         Telemetry.span ~cat:"diag" "diag.replay" (fun () ->
-            Replay.run ?constraint_signal nl ~ok_signal stimulus0)
+            Core.Replay.run ?constraint_signal nl ~ok_signal stimulus0)
       in
-      let validated = Replay.validate trace r0 in
+      let validated = Core.Replay.validate trace r0 in
       let status, min_stim, rmin, _stats =
         match validated with
         | Error reason ->
@@ -125,12 +127,14 @@ let diagnose ?he_signal (w : Core.Campaign.work) (trace : Mc.Trace.t) =
             { Minimize.replays = 0; cycles_removed = 0; bits_cleared = 0 } )
         | Ok () ->
           Telemetry.count "diag.confirmed";
-          let fail_cycle = Option.get r0.Replay.fail_cycle in
+          let fail_cycle = Option.get r0.Core.Replay.fail_cycle in
           let truncated =
             Minimize.truncate_to_first_failure ~fail_cycle stimulus0
           in
           let oracle s =
-            Replay.fails (Replay.run ~capture:false ?constraint_signal nl ~ok_signal s)
+            Core.Replay.fails
+              (Core.Replay.run ~capture:false ?constraint_signal nl ~ok_signal
+                 s)
           in
           let min_stim, stats =
             Telemetry.span ~cat:"diag" "diag.minimize" (fun () ->
@@ -139,11 +143,13 @@ let diagnose ?he_signal (w : Core.Campaign.work) (trace : Mc.Trace.t) =
           Telemetry.count ~n:stats.Minimize.cycles_removed
             "diag.cycles_removed";
           Telemetry.count ~n:stats.Minimize.bits_cleared "diag.bits_cleared";
-          let rmin = Replay.run ?constraint_signal nl ~ok_signal min_stim in
+          let rmin =
+            Core.Replay.run ?constraint_signal nl ~ok_signal min_stim
+          in
           (`Confirmed, min_stim, rmin, stats)
       in
       let cone_result =
-        if Replay.fails rmin then
+        if Core.Replay.fails rmin then
           Cone.analyze ?constraint_signal nl ~ok_signal ~failing:rmin min_stim
         else { Cone.cones = []; golden_failed = false; golden_stimulus = [] }
       in
@@ -161,8 +167,8 @@ let diagnose ?he_signal (w : Core.Campaign.work) (trace : Mc.Trace.t) =
           minimized_care_bits = Minimize.care_bits min_stim;
           validation =
             { status;
-              fail_cycle = r0.Replay.fail_cycle;
-              minimized_reproduces = Replay.fails rmin };
+              fail_cycle = r0.Core.Replay.fail_cycle;
+              minimized_reproduces = Core.Replay.fails rmin };
           cone = cone_result.Cone.cones;
           golden_failed = cone_result.Cone.golden_failed;
           explanation =
@@ -172,7 +178,7 @@ let diagnose ?he_signal (w : Core.Campaign.work) (trace : Mc.Trace.t) =
       { diag;
         minimized_trace =
           trace_of_replay ~registers:(registers_of nl) min_stim rmin;
-        replay_snapshots = rmin.Replay.snapshots })
+        replay_snapshots = rmin.Core.Replay.snapshots })
 
 let to_vcd a = Mc.Trace.to_vcd ~replay:a.replay_snapshots a.minimized_trace
 

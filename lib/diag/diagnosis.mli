@@ -3,7 +3,7 @@
     For each falsified proof obligation this module replays the engine's
     counterexample through the cycle-accurate simulator on an independently
     prepared full-visibility model ({!Mc.Engine.replay_model}),
-    cross-validates it ({!Replay.validate}), delta-debugs the stimulus down
+    cross-validates it ({!Core.Replay.validate}), delta-debugs the stimulus down
     to a minimal failing core ({!Minimize}), computes the fault cone against
     a golden legal-input run ({!Cone}), and renders the result as a
     structured JSON artifact (schema {!schema}), an annotated VCD waveform
@@ -47,7 +47,7 @@ type artifacts = {
   diag : t;
   minimized_trace : Mc.Trace.t;
       (** the minimized stimulus with replayed register values *)
-  replay_snapshots : Replay.snapshot list;
+  replay_snapshots : Core.Replay.snapshot list;
       (** full signal snapshots of the minimized failing replay — feed to
           {!Mc.Trace.to_vcd}'s [?replay] for the annotated waveform *)
 }

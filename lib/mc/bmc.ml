@@ -5,10 +5,7 @@ type stats = {
   depth : int;
   cnf_vars : int;
   cnf_clauses : int;
-  decisions : int;
-  conflicts : int;
-  propagations : int;
-  restarts : int;
+  sat : Solver.stats;
   reused : int;  (* solves answered by a warm (already-populated) solver *)
 }
 
@@ -209,21 +206,11 @@ let check ?(incremental = true) ?(max_conflicts = max_int)
     if incremental then Some (create_inc ?constraint_signal nl ~ok_signal)
     else None
   in
-  let acc = ref Solver.zero_stats in
+  let sat = ref Solver.zero_stats in
   let reused = ref 0 in
-  let add (s : Solver.stats) =
-    acc :=
-      { Solver.decisions = !acc.Solver.decisions + s.Solver.decisions;
-        conflicts = !acc.Solver.conflicts + s.Solver.conflicts;
-        propagations = !acc.Solver.propagations + s.Solver.propagations;
-        restarts = !acc.Solver.restarts + s.Solver.restarts;
-        learned = !acc.Solver.learned + s.Solver.learned }
-  in
   let mk_stats ~depth inc =
     { depth; cnf_vars = inc_cnf_vars inc; cnf_clauses = inc_cnf_clauses inc;
-      decisions = !acc.Solver.decisions; conflicts = !acc.Solver.conflicts;
-      propagations = !acc.Solver.propagations;
-      restarts = !acc.Solver.restarts; reused = !reused }
+      sat = !sat; reused = !reused }
   in
   let rec go d =
     if d > depth then
@@ -233,8 +220,8 @@ let check ?(incremental = true) ?(max_conflicts = max_int)
       | None ->
         No_violation_upto
           ( depth,
-            { depth; cnf_vars = 0; cnf_clauses = 0; decisions = 0;
-              conflicts = 0; propagations = 0; restarts = 0; reused = 0 } )
+            { depth; cnf_vars = 0; cnf_clauses = 0; sat = Solver.zero_stats;
+              reused = 0 } )
     else begin
       Deadline.check deadline;
       let inc =
@@ -249,7 +236,7 @@ let check ?(incremental = true) ?(max_conflicts = max_int)
         solve_depth ~max_conflicts ~should_stop:(Deadline.checker deadline)
           inc ~depth:d
       in
-      add st;
+      sat := Solver.add_stats !sat st;
       match outcome with
       | `No_violation ->
         if d = depth then No_violation_upto (depth, mk_stats ~depth inc)
@@ -259,14 +246,3 @@ let check ?(incremental = true) ?(max_conflicts = max_int)
     end
   in
   go 0
-
-let find_shortest ?incremental ?max_conflicts ?deadline ?constraint_signal nl
-    ~ok_signal ~max_depth =
-  if max_depth < 0 then
-    No_violation_upto
-      ( -1,
-        { depth = -1; cnf_vars = 0; cnf_clauses = 0; decisions = 0;
-          conflicts = 0; propagations = 0; restarts = 0; reused = 0 } )
-  else
-    check ?incremental ?max_conflicts ?deadline ?constraint_signal nl
-      ~ok_signal ~depth:max_depth

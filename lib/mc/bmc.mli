@@ -12,10 +12,7 @@ type stats = {
   depth : int;
   cnf_vars : int;
   cnf_clauses : int;
-  decisions : int;
-  conflicts : int;
-  propagations : int;
-  restarts : int;
+  sat : Solver.stats;  (** summed over every per-depth solve *)
   reused : int;
       (** solves answered by a warm solver (0 in scratch mode) *)
 }
@@ -43,18 +40,6 @@ val check :
     {!Deadline.Expired}) and passed to the SAT search as its [should_stop]
     callback (yielding {!Inconclusive}). [max_conflicts] bounds each
     per-depth solve. *)
-
-val find_shortest :
-  ?incremental:bool ->
-  ?max_conflicts:int ->
-  ?deadline:Deadline.t ->
-  ?constraint_signal:string ->
-  Rtl.Netlist.t ->
-  ok_signal:string ->
-  max_depth:int ->
-  result
-(** Same as {!check} (which already deepens iteratively); kept as the
-    explicit shortest-counterexample entry point. *)
 
 (** {1 Incremental context}
 

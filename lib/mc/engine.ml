@@ -80,11 +80,10 @@ let portfolio ~name members =
 (* The default racing portfolio. The BDD member runs with a small node cap:
    on this workload almost every obligation collapses in a few thousand
    nodes, so the cap only trips on the genuinely hard cones — exactly the
-   ones worth racing the SAT engines on. The final POBDD member keeps the
-   full Auto-ladder budget as the conclusiveness backstop, so a portfolio
-   race decides every obligation the sequential ladder decides. Members get
-   no private wall deadline; the caller's overall deadline is threaded
-   through the cancellation hook instead. *)
+   ones worth racing the SAT engines on. The final POBDD member keeps
+   Auto's full budget as the conclusiveness backstop, so a portfolio race
+   decides every obligation Auto decides. Members carry no private wall
+   deadline: every member runs under the check's deadline. *)
 let speculation_bdd_nodes = 5_000
 
 let default_portfolio base =
@@ -139,6 +138,20 @@ type outcome = {
   perf : perf;
 }
 
+(* canonical Resource_out cause vocabulary, exported so the campaign,
+   metrics schema and healing layer never spell these ad hoc *)
+let ro_deadline = "deadline"
+let ro_bdd_nodes = "bdd-nodes"
+let ro_sat_conflicts = "sat-conflicts"
+let ro_kind_inconclusive = "kind-inconclusive"
+let ro_cancelled = "cancelled"
+let ro_ic3_frames = "ic3-frames"
+let ro_heal_exhausted = "heal-exhausted"
+
+let ro_causes =
+  [ ro_deadline; ro_bdd_nodes; ro_sat_conflicts; ro_kind_inconclusive;
+    ro_ic3_frames; ro_cancelled; ro_heal_exhausted ]
+
 let resource_cause o =
   match o.verdict with Resource_out c -> Some c | _ -> None
 
@@ -147,12 +160,19 @@ let conclusive o =
   | Proved | Failed _ -> true
   | Proved_bounded _ | Resource_out _ | Error _ -> false
 
+(* a member that ran out of the check's deadline ends its portfolio too:
+   every later member would start under the same expired deadline. Read
+   off the outcome alone, so the racing scheduler and the sequential
+   runner stop at the same member. *)
+let settles o = conclusive o || resource_cause o = Some ro_deadline
+
 (* Deterministic winner selection over a portfolio prefix. The attributed
-   prefix runs from member 0 through the first conclusive member (or all
-   members when none concludes); within it, a conclusive verdict always
+   prefix runs from member 0 through the first settling member (or all
+   members when none settles); within it, a conclusive verdict always
    wins, then a bounded proof (deeper is better), then resource-out, then
-   error — ties to the smallest index. This is a pure function of the
-   member outcomes, so the sequential ladder and a race that cancels
+   error — ties to the later index, so a member that ran after another
+   gave up explains the outcome. This is a pure function of the member
+   outcomes, so the sequential runner and a race that cancels
    higher-indexed members at the same prefix agree exactly. *)
 let outcome_rank o =
   match o.verdict with
@@ -178,17 +198,17 @@ let merge_perf a p =
 
 let combine_portfolio outcomes =
   if outcomes = [] then invalid_arg "Engine.combine_portfolio: no outcomes";
-  (* truncate at the first conclusive member: anything a race might have
+  (* truncate at the first settling member: anything a race might have
      run beyond it is schedule-dependent and must not be attributed *)
   let rec prefix acc = function
     | [] -> List.rev acc
     | o :: tl ->
-      if conclusive o then List.rev (o :: acc) else prefix (o :: acc) tl
+      if settles o then List.rev (o :: acc) else prefix (o :: acc) tl
   in
   let attributed = prefix [] outcomes in
   let winner =
     List.fold_left
-      (fun best o -> if outcome_rank o > outcome_rank best then o else best)
+      (fun best o -> if outcome_rank o >= outcome_rank best then o else best)
       (List.hd attributed) (List.tl attributed)
   in
   { verdict = winner.verdict;
@@ -201,389 +221,203 @@ let combine_portfolio outcomes =
 
 module Telemetry = Obs.Telemetry
 
-(* Work accounting for one check_netlist run, mutated as engine attempts
-   complete (including attempts that end in an exception), then frozen into
-   the outcome's [perf]. *)
-type acc = {
-  mutable a_bdd_peak : int;
-  mutable a_bdd_alloc : int;  (* additive across attempts, for counters *)
-  mutable a_bdd_polls : int;
-  mutable a_fix_iterations : int;
-  mutable a_peak_set_size : int;
-  mutable a_sat_d : int;
-  mutable a_sat_c : int;
-  mutable a_sat_p : int;
-  mutable a_sat_r : int;
-  mutable a_inc_reuse : int;
-  mutable a_unroll : int;
-  mutable a_final_k : int;
-  mutable a_ic3_frames : int;
-  mutable a_attempts_rev : string list;
-}
-
-let fresh_acc () =
-  { a_bdd_peak = 0; a_bdd_alloc = 0; a_bdd_polls = 0; a_fix_iterations = 0;
-    a_peak_set_size = 0; a_sat_d = 0; a_sat_c = 0; a_sat_p = 0; a_sat_r = 0;
-    a_inc_reuse = 0; a_unroll = -1; a_final_k = -1; a_ic3_frames = -1;
-    a_attempts_rev = [] }
-
-let perf_of_acc a =
-  { bdd_peak = a.a_bdd_peak; bdd_polls = a.a_bdd_polls;
-    fix_iterations = a.a_fix_iterations; peak_set_size = a.a_peak_set_size;
-    sat_decisions = a.a_sat_d; sat_conflicts = a.a_sat_c;
-    sat_propagations = a.a_sat_p; sat_restarts = a.a_sat_r;
-    incremental_reuse = a.a_inc_reuse; unroll_depth = a.a_unroll;
-    final_k = a.a_final_k;
-    ic3_frames = a.a_ic3_frames; attempts = List.rev a.a_attempts_rev }
-
-let acc_sat acc (s : Solver.stats) =
-  acc.a_sat_d <- acc.a_sat_d + s.Solver.decisions;
-  acc.a_sat_c <- acc.a_sat_c + s.Solver.conflicts;
-  acc.a_sat_p <- acc.a_sat_p + s.Solver.propagations;
-  acc.a_sat_r <- acc.a_sat_r + s.Solver.restarts
-
-let report_counters acc =
-  if Telemetry.active () then begin
-    Telemetry.count "engine.checks";
-    Telemetry.count ~n:(List.length acc.a_attempts_rev) "engine.attempts";
-    Telemetry.count ~n:acc.a_bdd_alloc "bdd.nodes";
-    Telemetry.count ~n:acc.a_bdd_polls "bdd.interrupt_polls";
-    Telemetry.count ~n:acc.a_fix_iterations "reach.iterations";
-    Telemetry.count ~n:acc.a_sat_d "sat.decisions";
-    Telemetry.count ~n:acc.a_sat_c "sat.conflicts";
-    Telemetry.count ~n:acc.a_sat_p "sat.propagations";
-    Telemetry.count ~n:acc.a_sat_r "sat.restarts";
-    Telemetry.count ~n:acc.a_inc_reuse "sat.incremental_reuse"
-  end
-
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-let of_reach acc engine (r, time_s) =
-  let record (s : Reach.stats) =
-    acc.a_fix_iterations <- acc.a_fix_iterations + s.Reach.iterations;
-    acc.a_peak_set_size <- max acc.a_peak_set_size s.Reach.peak_set_size;
-    acc.a_bdd_peak <- max acc.a_bdd_peak s.Reach.bdd_nodes
-  in
-  match r with
-  | Reach.Proved stats ->
-    record stats;
-    { verdict = Proved; engine_used = engine; time_s;
-      iterations = stats.Reach.iterations; work_nodes = stats.Reach.bdd_nodes;
-      perf = empty_perf }
-  | Reach.Failed (trace, stats) ->
-    record stats;
-    { verdict = Failed trace; engine_used = engine; time_s;
-      iterations = stats.Reach.iterations; work_nodes = stats.Reach.bdd_nodes;
-      perf = empty_perf }
-
-let deadline_msg = "deadline"
-let bdd_nodes_msg = "bdd-nodes"
-let sat_conflicts_msg = "sat-conflicts"
-let kind_inconclusive_msg = "kind-inconclusive"
-let cancelled_msg = "cancelled"
-let ic3_frames_msg = "ic3-frames"
-
-(* canonical Resource_out cause vocabulary, exported so the campaign,
-   metrics schema and healing layer never spell these ad hoc *)
-let ro_deadline = deadline_msg
-let ro_bdd_nodes = bdd_nodes_msg
-let ro_sat_conflicts = sat_conflicts_msg
-let ro_kind_inconclusive = kind_inconclusive_msg
-let ro_cancelled = cancelled_msg
-let ro_ic3_frames = ic3_frames_msg
-let ro_heal_exhausted = "heal-exhausted"
-
-let ro_causes =
-  [ ro_deadline; ro_bdd_nodes; ro_sat_conflicts; ro_kind_inconclusive;
-    ro_ic3_frames; ro_cancelled; ro_heal_exhausted ]
-
 (* cause of an interrupted engine run: the wall clock beats the stop hook
    so a deadline that fires during a race still reads "deadline" *)
 let interrupt_cause deadline =
-  if Deadline.wall_expired deadline then deadline_msg
-  else if Deadline.cancelled deadline then cancelled_msg
-  else deadline_msg
+  if Deadline.wall_expired deadline then ro_deadline
+  else if Deadline.cancelled deadline then ro_cancelled
+  else ro_deadline
 
-let run_bdd ~acc ~node_limit ~deadline ~engine nl ok_signal constraint_signal
-    check =
-  acc.a_attempts_rev <- engine :: acc.a_attempts_rev;
-  let man_ref = ref None in
-  let f () =
-    (* the manager-level interrupt bounds even a single runaway image
-       computation (or the transition-relation build itself); the
-       per-iteration Deadline.check in the fixpoint loops bounds everything
-       between BDD operations *)
-    let interrupt =
-      if Deadline.live deadline then Some (Deadline.checker deadline)
-      else None
-    in
-    let sym = Sym.create ?node_limit ?interrupt nl in
-    man_ref := Some (Sym.man sym);
-    let ok = (Sym.signal_bdd sym ok_signal).(0) in
-    let constrain =
-      Option.map (fun c -> (Sym.signal_bdd sym c).(0)) constraint_signal
-    in
-    check ?constrain ~deadline sym ok
+let report_counters p =
+  if Telemetry.active () then begin
+    Telemetry.count "engine.attempts";
+    Telemetry.count ~n:p.bdd_peak "bdd.nodes";
+    Telemetry.count ~n:p.bdd_polls "bdd.interrupt_polls";
+    Telemetry.count ~n:p.fix_iterations "reach.iterations";
+    Telemetry.count ~n:p.sat_decisions "sat.decisions";
+    Telemetry.count ~n:p.sat_conflicts "sat.conflicts";
+    Telemetry.count ~n:p.sat_propagations "sat.propagations";
+    Telemetry.count ~n:p.sat_restarts "sat.restarts";
+    Telemetry.count ~n:p.incremental_reuse "sat.incremental_reuse"
+  end
+
+(* One timed engine attempt, and the one place an outcome is built. [run]
+   returns the verdict, the engine's iteration and work counts and its
+   perf; an interrupt or a BDD node limit raised from inside it becomes a
+   resource-out. A resource-out on an expired deadline reads the interrupt
+   cause, whatever the engine itself ran out of, and the measured time is
+   kept on every exit path. [finish] folds in the work that survives an
+   exception (the BDD manager's peak and poll count). *)
+let attempt ~engine ~deadline ?(finish = Fun.id) run =
+  let t0 = Unix.gettimeofday () in
+  let verdict, iterations, work_nodes, perf =
+    match Telemetry.span ~cat:"engine" engine run with
+    | r -> r
+    | exception Bdd.Node_limit -> (Resource_out ro_bdd_nodes, 0, 0, empty_perf)
+    | exception (Deadline.Expired | Bdd.Interrupted) ->
+      (Resource_out ro_deadline, 0, 0, empty_perf)
   in
+  let time_s = Unix.gettimeofday () -. t0 in
+  let verdict =
+    match verdict with
+    | Resource_out _ when Deadline.expired deadline ->
+      Resource_out (interrupt_cause deadline)
+    | v -> v
+  in
+  let perf = { (finish perf) with attempts = [ engine ] } in
+  report_counters perf;
+  { verdict; engine_used = engine; time_s; iterations; work_nodes; perf }
+
+let sat_perf (s : Solver.stats) ~reused =
+  { empty_perf with
+    sat_decisions = s.Solver.decisions; sat_conflicts = s.Solver.conflicts;
+    sat_propagations = s.Solver.propagations;
+    sat_restarts = s.Solver.restarts; incremental_reuse = reused }
+
+let run_bdd ~node_limit ~deadline ~engine nl ok_signal constraint_signal
+    (check :
+      ?constrain:Bdd.t -> ?deadline:Deadline.t -> Sym.t -> ok:Bdd.t ->
+      Reach.result) =
   (* the manager dies with the attempt, so its peak and poll count must be
      read on every exit path, including Node_limit raised mid-Sym.create *)
-  let record_man () =
-    match !man_ref with
-    | None -> ()
+  let man = ref None in
+  let finish p =
+    match !man with
+    | None -> p
     | Some m ->
-      let n = Bdd.node_count m in
-      acc.a_bdd_peak <- max acc.a_bdd_peak n;
-      acc.a_bdd_alloc <- acc.a_bdd_alloc + n;
-      acc.a_bdd_polls <- acc.a_bdd_polls + Bdd.interrupt_polls m
+      (* let go of the manager here: a promoted ref would keep the arena
+         alive for another major GC cycle *)
+      man := None;
+      { p with bdd_peak = max p.bdd_peak (Bdd.node_count m);
+               bdd_polls = Bdd.interrupt_polls m }
   in
-  match Telemetry.span ~cat:"engine" engine (fun () -> timed f) with
-  | result ->
-    record_man ();
-    Ok (of_reach acc engine result)
-  | exception Bdd.Node_limit ->
-    record_man ();
-    Stdlib.Error bdd_nodes_msg
-  | exception (Deadline.Expired | Bdd.Interrupted) ->
-    record_man ();
-    Stdlib.Error (interrupt_cause deadline)
+  attempt ~engine ~deadline ~finish (fun () ->
+      (* the manager-level interrupt bounds even a single runaway image
+         computation (or the transition-relation build itself); the
+         per-iteration Deadline.check in the fixpoint loops bounds
+         everything between BDD operations *)
+      let interrupt =
+        if Deadline.live deadline then Some (Deadline.checker deadline)
+        else None
+      in
+      let sym = Sym.create ?node_limit ?interrupt nl in
+      man := Some (Sym.man sym);
+      let ok = (Sym.signal_bdd sym ok_signal).(0) in
+      let constrain =
+        Option.map (fun c -> (Sym.signal_bdd sym c).(0)) constraint_signal
+      in
+      let verdict, (s : Reach.stats) =
+        match check ?constrain ~deadline sym ~ok with
+        | Reach.Proved s -> (Proved, s)
+        | Reach.Failed (trace, s) -> (Failed trace, s)
+      in
+      ( verdict, s.Reach.iterations, s.Reach.bdd_nodes,
+        { empty_perf with
+          bdd_peak = s.Reach.bdd_nodes; fix_iterations = s.Reach.iterations;
+          peak_set_size = s.Reach.peak_set_size } ))
 
-let run_bmc ~acc ~budget ~deadline nl ok_signal constraint_signal =
-  acc.a_attempts_rev <- "bmc" :: acc.a_attempts_rev;
-  let acc_bmc (s : Bmc.stats) =
-    acc.a_unroll <- max acc.a_unroll s.Bmc.depth;
-    acc.a_inc_reuse <- acc.a_inc_reuse + s.Bmc.reused;
-    acc_sat acc
-      { Solver.decisions = s.Bmc.decisions; conflicts = s.Bmc.conflicts;
-        propagations = s.Bmc.propagations; restarts = s.Bmc.restarts;
-        learned = 0 }
-  in
-  let f () =
-    Bmc.check ~incremental:budget.incremental
-      ~max_conflicts:budget.sat_max_conflicts ~deadline ?constraint_signal nl
-      ~ok_signal ~depth:budget.bmc_depth
-  in
-  match Telemetry.span ~cat:"engine" "bmc" (fun () -> timed f) with
-  | exception Deadline.Expired ->
-    { verdict = Resource_out deadline_msg; engine_used = "bmc"; time_s = 0.0;
-      iterations = 0; work_nodes = 0; perf = empty_perf }
-  | r, time_s ->
-    (match r with
-     | Bmc.No_violation_upto (d, stats) ->
-       acc_bmc stats;
-       { verdict = Proved_bounded d; engine_used = "bmc"; time_s;
-         iterations = d; work_nodes = stats.Bmc.cnf_clauses;
-         perf = empty_perf }
-     | Bmc.Violation (trace, stats) ->
-       acc_bmc stats;
-       { verdict = Failed trace; engine_used = "bmc"; time_s;
-         iterations = stats.Bmc.depth; work_nodes = stats.Bmc.cnf_clauses;
-         perf = empty_perf }
-     | Bmc.Inconclusive stats ->
-       acc_bmc stats;
-       let msg =
-         if Deadline.expired deadline then interrupt_cause deadline
-         else sat_conflicts_msg
-       in
-       { verdict = Resource_out msg; engine_used = "bmc"; time_s;
-         iterations = stats.Bmc.depth; work_nodes = stats.Bmc.cnf_clauses;
-         perf = empty_perf })
+(* Auto is the paper's escalation rule as a portfolio: unbounded BDD
+   checking, then the partitioned engine, then bounded checking, all at the
+   check's own budget *)
+let auto_portfolio budget =
+  portfolio ~name:"auto"
+    (List.map
+       (fun s -> { m_strategy = s; m_budget = budget })
+       [ Bdd_combined; Pobdd; Bmc ])
 
-let rec check_netlist ?(budget = default_budget) ?constraint_signal ?cancel
-    ~strategy nl ~ok_signal =
+let rec run ~budget ?constraint_signal ~deadline ~strategy nl ~ok_signal =
+  let engine = strategy_name strategy in
+  let bdd ?(node_limit = budget.bdd_node_limit) check =
+    run_bdd ~node_limit ~deadline ~engine nl ok_signal constraint_signal check
+  in
   match strategy with
+  | Auto ->
+    run ~budget ?constraint_signal ~deadline
+      ~strategy:(Portfolio (auto_portfolio budget)) nl ~ok_signal
   | Portfolio p ->
     (* Sequential portfolio execution: the jobs<=1 degradation of racing.
-       Members run in order until one is conclusive; the combined outcome
-       attributes exactly that prefix, which is the same prefix a race
+       Members run in order, every one under the check's deadline, until
+       one settles (concludes, or runs out of the deadline); the combined
+       outcome attributes exactly that prefix, which is the prefix a race
        settles on, so verdicts and perf aggregates agree byte-for-byte
-       with the racing scheduler. The caller's wall deadline and
-       cancellation reach every member through its [cancel] hook. *)
-    let deadline = Deadline.of_budget budget.wall_deadline_s in
-    let deadline =
-      match cancel with
-      | Some c -> Deadline.with_stop deadline c
-      | None -> deadline
-    in
+       with the racing scheduler. *)
     let rec run_members acc_rev = function
       | [] -> List.rev acc_rev
       | m :: tl ->
         let o =
-          check_netlist ~budget:m.m_budget ?constraint_signal
-            ~cancel:(Deadline.checker deadline) ~strategy:m.m_strategy nl
-            ~ok_signal
+          run ~budget:m.m_budget ?constraint_signal ~deadline
+            ~strategy:m.m_strategy nl ~ok_signal
         in
-        if conclusive o then List.rev (o :: acc_rev)
+        if settles o then List.rev (o :: acc_rev)
         else run_members (o :: acc_rev) tl
     in
     combine_portfolio (run_members [] p.p_members)
-  | Bdd_forward | Bdd_backward | Bdd_combined | Pobdd | Bmc | Kind | Ic3
-  | Auto ->
-    check_atomic ~budget ?constraint_signal ?cancel ~strategy nl ~ok_signal
+  | Bdd_forward -> bdd Reach.check_forward
+  | Bdd_backward -> bdd Reach.check_backward
+  | Bdd_combined -> bdd Reach.check_combined
+  | Pobdd ->
+    bdd ~node_limit:budget.pobdd_node_limit
+      (Umc.check_forward_partitioned ~num_split_vars:budget.pobdd_split_vars)
+  | Bmc ->
+    attempt ~engine ~deadline (fun () ->
+        let verdict, (s : Bmc.stats) =
+          match
+            Bmc.check ~incremental:budget.incremental
+              ~max_conflicts:budget.sat_max_conflicts ~deadline
+              ?constraint_signal nl ~ok_signal ~depth:budget.bmc_depth
+          with
+          | Bmc.No_violation_upto (d, s) -> (Proved_bounded d, s)
+          | Bmc.Violation (trace, s) -> (Failed trace, s)
+          | Bmc.Inconclusive s -> (Resource_out ro_sat_conflicts, s)
+        in
+        ( verdict, s.Bmc.depth, s.Bmc.cnf_clauses,
+          { (sat_perf s.Bmc.sat ~reused:s.Bmc.reused) with
+            unroll_depth = s.Bmc.depth } ))
+  | Kind ->
+    attempt ~engine ~deadline (fun () ->
+        let verdict, (s : Induction.stats) =
+          match
+            Induction.check ~incremental:budget.incremental
+              ~max_conflicts:budget.sat_max_conflicts
+              ~max_k:budget.induction_max_k ~deadline ?constraint_signal nl
+              ~ok_signal
+          with
+          | Induction.Proved_by_induction s -> (Proved, s)
+          | Induction.Violation (trace, s) -> (Failed trace, s)
+          | Induction.Inconclusive s -> (Resource_out ro_kind_inconclusive, s)
+        in
+        ( verdict, s.Induction.k, s.Induction.cnf_clauses,
+          { (sat_perf s.Induction.sat ~reused:s.Induction.reused) with
+            final_k = s.Induction.k } ))
+  | Ic3 ->
+    attempt ~engine ~deadline (fun () ->
+        let verdict, (s : Ic3.stats) =
+          match
+            Ic3.check ~incremental:budget.incremental
+              ~max_conflicts:budget.sat_max_conflicts
+              ~max_frames:budget.ic3_max_frames ~deadline ?constraint_signal
+              nl ~ok_signal
+          with
+          | Ic3.Proved s -> (Proved, s)
+          | Ic3.Violation (trace, s) -> (Failed trace, s)
+          | Ic3.Inconclusive (Ic3.Frames_exhausted, s) ->
+            (Resource_out ro_ic3_frames, s)
+          | Ic3.Inconclusive (Ic3.Solver_limit, s) ->
+            (Resource_out ro_sat_conflicts, s)
+        in
+        ( verdict, s.Ic3.frames, s.Ic3.clauses,
+          { (sat_perf s.Ic3.sat ~reused:s.Ic3.reused) with
+            ic3_frames = s.Ic3.frames } ))
 
-and check_atomic ~budget ?constraint_signal ?cancel ~strategy nl ~ok_signal =
-  let deadline = Deadline.of_budget budget.wall_deadline_s in
+let check_netlist ?(budget = default_budget) ?constraint_signal ?deadline
+    ~strategy nl ~ok_signal =
   let deadline =
-    match cancel with
-    | Some c -> Deadline.with_stop deadline c
-    | None -> deadline
+    match deadline with
+    | Some d -> d
+    | None -> Deadline.of_budget budget.wall_deadline_s
   in
-  let acc = fresh_acc () in
-  let bdd check engine =
-    run_bdd ~acc ~node_limit:budget.bdd_node_limit ~deadline ~engine nl
-      ok_signal constraint_signal check
-  in
-  let pobdd () =
-    run_bdd ~acc ~node_limit:budget.pobdd_node_limit ~deadline
-      ~engine:"pobdd" nl ok_signal constraint_signal
-      (fun ?constrain ~deadline sym ok ->
-        Umc.check_forward_partitioned ?constrain ~deadline sym ~ok
-          ~num_split_vars:budget.pobdd_split_vars)
-  in
-  let resource_out msg engine =
-    { verdict = Resource_out msg; engine_used = engine; time_s = 0.0;
-      iterations = 0; work_nodes = 0; perf = empty_perf }
-  in
-  let outcome =
-    match strategy with
-    | Bdd_forward -> (
-      match
-        bdd (fun ?constrain ~deadline sym ok ->
-            Reach.check_forward ?constrain ~deadline sym ~ok)
-          "bdd-forward"
-      with
-      | Ok o -> o
-      | Error msg -> resource_out msg "bdd-forward")
-    | Bdd_backward -> (
-      match
-        bdd (fun ?constrain ~deadline sym ok ->
-            Reach.check_backward ?constrain ~deadline sym ~ok)
-          "bdd-backward"
-      with
-      | Ok o -> o
-      | Error msg -> resource_out msg "bdd-backward")
-    | Bdd_combined -> (
-      match
-        bdd (fun ?constrain ~deadline sym ok ->
-            Reach.check_combined ?constrain ~deadline sym ~ok)
-          "bdd-combined"
-      with
-      | Ok o -> o
-      | Error msg -> resource_out msg "bdd-combined")
-    | Pobdd -> (
-      match pobdd () with
-      | Ok o -> o
-      | Error msg -> resource_out msg "pobdd")
-    | Bmc -> run_bmc ~acc ~budget ~deadline nl ok_signal constraint_signal
-    | Kind -> (
-      acc.a_attempts_rev <- "k-induction" :: acc.a_attempts_rev;
-      let acc_kind (s : Induction.stats) =
-        acc.a_final_k <- max acc.a_final_k s.Induction.k;
-        acc.a_inc_reuse <- acc.a_inc_reuse + s.Induction.reused;
-        acc_sat acc
-          { Solver.decisions = s.Induction.decisions;
-            conflicts = s.Induction.conflicts;
-            propagations = s.Induction.propagations;
-            restarts = s.Induction.restarts; learned = 0 }
-      in
-      let f () =
-        Induction.check ~incremental:budget.incremental
-          ~max_conflicts:budget.sat_max_conflicts
-          ~max_k:budget.induction_max_k ~deadline ?constraint_signal nl
-          ~ok_signal
-      in
-      match Telemetry.span ~cat:"engine" "k-induction" (fun () -> timed f) with
-      | exception Deadline.Expired -> resource_out deadline_msg "k-induction"
-      | r, time_s ->
-        (match r with
-         | Induction.Proved_by_induction s ->
-           acc_kind s;
-           { verdict = Proved; engine_used = "k-induction"; time_s;
-             iterations = s.Induction.k; work_nodes = s.Induction.cnf_clauses;
-             perf = empty_perf }
-         | Induction.Violation (trace, s) ->
-           acc_kind s;
-           { verdict = Failed trace; engine_used = "k-induction"; time_s;
-             iterations = s.Induction.k; work_nodes = s.Induction.cnf_clauses;
-             perf = empty_perf }
-         | Induction.Inconclusive s ->
-           acc_kind s;
-           let msg =
-             if Deadline.expired deadline then interrupt_cause deadline
-             else kind_inconclusive_msg
-           in
-           { verdict = Resource_out msg; engine_used = "k-induction"; time_s;
-             iterations = s.Induction.k; work_nodes = s.Induction.cnf_clauses;
-             perf = empty_perf }))
-    | Ic3 -> (
-      acc.a_attempts_rev <- "ic3" :: acc.a_attempts_rev;
-      let acc_ic3 (s : Ic3.stats) =
-        acc.a_ic3_frames <- max acc.a_ic3_frames s.Ic3.frames;
-        acc.a_inc_reuse <- acc.a_inc_reuse + s.Ic3.reused;
-        acc_sat acc
-          { Solver.decisions = s.Ic3.decisions; conflicts = s.Ic3.conflicts;
-            propagations = s.Ic3.propagations; restarts = s.Ic3.restarts;
-            learned = 0 }
-      in
-      let f () =
-        Ic3.check ~incremental:budget.incremental
-          ~max_conflicts:budget.sat_max_conflicts
-          ~max_frames:budget.ic3_max_frames ~deadline ?constraint_signal nl
-          ~ok_signal
-      in
-      match Telemetry.span ~cat:"engine" "ic3" (fun () -> timed f) with
-      | exception Deadline.Expired ->
-        resource_out (interrupt_cause deadline) "ic3"
-      | r, time_s ->
-        (match r with
-         | Ic3.Proved s ->
-           acc_ic3 s;
-           { verdict = Proved; engine_used = "ic3"; time_s;
-             iterations = s.Ic3.frames; work_nodes = s.Ic3.clauses;
-             perf = empty_perf }
-         | Ic3.Violation (trace, s) ->
-           acc_ic3 s;
-           { verdict = Failed trace; engine_used = "ic3"; time_s;
-             iterations = s.Ic3.frames; work_nodes = s.Ic3.clauses;
-             perf = empty_perf }
-         | Ic3.Inconclusive (why, s) ->
-           acc_ic3 s;
-           let msg =
-             if Deadline.expired deadline then interrupt_cause deadline
-             else
-               match why with
-               | Ic3.Frames_exhausted -> ic3_frames_msg
-               | Ic3.Solver_limit -> sat_conflicts_msg
-           in
-           { verdict = Resource_out msg; engine_used = "ic3"; time_s;
-             iterations = s.Ic3.frames; work_nodes = s.Ic3.clauses;
-             perf = empty_perf }))
-    | Auto -> (
-      match
-        bdd (fun ?constrain ~deadline sym ok ->
-            Reach.check_combined ?constrain ~deadline sym ~ok)
-          "bdd-combined"
-      with
-      | Ok o -> o
-      | Error _ when Deadline.expired deadline ->
-        (* out of wall-clock: escalating would only burn the worker longer *)
-        resource_out (interrupt_cause deadline) "bdd-combined"
-      | Error _ -> (
-        (* escalate: partitioned engine with a larger budget *)
-        match pobdd () with
-        | Ok o -> o
-        | Error _ when Deadline.expired deadline ->
-          resource_out (interrupt_cause deadline) "pobdd"
-        | Error _ ->
-          run_bmc ~acc ~budget ~deadline nl ok_signal constraint_signal))
-    | Portfolio _ ->
-      (* dispatched by check_netlist before reaching the atomic runner *)
-      assert false
-  in
-  report_counters acc;
-  { outcome with perf = perf_of_acc acc }
+  if Telemetry.active () then Telemetry.count "engine.checks";
+  run ~budget ?constraint_signal ~deadline ~strategy nl ~ok_signal
 
 (* Inline combinationally-driven signals into the property's boolean layer
    and simplify, so that e.g. [HE[3]] where HE is a concatenation of checker

@@ -1,7 +1,8 @@
 (** Engine facade: one entry point per property check, with resource budgets
     and the paper's escalation workflow (try unbounded BDD checking; on
     resource exhaustion fall back to the partitioned POBDD engine and then to
-    bounded checking). *)
+    bounded checking). Escalation has one mechanism, the portfolio: [Auto]
+    is the ["auto"] portfolio of those three engines. *)
 
 type strategy =
   | Bdd_forward
@@ -11,7 +12,10 @@ type strategy =
   | Bmc
   | Kind  (** SAT-based k-induction (unbounded) *)
   | Ic3  (** IC3/PDR incremental induction (unbounded, {!Ic3}) *)
-  | Auto  (** combined BDD → POBDD → BMC escalation *)
+  | Auto
+      (** the ["auto"] portfolio [bdd-combined; pobdd; bmc], every member at
+          the check's own budget; named separately so that its name (and
+          hence every default cache key) stays ["auto"] *)
   | Portfolio of portfolio
       (** a declarative member list consumed by the scheduler: raced on a
           pool, run as a short-circuiting ladder sequentially *)
@@ -32,7 +36,9 @@ and budget = {
   ic3_max_frames : int;  (** IC3 frame-sequence bound *)
   wall_deadline_s : float option;
       (** cooperative wall-clock bound for the whole check, across every
-          escalation stage; expiry yields [Resource_out "deadline"] *)
+          escalation stage; expiry yields [Resource_out "deadline"]. A
+          portfolio member's own bound is ignored: members run under the
+          check's deadline *)
   incremental : bool;
       (** keep one live SAT solver per obligation in BMC/k-induction/IC3
           (clause persistence + learnt-clause retention across depths and
@@ -66,10 +72,9 @@ val portfolio : name:string -> member list -> portfolio
 val default_portfolio : budget -> portfolio
 (** The standard racing portfolio derived from a base budget:
     [bdd-combined] with a small speculative node cap, [k-induction], [ic3],
-    and a full-budget [pobdd] backstop (so every obligation the [Auto]
-    ladder decides is still decided). Members carry no private wall
-    deadline — the caller's deadline reaches them through the cancellation
-    hook. *)
+    and a full-budget [pobdd] backstop (so every obligation [Auto] decides
+    is still decided). Members carry no private wall deadline — they run
+    under the check's deadline. *)
 
 type verdict =
   | Proved
@@ -157,22 +162,29 @@ val conclusive : outcome -> bool
     proofs, resource-outs and errors are inconclusive — a racing sibling
     must not be cancelled on their account. *)
 
+val settles : outcome -> bool
+(** {!conclusive}, or [Resource_out "deadline"]: the member ends its
+    portfolio, since every later member would start under the same expired
+    deadline. The racing scheduler decides a group with it, and the
+    sequential runner stops at it. *)
+
 val combine_portfolio : outcome list -> outcome
 (** Fold an index-ordered list of member outcomes into the attributed
     portfolio outcome. The attribution prefix runs from member 0 through
-    the first {!conclusive} member (the whole list when none concludes);
+    the first {!settles} member (the whole list when none settles);
     the winner is the best-ranked outcome of that prefix (conclusive >
-    bounded-deeper > resource-out > error, ties to the smallest index),
-    and the combined [perf] merges exactly the prefix — never the
-    schedule-dependent members a race may or may not have started beyond
-    it. Both the sequential ladder and the racing scheduler report through
-    this one function, which is what keeps seq ≡ race aggregates
-    byte-identical. *)
+    bounded-deeper > resource-out > error, ties to the later member, so a
+    rung that ran after another gave up explains the outcome), the time is
+    the sum over the prefix, and the combined [perf] merges exactly the
+    prefix — never the schedule-dependent members a race may or may not
+    have started beyond it. Both the sequential runner and the racing
+    scheduler report through this one function, which is what keeps
+    seq ≡ race aggregates byte-identical. *)
 
 val check_netlist :
   ?budget:budget ->
   ?constraint_signal:string ->
-  ?cancel:(unit -> bool) ->
+  ?deadline:Deadline.t ->
   strategy:strategy ->
   Rtl.Netlist.t ->
   ok_signal:string ->
@@ -180,18 +192,24 @@ val check_netlist :
 (** Check that the 1-bit [ok_signal] holds in every reachable state.
     [constraint_signal] names a 1-bit combinational function of the primary
     inputs; only inputs satisfying it are explored (invariant input
-    assumptions). When [budget.wall_deadline_s] is set, the deadline is
-    fixed on entry and polled cooperatively in every engine loop (BDD
-    fixpoint iterations and node allocations, POBDD partitions, BMC unroll
-    frames, CDCL search steps, IC3 obligations); an expired deadline yields
-    [Resource_out "deadline"] in bounded time instead of hanging.
+    assumptions).
 
-    [cancel] is an external cooperative stop hook polled at the same sites
-    as the deadline — the racing scheduler's cancellation path. A check cut
-    short by [cancel] (with the wall clock still unexpired) yields
-    [Resource_out "cancelled"]. A [Portfolio] strategy runs its members in
-    order with the enclosing deadline and [cancel] threaded into each, and
-    short-circuits on the first conclusive member. *)
+    [deadline] bounds the whole check: its wall bound and its stop hook
+    are polled cooperatively in every engine loop (BDD fixpoint iterations
+    and node allocations, POBDD partitions, BMC unroll frames, CDCL search
+    steps, IC3 obligations), so an expired deadline ends the check in
+    bounded time instead of hanging. It defaults to [budget.wall_deadline_s]
+    fixed on entry. Expiry yields [Resource_out "deadline"]; a check cut
+    short by the stop hook alone — the racing scheduler's cancellation
+    path, with the wall clock still unexpired — yields
+    [Resource_out "cancelled"]. Every outcome, resource-outs included,
+    carries its measured time.
+
+    [Auto] and [Portfolio] run their members in order, every member under
+    this one deadline (a member budget's own [wall_deadline_s] is
+    ignored), and stop at the first member that {!settles}: one that
+    concludes or runs out of the deadline. {!combine_portfolio} then
+    attributes the members that ran. *)
 
 val instrumented_netlist :
   Rtl.Mdl.t ->

@@ -6,10 +6,7 @@ type stats = {
   clauses : int;
   ctis : int;
   sat_calls : int;
-  decisions : int;
-  conflicts : int;
-  propagations : int;
-  restarts : int;
+  sat : Solver.stats;
   reused : int;  (* queries answered by the warm persistent solver *)
 }
 
@@ -61,20 +58,10 @@ let check ?(incremental = true) ?(max_conflicts = max_int) ?(max_frames = 32)
   let deltas = Array.make (max_frames + 2) ([] : cube list) in
   let n_clauses = ref 0 and n_ctis = ref 0 and n_sat_calls = ref 0 in
   let sat = ref Solver.zero_stats in
-  let acc_st (s : Solver.stats) =
-    sat :=
-      { Solver.decisions = !sat.Solver.decisions + s.Solver.decisions;
-        conflicts = !sat.Solver.conflicts + s.Solver.conflicts;
-        propagations = !sat.Solver.propagations + s.Solver.propagations;
-        restarts = !sat.Solver.restarts + s.Solver.restarts;
-        learned = !sat.Solver.learned + s.Solver.learned }
-  in
+  let acc_st s = sat := Solver.add_stats !sat s in
   let stats_at k =
     { frames = k; clauses = !n_clauses; ctis = !n_ctis;
-      sat_calls = !n_sat_calls; decisions = !sat.Solver.decisions;
-      conflicts = !sat.Solver.conflicts;
-      propagations = !sat.Solver.propagations;
-      restarts = !sat.Solver.restarts;
+      sat_calls = !n_sat_calls; sat = !sat;
       reused = (if incremental then max 0 (!n_sat_calls - 1) else 0) }
   in
   (* ------------------------------------------------------------------ *)
@@ -343,18 +330,10 @@ let check ?(incremental = true) ?(max_conflicts = max_int) ?(max_frames = 32)
         ~ok_signal ~depth
     with
     | Bmc.Violation (trace, bst) ->
-      acc_st
-        { Solver.decisions = bst.Bmc.decisions;
-          conflicts = bst.Bmc.conflicts;
-          propagations = bst.Bmc.propagations;
-          restarts = bst.Bmc.restarts; learned = 0 };
+      acc_st bst.Bmc.sat;
       Violation (trace, stats_at depth)
     | Bmc.Inconclusive bst ->
-      acc_st
-        { Solver.decisions = bst.Bmc.decisions;
-          conflicts = bst.Bmc.conflicts;
-          propagations = bst.Bmc.propagations;
-          restarts = bst.Bmc.restarts; learned = 0 };
+      acc_st bst.Bmc.sat;
       Inconclusive (Solver_limit, stats_at depth)
     | Bmc.No_violation_upto _ ->
       failwith "Ic3.check: CTI chain not confirmed by bounded check")

@@ -32,10 +32,7 @@ type stats = {
   clauses : int;  (** frame clauses learned, post-generalization *)
   ctis : int;  (** counterexamples-to-induction blocked *)
   sat_calls : int;
-  decisions : int;
-  conflicts : int;
-  propagations : int;
-  restarts : int;
+  sat : Solver.stats;  (** summed over every query *)
   reused : int;
       (** queries answered by the warm persistent solver (0 in scratch
           mode) *)

@@ -5,10 +5,7 @@ type stats = {
   k : int;
   cnf_vars : int;
   cnf_clauses : int;
-  decisions : int;
-  conflicts : int;
-  propagations : int;
-  restarts : int;
+  sat : Solver.stats;
   reused : int;  (* solves answered by a warm (already-populated) solver *)
 }
 
@@ -118,16 +115,10 @@ let check ?(incremental = true) ?(max_conflicts = max_int) ?(max_k = 20)
   let reused = ref 0 in
   (* SAT work accumulated across every base-case and step-case solve, so the
      reported counters cover the whole induction run, not just the last CNF *)
-  let acc_d = ref 0 and acc_c = ref 0 and acc_p = ref 0 and acc_r = ref 0 in
-  let add_sat (s : Solver.stats) =
-    acc_d := !acc_d + s.Solver.decisions;
-    acc_c := !acc_c + s.Solver.conflicts;
-    acc_p := !acc_p + s.Solver.propagations;
-    acc_r := !acc_r + s.Solver.restarts
-  in
+  let sat = ref Solver.zero_stats in
+  let add_sat s = sat := Solver.add_stats !sat s in
   let mk_stats ~k ~cnf_vars ~cnf_clauses =
-    { k; cnf_vars; cnf_clauses; decisions = !acc_d; conflicts = !acc_c;
-      propagations = !acc_p; restarts = !acc_r; reused = !reused }
+    { k; cnf_vars; cnf_clauses; sat = !sat; reused = !reused }
   in
   let should_stop = Deadline.checker deadline in
   let rec iterate k =
@@ -135,7 +126,7 @@ let check ?(incremental = true) ?(max_conflicts = max_int) ?(max_k = 20)
       Inconclusive (mk_stats ~k:max_k ~cnf_vars:0 ~cnf_clauses:0)
     else begin
       Deadline.check deadline;
-      Beacon.report ~engine:"k-induction" ~step:k ~work:(!acc_c);
+      Beacon.report ~engine:"k-induction" ~step:k ~work:!sat.Solver.conflicts;
       (* base case: frames < k were proven clean by earlier iterations, so
          only the new depth k needs solving *)
       let base =

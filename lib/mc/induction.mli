@@ -10,10 +10,7 @@ type stats = {
   k : int;  (** the depth at which the result was established *)
   cnf_vars : int;
   cnf_clauses : int;
-  decisions : int;  (** summed over every base-case and step-case solve *)
-  conflicts : int;
-  propagations : int;
-  restarts : int;
+  sat : Solver.stats;  (** summed over every base-case and step-case solve *)
   reused : int;
       (** solves answered by a warm solver (0 in scratch mode) *)
 }

@@ -71,9 +71,9 @@ let fingerprint ?salt o =
   in
   Rtl.Canon.fingerprint ~salt ~roots o.nl
 
-let run ?cancel o =
+let run o =
   Engine.check_netlist ~budget:o.budget ?constraint_signal:o.constraint_signal
-    ?cancel ~strategy:o.strategy o.nl ~ok_signal:o.ok_signal
+    ~strategy:o.strategy o.nl ~ok_signal:o.ok_signal
 
 let size o =
   let state = Rtl.Netlist.state_bits o.nl in

@@ -69,9 +69,8 @@ val fingerprint : ?salt:string -> _ t -> string
     sub-proofs salted with their cut set) use it to guarantee their keys
     never collide with the monolithic obligation's. *)
 
-val run : ?cancel:(unit -> bool) -> _ t -> Engine.outcome
-(** Execute the prepared check ({!Engine.check_netlist}). [cancel] is the
-    cooperative stop hook — see {!Engine.check_netlist}. *)
+val run : _ t -> Engine.outcome
+(** Execute the prepared check ({!Engine.check_netlist}). *)
 
 val size : _ t -> int * int
 (** [(state bits, input bits)] of the prepared model — the paper's "problem

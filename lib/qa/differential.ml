@@ -120,10 +120,10 @@ let exhaustive_sim rnl ~ok_signal ~constraint_signal =
     let n = ref 0 in
     while !first_fail = None && !n < total do
       let run =
-        Diag.Replay.run ~capture:false ?constraint_signal rnl ~ok_signal
+        Core.Replay.run ~capture:false ?constraint_signal rnl ~ok_signal
           (stim_of !n)
       in
-      (match run.Diag.Replay.fail_cycle with
+      (match run.Core.Replay.fail_cycle with
       | Some c -> first_fail := Some c
       | None -> ());
       incr n
@@ -176,10 +176,10 @@ let check_obligation ~case_id mdl ~cls ~prop_name ~assert_ ~assumes =
           | E.Failed trace -> (
             let rnl, rok, rcons = Lazy.force replay in
             let run =
-              Diag.Replay.run ?constraint_signal:rcons rnl ~ok_signal:rok
+              Core.Replay.run ?constraint_signal:rcons rnl ~ok_signal:rok
                 (Mc.Trace.replay_stimulus trace)
             in
-            match Diag.Replay.validate trace run with
+            match Core.Replay.validate trace run with
             | Ok () -> Some (Mc.Trace.length trace)
             | Error reason ->
               add Replay_mismatch

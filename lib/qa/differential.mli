@@ -3,7 +3,7 @@
     Every obligation of the case is run through each concrete engine
     strategy (forced via {!Mc.Engine.check_netlist} overrides, all sharing
     one prepared netlist), every counterexample is cross-validated with
-    {!Diag.Replay} on the independently prepared replay model, small
+    {!Core.Replay} on the independently prepared replay model, small
     designs additionally get a bounded exhaustive simulation sweep, and
     the printed Verilog is parsed back and compared by canonical
     fingerprint. Any pairwise contradiction between those oracles is a
@@ -13,7 +13,7 @@ type discrepancy_kind =
   | Verdict_split
       (** one engine proves what another (replay-validated) refutes *)
   | Replay_mismatch
-      (** an engine counterexample fails {!Diag.Replay.validate} *)
+      (** an engine counterexample fails {!Core.Replay.validate} *)
   | Sim_mismatch
       (** bounded exhaustive simulation contradicts the engine consensus *)
   | Roundtrip_mismatch

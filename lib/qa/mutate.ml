@@ -43,10 +43,10 @@ let attack_property mdl ~assert_ ~assumes =
   | E.Failed trace -> (
     let rnl, rok, rcons = E.replay_model mdl ~assert_ ~assumes in
     let run =
-      Diag.Replay.run ?constraint_signal:rcons rnl ~ok_signal:rok
+      Core.Replay.run ?constraint_signal:rcons rnl ~ok_signal:rok
         (Mc.Trace.replay_stimulus trace)
     in
-    match Diag.Replay.validate trace run with
+    match Core.Replay.validate trace run with
     | Ok () -> Ok (Mc.Trace.length trace)
     | Error reason ->
       Error (Printf.sprintf "failed, but replay validation rejects: %s" reason))

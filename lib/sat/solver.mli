@@ -29,6 +29,9 @@ type stats = {
 
 val zero_stats : stats
 
+val add_stats : stats -> stats -> stats
+(** Field-wise sum: the work of two solves, or of a whole engine run. *)
+
 (** {1 Incremental interface} *)
 
 type t

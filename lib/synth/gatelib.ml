@@ -26,14 +26,4 @@ let delay = function
   | Mux2 -> 200.0
   | Dff -> 150.0
 
-let cap_ff = function
-  | Inv -> 3.0
-  | And2 -> 5.0
-  | Or2 -> 5.0
-  | Xor2 -> 8.0
-  | Mux2 -> 8.0
-  | Dff -> 12.0
-
-let supply_v = 1.2
-
 let clock_period_ps ~frequency_mhz = 1.0e6 /. frequency_mhz

@@ -13,11 +13,4 @@ val area : cell -> float
 val delay : cell -> float
 (** Propagation delay in picoseconds; for [Dff] this is clock-to-Q. *)
 
-val cap_ff : cell -> float
-(** Switched output capacitance in femtofarads (gate + typical wire load),
-    used by the dynamic-power estimate. *)
-
-val supply_v : float
-(** Nominal supply of the modeled 0.11 um process (1.2 V). *)
-
 val clock_period_ps : frequency_mhz:float -> float

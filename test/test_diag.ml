@@ -233,9 +233,9 @@ let test_html_report () =
 
 let test_replay_telemetry () =
   let mini, result, _ = Lazy.force diagnosed in
-  Core.Telemetry.start ();
+  Obs.Telemetry.start ();
   let _ = D.diagnose_campaign mini result in
-  let report = Core.Telemetry.stop () in
+  let report = Obs.Telemetry.stop () in
   Alcotest.(check bool) "replays counted" true
     (Obs.Telemetry.counter report "diag.replays" > 0);
   Alcotest.(check bool) "confirmations counted" true

@@ -173,7 +173,7 @@ let test_image_preimage_duality () =
     Alcotest.(check bool) "duality" forward backward
   done
 
-let test_bmc_find_shortest () =
+let test_bmc_shortest () =
   let m = mod5 () in
   let inst =
     Psl.Monitor.instrument m ~prefix:"fs"
@@ -182,8 +182,7 @@ let test_bmc_find_shortest () =
   in
   let nl = elaborated inst.Psl.Monitor.mdl in
   (match
-     Mc.Bmc.find_shortest nl ~ok_signal:inst.Psl.Monitor.invariant_ok
-       ~max_depth:20
+     Mc.Bmc.check nl ~ok_signal:inst.Psl.Monitor.invariant_ok ~depth:20
    with
    | Mc.Bmc.Violation (trace, stats) ->
      Alcotest.(check int) "minimal depth" 4 stats.Mc.Bmc.depth;
@@ -198,8 +197,7 @@ let test_bmc_find_shortest () =
   in
   let nl2 = elaborated inst2.Psl.Monitor.mdl in
   match
-    Mc.Bmc.find_shortest nl2 ~ok_signal:inst2.Psl.Monitor.invariant_ok
-      ~max_depth:10
+    Mc.Bmc.check nl2 ~ok_signal:inst2.Psl.Monitor.invariant_ok ~depth:10
   with
   | Mc.Bmc.No_violation_upto (d, _) -> Alcotest.(check int) "swept to 10" 10 d
   | Mc.Bmc.Violation _ | Mc.Bmc.Inconclusive _ -> Alcotest.fail "expected clean"
@@ -783,7 +781,7 @@ let () =
          Alcotest.test_case "assumptions" `Quick test_assumes_constrain;
          Alcotest.test_case "bmc depth" `Quick test_bmc_depth_sensitivity;
          Alcotest.test_case "bmc shortest counterexample" `Quick
-           test_bmc_find_shortest;
+           test_bmc_shortest;
          Alcotest.test_case "budget escalation" `Quick
            test_node_limit_escalation;
          Alcotest.test_case "strategy names round-trip" `Quick

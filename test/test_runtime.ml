@@ -67,6 +67,13 @@ let check_deadline_verdict name (o : Mc.Engine.outcome) =
     Alcotest.failf "%s: resource out for %s, not the deadline" name m
   | _ -> Alcotest.failf "%s: expected Resource_out \"deadline\"" name
 
+(* a resource-out keeps the time it spent, so Table 2's time column and the
+   aggregate engine time count the runs that gave up *)
+let check_time_kept name ~deadline_s (o : Mc.Engine.outcome) =
+  if o.Mc.Engine.time_s < deadline_s /. 2.0 then
+    Alcotest.failf "%s: time_s %.3f below half the %.1fs deadline" name
+      o.Mc.Engine.time_s deadline_s
+
 let test_deadline_bounds_bdd () =
   let m = wide_counter () in
   let budget =
@@ -80,7 +87,8 @@ let test_deadline_bounds_bdd () =
   in
   check_deadline_verdict "bdd forward" o;
   Alcotest.(check bool) "wall time bounded" true
-    (Unix.gettimeofday () -. t0 < 10.0)
+    (Unix.gettimeofday () -. t0 < 10.0);
+  check_time_kept "bdd forward" ~deadline_s:0.3 o
 
 let test_deadline_bounds_bmc () =
   let m = wide_counter () in
@@ -96,19 +104,56 @@ let test_deadline_bounds_bmc () =
   in
   check_deadline_verdict "bmc" o;
   Alcotest.(check bool) "wall time bounded" true
-    (Unix.gettimeofday () -. t0 < 10.0)
+    (Unix.gettimeofday () -. t0 < 10.0);
+  check_time_kept "bmc" ~deadline_s:0.2 o
+
+let always_ok = Psl.Parser.fl_of_string "always OK"
 
 let test_deadline_expired_at_entry () =
-  (* an already-expired deadline must not hang the Auto escalation either *)
+  (* an already-expired deadline must not hang the Auto escalation either,
+     and stops it after the first rung *)
   let m = wide_counter () in
   let budget =
     { Mc.Engine.default_budget with Mc.Engine.wall_deadline_s = Some 0.0 }
   in
-  let o =
-    Mc.Engine.check_property ~budget m
-      ~assert_:(Psl.Parser.fl_of_string "always OK") ~assumes:[]
+  let o = Mc.Engine.check_property ~budget m ~assert_:always_ok ~assumes:[] in
+  check_deadline_verdict "auto" o;
+  Alcotest.(check string) "auto engine" "bdd-combined" o.Mc.Engine.engine_used;
+  Alcotest.(check (list string)) "auto attempts" [ "bdd-combined" ]
+    o.Mc.Engine.perf.Mc.Engine.attempts;
+  (* a portfolio's members run under the check's deadline, so its expiry
+     reads "deadline", not "cancelled" *)
+  let p = Mc.Engine.Portfolio (Mc.Engine.default_portfolio budget) in
+  check_deadline_verdict "default portfolio"
+    (Mc.Engine.check_property ~budget ~strategy:p m ~assert_:always_ok
+       ~assumes:[])
+
+(* Auto escalates bdd-combined -> pobdd -> bmc; with both BDD engines
+   starved, BMC decides the verdict, and when every rung gives up the last
+   one explains why *)
+let test_auto_escalation_corners () =
+  let m = wide_counter () in
+  let starved =
+    { Mc.Engine.default_budget with
+      Mc.Engine.bdd_node_limit = Some 16; pobdd_node_limit = Some 16 }
   in
-  check_deadline_verdict "auto" o
+  let auto budget =
+    let o =
+      Mc.Engine.check_property ~budget m ~assert_:always_ok ~assumes:[]
+    in
+    (o.Mc.Engine.engine_used, o.Mc.Engine.verdict)
+  in
+  (match auto { starved with Mc.Engine.bmc_depth = 8 } with
+   | "bmc", Mc.Engine.Proved_bounded 8 -> ()
+   | e, _ -> Alcotest.failf "expected (bmc, bounded:8), got engine %s" e);
+  match
+    auto
+      { starved with
+        Mc.Engine.bmc_depth = 1_000_000; wall_deadline_s = Some 0.3 }
+  with
+  | "bmc", Mc.Engine.Resource_out "deadline" -> ()
+  | e, _ ->
+    Alcotest.failf "expected (bmc, resource_out:deadline), got engine %s" e
 
 let test_deadline_none_is_unchanged () =
   (* no deadline in the budget: a feasible check still proves *)
@@ -487,6 +532,24 @@ let test_executor_map_result () =
   Alcotest.check_raises "map re-raises" (Failure "boom") (fun () ->
       ignore (Core.Executor.map (Core.Executor.pool ~jobs:4) f input))
 
+(* a raced portfolio campaign whose deadline has already passed: every
+   member runs under the obligation's deadline, so the resource-outs read
+   "deadline" — "cancelled" is only for a member a sibling's verdict
+   stopped *)
+let test_raced_deadline_cause () =
+  let budget =
+    { Mc.Engine.default_budget with Mc.Engine.wall_deadline_s = Some 0.0 }
+  in
+  let t =
+    Core.Campaign.run ~budget ~portfolio:(Mc.Engine.default_portfolio budget)
+      ~jobs:2 ~cache:(Mc.Cache.create ()) (mini_chip ())
+  in
+  let causes = Core.Campaign.resource_out_causes t in
+  Alcotest.(check bool) "deadline causes" true
+    (List.mem_assoc "deadline" causes);
+  Alcotest.(check bool) "no cancelled cause" false
+    (List.mem_assoc "cancelled" causes)
+
 let () =
   Alcotest.run "runtime"
     [ ("deadline",
@@ -496,6 +559,8 @@ let () =
            test_deadline_bounds_bmc;
          Alcotest.test_case "expired at entry" `Quick
            test_deadline_expired_at_entry;
+         Alcotest.test_case "auto escalation corners" `Quick
+           test_auto_escalation_corners;
          Alcotest.test_case "absent deadline changes nothing" `Quick
            test_deadline_none_is_unchanged ]);
       ("sat-cancel",
@@ -527,4 +592,7 @@ let () =
            test_journal_partial_resume ]);
       ("executor",
        [ Alcotest.test_case "map_result isolates per-item crashes" `Quick
-           test_executor_map_result ]) ]
+           test_executor_map_result ]);
+      ("racing",
+       [ Alcotest.test_case "expired deadline reads deadline" `Quick
+           test_raced_deadline_cause ]) ]

@@ -210,6 +210,34 @@ let test_coverage_wide_signals () =
      | _ -> false
      | exception Invalid_argument _ -> true)
 
+let test_counter_activity () =
+  (* simulate a free-running counter under legal stimulus and measure its
+     register's switching activity *)
+  let m = Chip.Archetype.counter ~name:"act_cnt" () in
+  let nl = elaborated m.Chip.Archetype.mdl in
+  let sim = Sim.Simulator.create nl in
+  Sim.Simulator.reset sim;
+  let signals = List.map fst (Rtl.Netlist.signals nl) in
+  let cov = Sim.Coverage.create sim ~signals in
+  let profile =
+    Sim.Stimulus.legal_profile
+      ~parity_inputs:m.Chip.Archetype.parity_inputs
+      ~overrides:[ ("EN", Sim.Stimulus.constant (Bitvec.of_int ~width:1 1));
+                   ("LOAD", Sim.Stimulus.constant (Bitvec.of_int ~width:1 0)) ]
+      nl
+  in
+  let st = Random.State.make [| 3 |] in
+  for _ = 1 to 200 do
+    Sim.Simulator.drive_all sim (Sim.Stimulus.draw profile st);
+    Sim.Simulator.settle sim;
+    Sim.Coverage.sample cov;
+    Sim.Simulator.clock sim
+  done;
+  (* a free-running counter's LSB toggles every cycle: activity near 0.5
+     averaged over 5 bits (bit0 = 1.0, bit1 = 0.5, ...) *)
+  let a = Sim.Coverage.activity cov "cnt_q" in
+  Alcotest.(check bool) "counter activity plausible" true (a > 0.3 && a < 0.6)
+
 let () =
   Alcotest.run "sim"
     [ ("simulator",
@@ -226,4 +254,6 @@ let () =
          Alcotest.test_case "vcd" `Quick test_vcd ]);
       ("coverage",
        [ Alcotest.test_case "toggle and value" `Quick test_coverage;
-         Alcotest.test_case "wide signals" `Quick test_coverage_wide_signals ]) ]
+         Alcotest.test_case "wide signals" `Quick test_coverage_wide_signals;
+         Alcotest.test_case "counter activity" `Quick test_counter_activity ])
+    ]

@@ -105,62 +105,6 @@ let test_xor_maps_to_xor2 () =
   Alcotest.(check int) "four XOR2" 4 (Synth.Map.cell_count nc Synth.Gatelib.Xor2)
 
 
-(* ---- power estimation ---- *)
-
-let test_power_basics () =
-  let nl = elaborated (simple_module ()) in
-  let quiet = Synth.Power.estimate nl ~activity:(fun _ -> 0.0) in
-  Alcotest.(check (float 1e-9)) "no switching, no comb power" 0.0
-    quiet.Synth.Power.combinational_mw;
-  Alcotest.(check bool) "clock still burns" true
-    (quiet.Synth.Power.clock_mw > 0.0);
-  let busy = Synth.Power.estimate nl ~activity:(fun _ -> 0.5) in
-  Alcotest.(check bool) "activity increases power" true
-    (busy.Synth.Power.total_mw > quiet.Synth.Power.total_mw);
-  (* doubling frequency doubles power *)
-  let fast =
-    Synth.Power.estimate ~frequency_mhz:500.0 nl ~activity:(fun _ -> 0.5)
-  in
-  Alcotest.(check (float 1e-9)) "power scales with frequency"
-    (2.0 *. busy.Synth.Power.total_mw)
-    fast.Synth.Power.total_mw
-
-let test_power_from_measured_activity () =
-  (* close the loop: simulate, measure activity, feed the power model *)
-  let m = Chip.Archetype.counter ~name:"pw_cnt" () in
-  let nl = elaborated m.Chip.Archetype.mdl in
-  let sim = Sim.Simulator.create nl in
-  Sim.Simulator.reset sim;
-  let signals = List.map fst (Rtl.Netlist.signals nl) in
-  let cov = Sim.Coverage.create sim ~signals in
-  let profile =
-    Sim.Stimulus.legal_profile
-      ~parity_inputs:m.Chip.Archetype.parity_inputs
-      ~overrides:[ ("EN", Sim.Stimulus.constant (Bitvec.of_int ~width:1 1));
-                   ("LOAD", Sim.Stimulus.constant (Bitvec.of_int ~width:1 0)) ]
-      nl
-  in
-  let st = Random.State.make [| 3 |] in
-  for _ = 1 to 200 do
-    Sim.Simulator.drive_all sim (Sim.Stimulus.draw profile st);
-    Sim.Simulator.settle sim;
-    Sim.Coverage.sample cov;
-    Sim.Simulator.clock sim
-  done;
-  (* a free-running counter's LSB toggles every cycle: activity near 0.5
-     averaged over 5 bits (bit0 = 1.0, bit1 = 0.5, ...) *)
-  let a = Sim.Coverage.activity cov "cnt_q" in
-  Alcotest.(check bool) "counter activity plausible" true (a > 0.3 && a < 0.6);
-  let report =
-    Synth.Power.estimate nl ~activity:(fun s ->
-        match Sim.Coverage.activity cov s with
-        | a -> a
-        | exception Not_found -> 0.1)
-  in
-  Alcotest.(check bool) "positive total" true (report.Synth.Power.total_mw > 0.0);
-  Alcotest.(check bool) "report prints" true
-    (String.length (Format.asprintf "%a" Synth.Power.pp report) > 0)
-
 let () =
   Alcotest.run "synth"
     [ ("map",
@@ -173,8 +117,4 @@ let () =
       ("timing",
        [ Alcotest.test_case "basic" `Quick test_timing_basic;
          Alcotest.test_case "tree depth" `Quick test_timing_chain_depth;
-         Alcotest.test_case "selector delay" `Quick test_selector_delay ]);
-      ("power",
-       [ Alcotest.test_case "model basics" `Quick test_power_basics;
-         Alcotest.test_case "measured activity" `Quick
-           test_power_from_measured_activity ]) ]
+         Alcotest.test_case "selector delay" `Quick test_selector_delay ]) ]
