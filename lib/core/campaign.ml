@@ -121,6 +121,15 @@ let verdict_str (o : Mc.Engine.outcome) =
   | Mc.Engine.Resource_out c -> "resource_out:" ^ c
   | Mc.Engine.Error _ -> "error"
 
+(* A shared-preparation cell of {!run}: one module structure's properties
+   and, once prepared, each property's obligation and fingerprint. *)
+type cell = {
+  c_mdl : Rtl.Mdl.t;  (* the first module of this structure *)
+  c_props : (string * Psl.Ast.fl * Psl.Ast.fl list) list;
+  c_lock : Mutex.t;
+  mutable c_prepared : (unit Mc.Obligation.t * string) array option;
+}
+
 let run ?budget ?strategy ?portfolio ?(progress = fun (_ : progress) -> ())
     ?jobs ?race_jobs ?cache ?journal ?(max_retries = 2)
     ?(retry_backoff_s = 0.05) ?fault_hook ?self_heal ?status (chip : G.t) =
@@ -139,58 +148,95 @@ let run ?budget ?strategy ?portfolio ?(progress = fun (_ : progress) -> ())
   in
   let exec = Executor.of_jobs jobs in
   let use_racing = portfolio <> None && Executor.jobs exec > 1 in
-  (* Shared preparation: the P0/P1/P2 obligations of one module differ only
+  (* Shared preparation. The P0/P1/P2 obligations of one module differ only
      in their monitor cone, so the module-level work (inliner tables, the
-     pruner's elaboration, monitor weaving, the full elaborate) runs once
-     per module via {!Mc.Engine.prepare_module} and each obligation picks up
-     its own cone-reduced netlist. One cell per module, guarded by its own
-     mutex: the first worker to reach the module prepares for all of them,
-     siblings block briefly and reuse — whichever executor path (sequential,
-     pool, racing) gets there first. A crash during preparation leaves the
-     cell empty, so a retrying sibling re-prepares instead of inheriting a
-     poisoned table. *)
-  let module_props : (string, (string * Psl.Ast.fl * Psl.Ast.fl list) list)
-      Hashtbl.t =
-    Hashtbl.create 64
+     pruner's elaboration, monitor weaving, the full elaborate, the COI
+     index) runs once per module via {!Mc.Engine.prepare_module}. Most
+     modules of a chip are copies of one another, so a cell serves every
+     module of one structure: its key is the module with its name blanked
+     plus its properties' ordered formulas, compared structurally, so it
+     covers every field preparation and the canonical fingerprint read. A
+     cell holds each property's obligation and fingerprint, built once; an
+     item takes the pair at its position and gives the netlist its own
+     module's name as [top]. One mutex per cell: the first worker to reach
+     it prepares for all its items, the others block briefly and reuse —
+     whichever executor path (sequential, pool, racing) gets there first. A
+     crash during preparation leaves the cell empty, so a retrying item
+     re-prepares instead of inheriting a poisoned table. *)
+  let slots =
+    (* each module's item indices, in order *)
+    let groups = Hashtbl.create 128 in
+    for i = total - 1 downto 0 do
+      let name = items.(i).w_mdl.Rtl.Mdl.name in
+      Hashtbl.replace groups name
+        (i :: Option.value ~default:[] (Hashtbl.find_opt groups name))
+    done;
+    let cells = Hashtbl.create 64 and slots = Array.make total None in
+    Array.iter
+      (fun w ->
+        let name = w.w_mdl.Rtl.Mdl.name in
+        match Hashtbl.find_opt groups name with
+        | None -> () (* the module's items already have their slots *)
+        | Some idx ->
+          Hashtbl.remove groups name;
+          let props =
+            List.map
+              (fun i ->
+                let w = items.(i) in
+                (w.w_prop_name, w.w_assert, w.w_assumes))
+              idx
+          in
+          let key =
+            ( { w.w_mdl with Rtl.Mdl.name = "" },
+              List.map (fun (_, a, s) -> (a, s)) props )
+          in
+          let cell =
+            match Hashtbl.find_opt cells key with
+            | Some c -> c
+            | None ->
+              let c =
+                { c_mdl = w.w_mdl; c_props = props; c_lock = Mutex.create ();
+                  c_prepared = None }
+              in
+              Hashtbl.add cells key c;
+              c
+          in
+          List.iteri (fun j i -> slots.(i) <- Some (cell, j)) idx)
+      items;
+    Array.map Option.get slots
   in
-  let prep_cells = Hashtbl.create 64 in
-  let prop_key (w : work) = w.w_vunit_name ^ "/" ^ w.w_prop_name in
-  Array.iter
-    (fun w ->
-      let mname = w.w_mdl.Rtl.Mdl.name in
-      let prev =
-        match Hashtbl.find_opt module_props mname with
-        | Some l -> l
-        | None ->
-          Hashtbl.add prep_cells mname (Mutex.create (), ref None);
-          []
+  let prepare_cell c =
+    Mutex.lock c.c_lock;
+    Fun.protect ~finally:(fun () -> Mutex.unlock c.c_lock) @@ fun () ->
+    match c.c_prepared with
+    | Some p -> p
+    | None ->
+      let mname = c.c_mdl.Rtl.Mdl.name in
+      let p =
+        Obs.Telemetry.span ~cat:"obligation"
+          ~args:[ ("module", mname) ]
+          (mname ^ ".prepare")
+          (fun () ->
+            Mc.Engine.prepare_module c.c_mdl ~props:c.c_props
+            |> List.map (fun (_, prep) ->
+                   let ob =
+                     Mc.Obligation.of_prepared ?budget ?strategy prep ~meta:()
+                   in
+                   (ob, Mc.Obligation.fingerprint ob))
+            |> Array.of_list)
       in
-      Hashtbl.replace module_props mname
-        (prev @ [ (prop_key w, w.w_assert, w.w_assumes) ]))
-    items;
-  let prepare_shared (w : work) =
-    let mname = w.w_mdl.Rtl.Mdl.name in
-    let lock, cell = Hashtbl.find prep_cells mname in
-    Mutex.lock lock;
-    let table =
-      Fun.protect ~finally:(fun () -> Mutex.unlock lock) @@ fun () ->
-      match !cell with
-      | Some tbl -> tbl
-      | None ->
-        let tbl =
-          Obs.Telemetry.span ~cat:"obligation"
-            ~args:[ ("module", mname) ]
-            (mname ^ ".prepare")
-            (fun () ->
-              Mc.Engine.prepare_module w.w_mdl
-                ~props:(Hashtbl.find module_props mname))
-        in
-        cell := Some tbl;
-        tbl
-    in
-    Mc.Obligation.of_prepared ?budget ?strategy
-      (List.assoc (prop_key w) table)
-      ~meta:()
+      c.c_prepared <- Some p;
+      p
+  in
+  (* item [i]'s obligation and cache key *)
+  let obligation i =
+    let cell, j = slots.(i) in
+    let ob, key = (prepare_cell cell).(j) in
+    let nl = ob.Mc.Obligation.nl in
+    ( { ob with
+        Mc.Obligation.nl =
+          { nl with Rtl.Netlist.top = items.(i).w_mdl.Rtl.Mdl.name } },
+      key )
   in
   let stat f = match status with Some s -> f s | None -> () in
   let strat_name =
@@ -264,15 +310,15 @@ let run ?budget ?strategy ?portfolio ?(progress = fun (_ : progress) -> ())
          journal; the attribution marks it *)
       healed }
   in
-  let check_body (w : work) =
+  let check_body i =
+    let w = items.(i) in
     let ob_name = w.w_mdl.Rtl.Mdl.name ^ "." ^ w.w_prop_name in
     stat (fun s ->
         Status.begin_work s ~obligation:ob_name ~engine:strat_name ~attempt:1);
     (* prepare inside the worker so instrumentation, elaboration and COI
-       reduction parallelize along with the engine runs; the module-level
-       half is shared across the module's obligations (see [prepare_shared]) *)
-    let ob = prepare_shared w in
-    let key = Mc.Obligation.fingerprint ob in
+       reduction parallelize along with the engine runs; the preparation is
+       shared across every module of one structure (see [slots]) *)
+    let ob, key = obligation i in
     let outcome, cache_hit, replayed, attempts =
       match Option.bind journal (fun j -> Journal.replay j ~key) with
       | Some outcome -> (outcome, false, true, 0)
@@ -322,13 +368,14 @@ let run ?budget ?strategy ?portfolio ?(progress = fun (_ : progress) -> ())
     in
     finish w ~cache_hit ~replayed ~attempts outcome
   in
-  let check (w : work) =
+  let check i =
+    let w = items.(i) in
     Obs.Telemetry.span ~cat:"obligation"
       ~args:
         [ ("category", w.w_category); ("module", w.w_mdl.Rtl.Mdl.name);
           ("property", w.w_prop_name) ]
       (w.w_mdl.Rtl.Mdl.name ^ "." ^ w.w_prop_name)
-      (fun () -> check_body w)
+      (fun () -> check_body i)
   in
   (* The racing path: preparation and cache/journal lookup happen when the
      scheduler opens the group; on a miss the portfolio members become the
@@ -342,15 +389,15 @@ let run ?budget ?strategy ?portfolio ?(progress = fun (_ : progress) -> ())
      domain. Member crashes become
      non-conclusive [Error] member outcomes — the race continues and the
      sibling verdicts still decide the obligation. *)
-  let open_group (w : work) =
+  let open_group i =
+    let w = items.(i) in
     Obs.Telemetry.span ~cat:"obligation"
       ~args:
         [ ("category", w.w_category); ("module", w.w_mdl.Rtl.Mdl.name);
           ("property", w.w_prop_name) ]
       (w.w_mdl.Rtl.Mdl.name ^ "." ^ w.w_prop_name ^ ".open")
     @@ fun () ->
-    let ob = prepare_shared w in
-    let key = Mc.Obligation.fingerprint ob in
+    let ob, key = obligation i in
     match Option.bind journal (fun j -> Journal.replay j ~key) with
     | Some outcome ->
       Executor.Done
@@ -424,8 +471,9 @@ let run ?budget ?strategy ?portfolio ?(progress = fun (_ : progress) -> ())
     (* the executor's per-item isolation is the outer safety net: anything
        that escapes the retry ladder (a crash in prepare, a raising progress
        callback) still yields a row instead of losing the campaign *)
-    (if use_racing then Executor.race_map_result exec ?race_jobs open_group items
-     else Executor.map_result exec check items)
+    (let idx = Array.init total Fun.id in
+     if use_racing then Executor.race_map_result exec ?race_jobs open_group idx
+     else Executor.map_result exec check idx)
     |> Array.mapi (fun i -> function
          | Ok r -> r
          | Error exn ->
@@ -507,7 +555,7 @@ let run ?budget ?strategy ?portfolio ?(progress = fun (_ : progress) -> ())
         | Some out ->
           (* checkpoint under the monolithic key — the shared prep cell is
              already warm from the main pass *)
-          record ~key:(Mc.Obligation.fingerprint (prepare_shared w)) out;
+          record ~key:(snd (obligation i)) out;
           if Mc.Engine.conclusive out then
             Obs.Telemetry.count "heal.recovered");
         hr

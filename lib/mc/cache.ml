@@ -14,6 +14,7 @@ let with_lock c f =
 
 let find c ~key =
   let r =
+    Obs.Telemetry.span ~cat:"cache" "cache.find" @@ fun () ->
     with_lock c (fun () ->
         match Hashtbl.find_opt c.tbl key with
         | Some o ->

@@ -16,7 +16,8 @@ type t
 val create : unit -> t
 
 val find : t -> key:string -> Engine.outcome option
-(** Lookup that counts: a hit bumps [hits], a miss bumps [misses]. *)
+(** Lookup that counts: a hit bumps [hits], a miss bumps [misses]. Runs
+    in a [cache/cache.find] telemetry span. *)
 
 val add : t -> key:string -> Engine.outcome -> unit
 (** Insert (or overwrite) an entry. Callers that must not cache certain

@@ -460,11 +460,12 @@ let make_pruner mdl =
   let nl = Rtl.Elaborate.run design ~top:mdl.Rtl.Mdl.name in
   let declared = List.map fst (Rtl.Netlist.signals nl) in
   let input_names = List.map fst nl.Rtl.Netlist.inputs in
+  let reduce = Rtl.Coi.reduce nl in
   fun ~assert_ ~assumes ->
     let roots =
       List.filter (fun s -> List.mem s declared) (Psl.Ast.signals assert_)
     in
-    let cone = Rtl.Coi.reduce nl ~roots in
+    let cone = reduce ~roots in
     let cone_signals = List.map fst (Rtl.Netlist.signals cone) in
     let keep a =
       let sigs = Psl.Ast.signals a in
@@ -543,15 +544,16 @@ let replay_model mdl ~assert_ ~assumes =
 
 (* Shared per-module preparation: when a module carries several properties
    (the paper's P0/P1/P2 obligations), the module-level work — the inliner's
-   driver tables, the pruner's raw elaboration, the monitor weaving and the
-   single full elaborate — runs once for all of them. Each property gets its
-   own monitor (distinct [mon<i>] prefixes in one woven module) and its own
-   cone-of-influence reduction from its own roots, so the per-property
-   reduced netlist is structurally identical to what the unshared
-   {!instrumented_netlist} path builds: monitors are independent cones, and
-   COI from property [i]'s roots excludes every other property's monitor.
-   Canonical fingerprints (name-independent) therefore agree between the
-   shared and unshared paths. *)
+   driver tables, the pruner's raw elaboration, the monitor weaving, the
+   single full elaborate and the COI dependency indexes of both netlists —
+   runs once for all of them. Each property gets its own monitor (distinct
+   [mon<i>] prefixes in one woven module) and its own cone-of-influence
+   reduction from its own roots, so the per-property reduced netlist is
+   structurally identical to what the unshared {!instrumented_netlist} path
+   builds: monitors are independent cones, and COI from property [i]'s
+   roots excludes every other property's monitor. Canonical fingerprints
+   (name-independent) therefore agree between the shared and unshared
+   paths. *)
 let prepare_module mdl ~props =
   let sp name f = Telemetry.span ~cat:"prepare" name f in
   let fronts =
@@ -597,13 +599,16 @@ let prepare_module mdl ~props =
         let design = Rtl.Design.of_modules [ !woven ] in
         Rtl.Elaborate.run design ~top:(!woven).Rtl.Mdl.name)
   in
+  (* one dependency index for every property's cone, built inside the
+     first COI span *)
+  let reduce = lazy (Rtl.Coi.reduce nl) in
   List.rev_map
     (fun (name, prefix, ok_signal, constraint_signal) ->
       let roots =
         ok_signal
         :: (match constraint_signal with Some c -> [ c ] | None -> [])
       in
-      let red = sp "prepare.coi" (fun () -> Rtl.Coi.reduce nl ~roots) in
+      let red = sp "prepare.coi" (fun () -> Lazy.force reduce ~roots) in
       (* after its COI reduction the property's cone holds exactly one
          monitor, so the weaving prefix [mon<i>] can be folded back to the
          unshared path's [mon]: the result is name-identical (not merely

@@ -244,8 +244,9 @@ val prepare_module :
   props:(string * Psl.Ast.fl * Psl.Ast.fl list) list ->
   (string * (Rtl.Netlist.t * string * string option)) list
 (** Shared preparation for all properties of one module: the module-level
-    work (inliner tables, the pruner's raw elaboration, monitor weaving,
-    the single full elaborate) runs once, then each property gets its own
+    work (inliner tables, the pruner's raw elaboration and its
+    {!Rtl.Coi.reduce} index, monitor weaving, the single full elaborate and
+    its COI index) runs once, then each property gets its own
     cone-of-influence reduction from its own monitor roots. Input is
     [(name, assert, assumes)] per property; output pairs each name with
     exactly what {!instrumented_netlist} would have returned for it: each

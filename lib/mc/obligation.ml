@@ -69,7 +69,8 @@ let fingerprint ?salt o =
     o.ok_signal
     :: (match o.constraint_signal with Some c -> [ c ] | None -> [])
   in
-  Rtl.Canon.fingerprint ~salt ~roots o.nl
+  Obs.Telemetry.span ~cat:"key" "fingerprint" (fun () ->
+      Rtl.Canon.fingerprint ~salt ~roots o.nl)
 
 let run o =
   Engine.check_netlist ~budget:o.budget ?constraint_signal:o.constraint_signal

@@ -43,10 +43,11 @@ val of_prepared :
 (** Package an already-prepared check — the [(netlist, ok, constraint)]
     triple {!Engine.instrumented_netlist} or {!Engine.prepare_module}
     returns — without re-running preparation. This is how the campaign
-    shares one monitor-weaving/elaboration pass across all properties of a
-    module: prepare once with {!Engine.prepare_module}, then wrap each
-    per-property cone here. Equivalent to {!prepare} on the same inputs
-    (same netlist up to structural identity, hence same {!fingerprint}). *)
+    shares one monitor-weaving/elaboration pass across all properties of
+    every module of one structure: prepare once with
+    {!Engine.prepare_module}, then wrap each per-property cone here.
+    Equivalent to {!prepare} on the same inputs (same netlist up to
+    structural identity, hence same {!fingerprint}). *)
 
 val of_vunit :
   ?budget:Engine.budget ->
@@ -67,7 +68,8 @@ val fingerprint : ?salt:string -> _ t -> string
     strategy or the budget changes the key. The optional [salt] is appended
     to the strategy/budget salt — derived obligations (e.g. self-healing
     sub-proofs salted with their cut set) use it to guarantee their keys
-    never collide with the monolithic obligation's. *)
+    never collide with the monolithic obligation's. Runs in a
+    [key/fingerprint] telemetry span. *)
 
 val run : _ t -> Engine.outcome
 (** Execute the prepared check ({!Engine.check_netlist}). *)

@@ -10,25 +10,23 @@ and node =
   | Xor of t * t
   | Ite of t * t * t
 
-let counter = ref 1
+(* Node ids: [tru] is 0, [fls] is 1, and every other node but a variable
+   takes the next value of an atomic counter, from 2 up, so domains building
+   expressions at the same time never hand out one id twice. A variable's
+   id is derived from its index instead, so [var i] has the same id in
+   every domain without a shared table: the index is zigzag-encoded
+   (0, -1, 1, -2, ... become 0, 1, 2, 3, ...) and complemented into the
+   negative ids -1, -2, -3, ... that the counter never reaches. *)
+let counter = Atomic.make 2
 
-let mk node =
-  incr counter;
-  { id = !counter; node }
+let mk node = { id = Atomic.fetch_and_add counter 1; node }
 
 let tru = { id = 0; node = True }
 let fls = { id = 1; node = False }
 let of_bool b = if b then tru else fls
 
-let var_cache : (int, t) Hashtbl.t = Hashtbl.create 97
-
 let var i =
-  match Hashtbl.find_opt var_cache i with
-  | Some v -> v
-  | None ->
-    let v = mk (Var i) in
-    Hashtbl.replace var_cache i v;
-    v
+  { id = lnot ((i lsl 1) lxor (i asr (Sys.int_size - 1))); node = Var i }
 
 let is_const e =
   match e.node with True -> Some true | False -> Some false | _ -> None

@@ -1,7 +1,8 @@
 (** Bit-level boolean expressions (a lightweight AIG-style DAG).
 
     Nodes carry unique ids so downstream consumers (BDD construction, CNF
-    encoding, gate mapping) can memoize over shared subterms. Smart
+    encoding, gate mapping) can memoize over shared subterms. Ids stay
+    unique when several domains build expressions at once. Smart
     constructors perform constant folding and trivial simplification. *)
 
 type t = private { id : int; node : node }
@@ -20,6 +21,9 @@ val tru : t
 val fls : t
 val of_bool : bool -> t
 val var : int -> t
+(** [var i] has the same id wherever and whenever it is built, and no node
+    other than [var i] has that id. [i] may be negative. *)
+
 val not_ : t -> t
 val and_ : t -> t -> t
 val or_ : t -> t -> t

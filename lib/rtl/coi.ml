@@ -1,56 +1,45 @@
 module String_set = Set.Make (String)
 
-(* fixpoint over the signal dependency graph: a signal depends on the
-   support of its driving assign, or of its next-state function if it is a
-   register *)
-let cone (nl : Netlist.t) ~roots =
-  let driver = Hashtbl.create 97 in
-  List.iter (fun (lhs, rhs) -> Hashtbl.replace driver lhs rhs) nl.Netlist.assigns;
-  let reg_next = Hashtbl.create 97 in
+(* The dependency index: each signal's support — that of its driving
+   assign, or of its next-state function if it is a register (an assign
+   wins over a register of the same name) — and the declared signals. It is
+   only read once built, so one index serves any number of cones. *)
+let reduce (nl : Netlist.t) =
+  let deps = Hashtbl.create 97 in
   List.iter
-    (fun (r : Netlist.flat_reg) -> Hashtbl.replace reg_next r.name r.next)
+    (fun (r : Netlist.flat_reg) ->
+      Hashtbl.replace deps r.name (Expr.support r.next))
     nl.Netlist.regs;
-  let declared = Netlist.signals nl in
   List.iter
-    (fun root ->
-      if not (List.mem_assoc root declared) then raise Not_found)
-    roots;
-  let rec visit seen name =
-    if String_set.mem name seen then seen
-    else
-      let seen = String_set.add name seen in
-      let deps =
-        match Hashtbl.find_opt driver name with
-        | Some rhs -> Expr.support rhs
-        | None -> (
-          match Hashtbl.find_opt reg_next name with
-          | Some next -> Expr.support next
-          | None -> [])
-      in
-      List.fold_left visit seen deps
-  in
-  List.fold_left visit String_set.empty roots
+    (fun (lhs, rhs) -> Hashtbl.replace deps lhs (Expr.support rhs))
+    nl.Netlist.assigns;
+  let declared = Hashtbl.create 97 in
+  List.iter
+    (fun (name, _) -> Hashtbl.replace declared name ())
+    (Netlist.signals nl);
+  fun ~roots ->
+    List.iter
+      (fun root -> if not (Hashtbl.mem declared root) then raise Not_found)
+      roots;
+    (* fixpoint over the signal dependency graph *)
+    let rec visit seen name =
+      if String_set.mem name seen then seen
+      else
+        List.fold_left visit
+          (String_set.add name seen)
+          (Option.value ~default:[] (Hashtbl.find_opt deps name))
+    in
+    let keep = List.fold_left visit String_set.empty roots in
+    let mem name = String_set.mem name keep in
+    { nl with
+      inputs = List.filter (fun (name, _) -> mem name) nl.Netlist.inputs;
+      outputs = List.filter (fun (name, _) -> mem name) nl.Netlist.outputs;
+      wires = List.filter (fun (name, _) -> mem name) nl.Netlist.wires;
+      assigns = List.filter (fun (lhs, _) -> mem lhs) nl.Netlist.assigns;
+      regs =
+        List.filter (fun (r : Netlist.flat_reg) -> mem r.name) nl.Netlist.regs
+    }
 
 let cone_size nl ~roots =
-  let keep = cone nl ~roots in
-  let regs =
-    List.length
-      (List.filter (fun (r : Netlist.flat_reg) -> String_set.mem r.name keep)
-         nl.Netlist.regs)
-  in
-  let assigns =
-    List.length
-      (List.filter (fun (lhs, _) -> String_set.mem lhs keep) nl.Netlist.assigns)
-  in
-  (regs, assigns)
-
-let reduce (nl : Netlist.t) ~roots =
-  let keep = cone nl ~roots in
-  let mem name = String_set.mem name keep in
-  { nl with
-    inputs = List.filter (fun (name, _) -> mem name) nl.Netlist.inputs;
-    outputs = List.filter (fun (name, _) -> mem name) nl.Netlist.outputs;
-    wires = List.filter (fun (name, _) -> mem name) nl.Netlist.wires;
-    assigns = List.filter (fun (lhs, _) -> mem lhs) nl.Netlist.assigns;
-    regs =
-      List.filter (fun (r : Netlist.flat_reg) -> mem r.name) nl.Netlist.regs }
+  let cone = reduce nl ~roots in
+  (List.length cone.Netlist.regs, List.length cone.Netlist.assigns)

@@ -154,6 +154,160 @@ let test_parallel_matches_sequential () =
     (row_key seq.Core.Campaign.grand_total)
     (row_key par.Core.Campaign.grand_total)
 
+(* ---- shared preparation: one cell per module structure ---- *)
+
+(* each module's work items, modules in first-appearance order *)
+let by_module works =
+  let tbl = Hashtbl.create 128 and order = ref [] in
+  List.iter
+    (fun (w : Core.Campaign.work) ->
+      let name = w.Core.Campaign.w_mdl.Rtl.Mdl.name in
+      match Hashtbl.find_opt tbl name with
+      | Some ws -> Hashtbl.replace tbl name (w :: ws)
+      | None ->
+        Hashtbl.add tbl name [ w ];
+        order := name :: !order)
+    works;
+  List.rev_map (fun name -> List.rev (Hashtbl.find tbl name)) !order
+
+let module_name ws = (List.hd ws).Core.Campaign.w_mdl.Rtl.Mdl.name
+
+(* a module's structure: the module without its name, plus its
+   properties' ordered formulas *)
+let structure ws =
+  ( { (List.hd ws).Core.Campaign.w_mdl with Rtl.Mdl.name = "" },
+    List.map
+      (fun (w : Core.Campaign.work) ->
+        (w.Core.Campaign.w_assert, w.Core.Campaign.w_assumes))
+      ws )
+
+(* [(module, key)] per work item, in work order (a module's items are
+   contiguous): the fingerprint of the obligation that preparing the item's
+   own module on its own gives *)
+let own_keys chip =
+  List.concat_map
+    (fun ws ->
+      let props =
+        List.map
+          (fun (w : Core.Campaign.work) ->
+            ( w.Core.Campaign.w_prop_name, w.Core.Campaign.w_assert,
+              w.Core.Campaign.w_assumes ))
+          ws
+      in
+      List.map
+        (fun (_, prep) ->
+          ( module_name ws,
+            Mc.Obligation.fingerprint (Mc.Obligation.of_prepared prep ~meta:())
+          ))
+        (Mc.Engine.prepare_module (List.hd ws).Core.Campaign.w_mdl ~props))
+    (by_module (Core.Campaign.work_items chip))
+
+(* a sequential campaign's results and the keys it journaled, in order *)
+let journaled_run chip =
+  let path = Filename.temp_file "dicheck-cells" ".journal" in
+  let journal = Core.Journal.create ~fsync:false path in
+  let result = Core.Campaign.run ~journal chip in
+  Core.Journal.close journal;
+  let keys = List.map fst (Core.Journal.load path) in
+  Sys.remove path;
+  (result, keys)
+
+(* every obligation, cache hits included, is keyed exactly as its own
+   module's preparation keys it, and the chip's 95 modules are prepared
+   once per distinct structure *)
+let test_shared_cells () =
+  let t = Lazy.force chip in
+  let expected = List.map snd (own_keys t) in
+  Obs.Telemetry.start ();
+  let result, keys = journaled_run t in
+  let report = Obs.Telemetry.stop () in
+  Alcotest.(check int) "every obligation journaled"
+    (List.length result.Core.Campaign.results) (List.length keys);
+  Alcotest.(check (list string)) "each key is its own module's fingerprint"
+    expected keys;
+  let structures =
+    List.length
+      (List.sort_uniq compare
+         (List.map structure (by_module (Core.Campaign.work_items t))))
+  in
+  Alcotest.(check int) "distinct module structures" 22 structures;
+  Alcotest.(check int) "one elaboration per structure" structures
+    (List.length
+       (List.filter
+          (fun (s : Obs.Telemetry.span) ->
+            s.Obs.Telemetry.name = "prepare.elaborate")
+          report.Obs.Telemetry.spans))
+
+(* E_leaf00 and E_leaf01 are twins: the same module but for its name.
+   This chip holds them and E_leaf02, with E_leaf01's first register's
+   parity flag flipped *)
+let twin_chip () =
+  let t = Lazy.force chip in
+  let cat_e =
+    List.find (fun (c : G.category) -> c.G.cat_name = "E") t.G.categories
+  in
+  let unit_ name =
+    List.find
+      (fun (u : G.unit_) ->
+        u.G.info.Verifiable.Transform.mdl.Rtl.Mdl.name = name)
+      cat_e.G.units
+  in
+  let flip (u : G.unit_) =
+    let mdl = u.G.info.Verifiable.Transform.mdl in
+    let first = (List.hd mdl.Rtl.Mdl.regs).Rtl.Mdl.reg_name in
+    let mdl =
+      Rtl.Mdl.map_regs
+        (fun r ->
+          if r.Rtl.Mdl.reg_name = first then
+            { r with Rtl.Mdl.parity_protected = not r.Rtl.Mdl.parity_protected }
+          else r)
+        mdl
+    in
+    { u with G.info = { u.G.info with Verifiable.Transform.mdl = mdl } }
+  in
+  { t with
+    G.categories =
+      [ { cat_e with
+          G.units =
+            [ unit_ "E_leaf00"; flip (unit_ "E_leaf01"); unit_ "E_leaf02" ];
+          G.expected = { cat_e.G.expected with G.sub = 3 } } ] }
+
+(* twins that differ in one register flag must not share a cell *)
+let test_twin_cells () =
+  let named n modules = List.find (fun ws -> module_name ws = n) modules in
+  let chip_modules = by_module (Core.Campaign.work_items (Lazy.force chip)) in
+  Alcotest.(check bool) "E_leaf00 and E_leaf01 are twins" true
+    (structure (named "E_leaf00" chip_modules)
+     = structure (named "E_leaf01" chip_modules));
+  let twins = twin_chip () in
+  let own = own_keys twins in
+  let keys_of n =
+    List.filter_map (fun (m, k) -> if m = n then Some k else None) own
+  in
+  Alcotest.(check bool) "the flipped flag lies in a cone" true
+    (keys_of "E_leaf00" <> keys_of "E_leaf01");
+  let seq, keys = journaled_run twins in
+  Alcotest.(check (list string)) "each key is its own module's fingerprint"
+    (List.map snd own) keys;
+  let par = Core.Campaign.run ~jobs:4 twins in
+  Alcotest.(check (list string)) "pool matches sequential"
+    (List.map result_key seq.Core.Campaign.results)
+    (List.map result_key par.Core.Campaign.results)
+
+(* concurrent BMC runs build Bexpr nodes on several domains at once *)
+let test_bmc_pool_matches_sequential () =
+  let mini = mini_chip () in
+  let seq = Core.Campaign.run ~strategy:Mc.Engine.Bmc mini in
+  let par = Core.Campaign.run ~strategy:Mc.Engine.Bmc ~jobs:4 mini in
+  let detail (r : Core.Campaign.prop_result) =
+    let o = r.Core.Campaign.outcome in
+    Printf.sprintf "%s %s %d %d" (result_key r) o.Mc.Engine.engine_used
+      o.Mc.Engine.iterations o.Mc.Engine.perf.Mc.Engine.sat_conflicts
+  in
+  Alcotest.(check (list string)) "same verdicts, depths and conflicts"
+    (List.map detail seq.Core.Campaign.results)
+    (List.map detail par.Core.Campaign.results)
+
 let test_campaign_warm_cache () =
   let mini = mini_chip () in
   let cache = Mc.Cache.create () in
@@ -568,6 +722,12 @@ let () =
            test_parallel_matches_sequential;
          Alcotest.test_case "warm cache reruns without the engines" `Slow
            test_campaign_warm_cache;
+         Alcotest.test_case "one preparation per module structure" `Slow
+           test_shared_cells;
+         Alcotest.test_case "twins differing in one flag get two cells" `Slow
+           test_twin_cells;
+         Alcotest.test_case "bmc on a pool matches sequential" `Slow
+           test_bmc_pool_matches_sequential;
          Alcotest.test_case "executor map" `Quick test_executor_map;
          Alcotest.test_case "executor race groups" `Quick
            test_executor_race_groups;

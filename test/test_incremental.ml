@@ -258,48 +258,60 @@ let test_learnt_retention () =
 (* ---- shared preparation == unshared preparation, name for name ---- *)
 
 let test_prepare_module_identity () =
-  let chip = Chip.Generator.generate ~with_bugs:false () in
-  let works = Core.Campaign.work_items chip in
-  (* first module carrying at least two properties *)
-  let mdl, props =
-    let tbl = Hashtbl.create 7 in
-    let rec find = function
-      | [] -> Alcotest.fail "chip has no multi-property module"
-      | (w : Core.Campaign.work) :: rest ->
-        let mname = w.Core.Campaign.w_mdl.Rtl.Mdl.name in
-        let prev =
-          Option.value ~default:[] (Hashtbl.find_opt tbl mname)
-        in
-        let props =
-          prev
-          @ [ (w.Core.Campaign.w_prop_name, w.Core.Campaign.w_assert,
-               w.Core.Campaign.w_assumes) ]
-        in
-        Hashtbl.replace tbl mname props;
-        if List.length props >= 2 then (w.Core.Campaign.w_mdl, props)
-        else find rest
-    in
-    find works
+  (* one module of every distinct structure (the module without its name,
+     plus its properties' formulas) on the pre- and post-fix chips: the
+     127-property D leaves reduce every cone from one shared COI index *)
+  let seen = Hashtbl.create 64 in
+  let check_module mdl props =
+    let shared = E.prepare_module mdl ~props in
+    Alcotest.(check int) "one prepared check per property" (List.length props)
+      (List.length shared);
+    List.iter2
+      (fun (name, assert_, assumes) (name', (nl, ok, cons)) ->
+        Alcotest.(check string) "order preserved" name name';
+        let name = mdl.Rtl.Mdl.name ^ "." ^ name in
+        let nl_u, ok_u, cons_u = E.instrumented_netlist mdl ~assert_ ~assumes in
+        Alcotest.(check string) (name ^ ": ok signal") ok_u ok;
+        Alcotest.(check (option string)) (name ^ ": constraint") cons_u cons;
+        Alcotest.(check bool) (name ^ ": same netlist") true (nl_u = nl))
+      props shared
   in
-  let shared = E.prepare_module mdl ~props in
-  Alcotest.(check int) "one prepared check per property" (List.length props)
-    (List.length shared);
-  List.iter2
-    (fun (name, assert_, assumes) (name', (nl, ok, cons)) ->
-      Alcotest.(check string) "order preserved" name name';
-      let nl_u, ok_u, cons_u = E.instrumented_netlist mdl ~assert_ ~assumes in
-      Alcotest.(check string) (name ^ ": ok signal") ok_u ok;
-      Alcotest.(check (option string)) (name ^ ": constraint") cons_u cons;
-      let fp n roots = Rtl.Canon.fingerprint ~roots n in
-      let roots o c = o :: (match c with Some c -> [ c ] | None -> []) in
-      Alcotest.(check string)
-        (name ^ ": fingerprint")
-        (fp nl_u (roots ok_u cons_u))
-        (fp nl (roots ok cons));
-      let same (a, b, c) (a', b', c') = a = a' && b = b' && c = c' in
-      Alcotest.(check bool) (name ^ ": same stats") true
-        (same (Rtl.Netlist.stats nl_u) (Rtl.Netlist.stats nl)))
-    props shared
+  List.iter
+    (fun with_bugs ->
+      let works =
+        Core.Campaign.work_items (Chip.Generator.generate ~with_bugs ())
+      in
+      let by_module = Hashtbl.create 128 and order = ref [] in
+      List.iter
+        (fun (w : Core.Campaign.work) ->
+          let mdl = w.Core.Campaign.w_mdl in
+          let prop =
+            ( w.Core.Campaign.w_prop_name, w.Core.Campaign.w_assert,
+              w.Core.Campaign.w_assumes )
+          in
+          let name = mdl.Rtl.Mdl.name in
+          match Hashtbl.find_opt by_module name with
+          | Some props -> Hashtbl.replace by_module name (prop :: props)
+          | None ->
+            Hashtbl.add by_module name [ prop ];
+            order := mdl :: !order)
+        works;
+      List.iter
+        (fun (mdl : Rtl.Mdl.t) ->
+          let props = List.rev (Hashtbl.find by_module mdl.Rtl.Mdl.name) in
+          let key =
+            ( { mdl with Rtl.Mdl.name = "" },
+              List.map (fun (_, a, s) -> (a, s)) props )
+          in
+          if not (Hashtbl.mem seen key) then begin
+            Hashtbl.add seen key ();
+            check_module mdl props
+          end)
+        (List.rev !order))
+    [ true; false ];
+  (* the pre-fix chip's 22 structures and the 6 its bug fixes add *)
+  Alcotest.(check int) "every structure of both chips" 28
+    (Hashtbl.length seen)
 
 (* ---- arena BDD vs exhaustive truth tables ---- *)
 

@@ -152,7 +152,17 @@ let test_coi () =
   Alcotest.(check bool) "missing root raises" true
     (match Rtl.Coi.reduce nl ~roots:[ "nope" ] with
      | _ -> false
-     | exception Not_found -> true)
+     | exception Not_found -> true);
+  (* one partial application serves every cone, in any order, exactly as a
+     fresh application per cone does *)
+  let shared = Rtl.Coi.reduce nl in
+  List.iter
+    (fun roots ->
+      Alcotest.(check bool)
+        (String.concat "," roots ^ ": shared index")
+        true
+        (shared ~roots = Rtl.Coi.reduce nl ~roots))
+    [ [ "OUT" ]; [ "cs" ]; [ "OUT"; "cs" ]; [ "cs" ]; [] ]
 
 let test_verilog () =
   let leaf = leaf_module () in
@@ -194,6 +204,35 @@ let test_bexpr_basics () =
   Alcotest.(check int) "dag size counts sharing once" 3 (X.size e);
   let substituted = X.substitute (fun v -> if v = 0 then X.tru else X.var v) e in
   Alcotest.(check (list int)) "substitute" [ 1 ] (X.support substituted)
+
+(* Two domains build nodes at the same time: every id must be distinct (a
+   shared id would make Sat.Tseitin's id-keyed memo encode one node for
+   another), and [var i] must get the same id in both domains *)
+let test_bexpr_domains () =
+  let module X = Rtl.Bexpr in
+  let ready = Atomic.make 0 in
+  let build () =
+    (* start together: each domain waits until both are running *)
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    let vars = Array.init 64 (fun i -> X.var (i - 32)) in
+    let nodes =
+      Array.init 200_000 (fun k -> X.xor vars.(k mod 64) vars.((k + 1) mod 64))
+    in
+    (Array.map X.id vars, Array.map X.id nodes)
+  in
+  let d1 = Domain.spawn build and d2 = Domain.spawn build in
+  let vars1, nodes1 = Domain.join d1 and vars2, nodes2 = Domain.join d2 in
+  Alcotest.(check (array int)) "var i has one id in both domains" vars1 vars2;
+  let ids =
+    List.sort compare
+      (X.id X.tru :: X.id X.fls
+       :: Array.to_list (Array.concat [ vars1; nodes1; nodes2 ]))
+  in
+  Alcotest.(check int) "every id distinct" (List.length ids)
+    (List.length (List.sort_uniq compare ids))
 
 
 (* ---- Verilog round trip: parse (pp m) reconstructs m ---- *)
@@ -318,7 +357,9 @@ let () =
     [ ("module",
        [ Alcotest.test_case "basics" `Quick test_mdl_basics;
          Alcotest.test_case "map_exprs" `Quick test_map_exprs;
-         Alcotest.test_case "bexpr" `Quick test_bexpr_basics ]);
+         Alcotest.test_case "bexpr" `Quick test_bexpr_basics;
+         Alcotest.test_case "bexpr ids across domains" `Quick
+           test_bexpr_domains ]);
       ("design",
        [ Alcotest.test_case "closure" `Quick test_design;
          Alcotest.test_case "lint" `Quick test_check ]);
