@@ -32,32 +32,28 @@ let campaign_jobs =
 (* every campaign the bench runs, in order, for BENCH_campaign.json *)
 let campaign_runs : (string * Core.Campaign.t) list ref = ref []
 
-(* (ladder label, racing label) once the racing artifact has run both *)
-let racing_info : (string * string) option ref = ref None
+(* the paired-run comparison blocks of BENCH_campaign.json ("racing",
+   "healing", "incremental"), pushed by the artifacts that ran them *)
+let comparisons : (string * Obs.Json.t) list ref = ref []
+let compared name fields =
+  comparisons := !comparisons @ [ (name, Obs.Json.Obj fields) ]
 
-(* (starved label, healed label) once the healing artifact has run both *)
-let healing_info : (string * string) option ref = ref None
-
-(* (scratch label, incremental label) once the incremental artifact has run *)
-let incremental_info : (string * string) option ref = ref None
-
-let run_campaign ?budget ?strategy ?portfolio ?race_jobs ?self_heal
-    ?(cache = campaign_cache) label chip =
-  let t0 = Unix.gettimeofday () in
+let run_campaign ?budget ?strategy ?self_heal ?(cache = campaign_cache) label
+    chip =
   let last = ref 0.0 in
   (* heartbeats go to stderr (fixed 10s interval) so stdout stays a clean
      artifact stream *)
-  let progress (p : Core.Campaign.progress) =
+  let progress (s : Core.Status.snapshot) =
     let now = Unix.gettimeofday () in
     if now -. !last > 10.0 then begin
       last := now;
       Printf.eprintf "  ... %s: %d/%d properties (%.0fs)\n%!" label
-        p.Core.Campaign.done_ p.Core.Campaign.total (now -. t0)
+        s.Core.Status.s_done s.Core.Status.s_total s.Core.Status.s_elapsed_s
     end
   in
   let c =
-    Core.Campaign.run ?budget ?strategy ?portfolio ~progress
-      ~jobs:campaign_jobs ?race_jobs ?self_heal ~cache chip
+    Core.Campaign.run ?budget ?strategy ~progress ~jobs:campaign_jobs
+      ?self_heal ~cache chip
   in
   Printf.printf
     "  %s: %.1fs on %d jobs, %d/%d verdicts from cache\n%!" label
@@ -66,144 +62,42 @@ let run_campaign ?budget ?strategy ?portfolio ?race_jobs ?self_heal
   campaign_runs := !campaign_runs @ [ (label, c) ];
   c
 
+(* do two runs reach the same verdict totals? *)
+let same_totals (a : Core.Campaign.t) (b : Core.Campaign.t) =
+  let a = a.Core.Campaign.grand_total and b = b.Core.Campaign.grand_total in
+  a.Core.Campaign.proved = b.Core.Campaign.proved
+  && a.Core.Campaign.failed = b.Core.Campaign.failed
+  && a.Core.Campaign.resource_out = b.Core.Campaign.resource_out
+  && a.Core.Campaign.errors = b.Core.Campaign.errors
+
 (* machine-readable campaign benchmark record, written on every bench run
    (schema "dicheck-bench-v1"; empty "runs" when no campaign artifact ran) *)
 let write_bench_json path =
   let module J = Obs.Json in
   let run_json (label, (c : Core.Campaign.t)) =
     let g = c.Core.Campaign.grand_total in
-    let p = Core.Campaign.aggregate_perf c in
     J.Obj
       ([ ("label", J.String label);
-        ("wall_s", J.Float c.Core.Campaign.wall_time_s);
-        ("jobs", J.Int campaign_jobs);
-        ("properties", J.Int g.Core.Campaign.total);
-        ("proved", J.Int g.Core.Campaign.proved);
-        ("failed", J.Int g.Core.Campaign.failed);
-        ("resource_out", J.Int g.Core.Campaign.resource_out);
-        ("errors", J.Int g.Core.Campaign.errors);
-        ("cache_hits", J.Int c.Core.Campaign.cache_hits);
-        ("replayed", J.Int c.Core.Campaign.replayed);
-        ("retries", J.Int c.Core.Campaign.retries);
-        ("engine_time_s", J.Float p.Core.Campaign.engine_time_s);
-        ("engine_attempts", J.Int p.Core.Campaign.engine_attempts);
-        ("fix_iterations", J.Int p.Core.Campaign.fix_iterations);
-        ("bdd_peak", J.Int p.Core.Campaign.bdd_peak);
-        ("sat_decisions", J.Int p.Core.Campaign.sat_decisions);
-        ("sat_conflicts", J.Int p.Core.Campaign.sat_conflicts);
-        ("sat_propagations", J.Int p.Core.Campaign.sat_propagations);
-        ("max_unroll_depth", J.Int p.Core.Campaign.max_unroll_depth);
-        ("max_final_k", J.Int p.Core.Campaign.max_final_k);
-        ("max_ic3_frames", J.Int p.Core.Campaign.max_ic3_frames);
-        ("strategy_wins",
-         J.Obj
-           (List.map
-              (fun (e, n) -> (e, J.Int n))
-              (Core.Campaign.wins_by_engine c))) ]
+         ("wall_s", J.Float c.Core.Campaign.wall_time_s);
+         ("jobs", J.Int campaign_jobs);
+         ("properties", J.Int g.Core.Campaign.total);
+         ("proved", J.Int g.Core.Campaign.proved);
+         ("failed", J.Int g.Core.Campaign.failed);
+         ("resource_out", J.Int g.Core.Campaign.resource_out);
+         ("errors", J.Int g.Core.Campaign.errors);
+         ("cache_hits", J.Int c.Core.Campaign.cache_hits);
+         ("replayed", J.Int c.Core.Campaign.replayed);
+         ("retries", J.Int c.Core.Campaign.retries) ]
+      @ Core.Campaign.perf_json c
+      @ [ ("strategy_wins",
+           J.Obj
+             (List.map
+                (fun (e, n) -> (e, J.Int n))
+                (Core.Campaign.wins_by_engine c))) ]
       @
-      (match c.Core.Campaign.healing with
+      match Core.Campaign.recovery_json c with
       | None -> []
-      | Some h ->
-        [ ("healing",
-           J.Obj
-             [ ("attempted", J.Int h.Core.Campaign.heal_attempted);
-               ("recovered", J.Int h.Core.Campaign.heal_recovered);
-               ("healed_proved", J.Int h.Core.Campaign.heal_proved);
-               ("healed_failed", J.Int h.Core.Campaign.heal_failed);
-               ("exhausted", J.Int h.Core.Campaign.heal_exhausted);
-               ("unhealable", J.Int h.Core.Campaign.heal_unhealable);
-               ("spurious_cex", J.Int h.Core.Campaign.heal_spurious);
-               ("cegar_iters", J.Int h.Core.Campaign.heal_cegar_iters);
-               ("subs_proved", J.Int h.Core.Campaign.heal_subs_proved);
-               ("bad_cuts", J.Int h.Core.Campaign.heal_bad_cuts);
-               ("pieces", J.Int h.Core.Campaign.heal_pieces);
-               ("wall_s", J.Float h.Core.Campaign.heal_wall_s) ]) ]))
-  in
-  let racing_json =
-    match !racing_info with
-    | None -> []
-    | Some (ladder_label, racing_label) -> (
-      match
-        ( List.assoc_opt ladder_label !campaign_runs,
-          List.assoc_opt racing_label !campaign_runs )
-      with
-      | Some l, Some r ->
-        let lw = l.Core.Campaign.wall_time_s
-        and rw = r.Core.Campaign.wall_time_s in
-        [ ("racing",
-           J.Obj
-             [ ("ladder_label", J.String ladder_label);
-               ("racing_label", J.String racing_label);
-               ("ladder_wall_s", J.Float lw);
-               ("racing_wall_s", J.Float rw);
-               ("speedup", J.Float (lw /. Float.max rw 1e-9)) ]) ]
-      | _ -> [])
-  in
-  let healing_json =
-    match !healing_info with
-    | None -> []
-    | Some (starved_label, healed_label) -> (
-      match
-        ( List.assoc_opt starved_label !campaign_runs,
-          List.assoc_opt healed_label !campaign_runs )
-      with
-      | Some s, Some h ->
-        let ro (c : Core.Campaign.t) =
-          c.Core.Campaign.grand_total.Core.Campaign.resource_out
-        in
-        let recovered =
-          match h.Core.Campaign.healing with
-          | Some t -> t.Core.Campaign.heal_recovered
-          | None -> 0
-        in
-        [ ("healing",
-           J.Obj
-             [ ("starved_label", J.String starved_label);
-               ("healed_label", J.String healed_label);
-               ("resource_out_before", J.Int (ro s));
-               ("resource_out_after", J.Int (ro h));
-               ("recovered", J.Int recovered);
-               ("recovery_rate",
-                J.Float
-                  (float_of_int recovered /. float_of_int (max (ro s) 1))) ]) ]
-      | _ -> [])
-  in
-  let incremental_json =
-    match !incremental_info with
-    | None -> []
-    | Some (scratch_label, inc_label) -> (
-      match
-        ( List.assoc_opt scratch_label !campaign_runs,
-          List.assoc_opt inc_label !campaign_runs )
-      with
-      | Some s, Some i ->
-        let g (c : Core.Campaign.t) = c.Core.Campaign.grand_total in
-        let sw = s.Core.Campaign.wall_time_s
-        and iw = i.Core.Campaign.wall_time_s in
-        let identical =
-          let a = g s and b = g i in
-          a.Core.Campaign.proved = b.Core.Campaign.proved
-          && a.Core.Campaign.failed = b.Core.Campaign.failed
-          && a.Core.Campaign.resource_out = b.Core.Campaign.resource_out
-          && a.Core.Campaign.errors = b.Core.Campaign.errors
-        in
-        [ ("incremental",
-           J.Obj
-             [ ("scratch_label", J.String scratch_label);
-               ("incremental_label", J.String inc_label);
-               ("scratch_wall_s", J.Float sw);
-               ("incremental_wall_s", J.Float iw);
-               ("scratch_obligations_per_s",
-                J.Float
-                  (float_of_int (g s).Core.Campaign.total
-                  /. Float.max sw 1e-9));
-               ("incremental_obligations_per_s",
-                J.Float
-                  (float_of_int (g i).Core.Campaign.total
-                  /. Float.max iw 1e-9));
-               ("speedup", J.Float (sw /. Float.max iw 1e-9));
-               ("verdicts_identical", J.Bool identical) ]) ]
-      | _ -> [])
+      | Some r -> [ ("healing", J.Obj r) ])
   in
   let j =
     J.Obj
@@ -211,7 +105,7 @@ let write_bench_json path =
          ("generated_at_unix", J.Float (Unix.gettimeofday ()));
          ("jobs", J.Int campaign_jobs);
          ("runs", J.List (List.map run_json !campaign_runs)) ]
-      @ racing_json @ healing_json @ incremental_json)
+      @ !comparisons)
   in
   let oc = open_out path in
   (try output_string oc (J.to_string_pretty j)
@@ -269,28 +163,26 @@ let racing () =
   in
   let race =
     run_campaign ~budget:base
-      ~portfolio:(Mc.Engine.default_portfolio base)
-      ~race_jobs:campaign_jobs
+      ~strategy:(Mc.Engine.Portfolio (Mc.Engine.default_portfolio base))
       ~cache:(Mc.Cache.create ())
       "race-constrained" (Lazy.force chip)
   in
-  racing_info := Some ("auto-constrained", "race-constrained");
-  let g (c : Core.Campaign.t) = c.Core.Campaign.grand_total in
-  Printf.printf "  verdict totals identical: %b\n"
-    (let a = g auto and r = g race in
-     a.Core.Campaign.proved = r.Core.Campaign.proved
-     && a.Core.Campaign.failed = r.Core.Campaign.failed
-     && a.Core.Campaign.resource_out = r.Core.Campaign.resource_out
-     && a.Core.Campaign.errors = r.Core.Campaign.errors);
+  let lw = auto.Core.Campaign.wall_time_s
+  and rw = race.Core.Campaign.wall_time_s in
+  compared "racing"
+    Obs.Json.
+      [ ("ladder_label", String "auto-constrained");
+        ("racing_label", String "race-constrained");
+        ("ladder_wall_s", Float lw); ("racing_wall_s", Float rw);
+        ("speedup", Float (lw /. Float.max rw 1e-9)) ];
+  Printf.printf "  verdict totals identical: %b\n" (same_totals auto race);
   Printf.printf "  strategy wins (racing):%s\n"
     (String.concat ""
        (List.map
           (fun (e, n) -> Printf.sprintf " %s=%d" e n)
           (Core.Campaign.wins_by_engine race)));
-  Printf.printf "  ladder %.1fs, racing %.1fs -> speedup %.2fx\n"
-    auto.Core.Campaign.wall_time_s race.Core.Campaign.wall_time_s
-    (auto.Core.Campaign.wall_time_s
-    /. Float.max race.Core.Campaign.wall_time_s 1e-9)
+  Printf.printf "  ladder %.1fs, racing %.1fs -> speedup %.2fx\n" lw rw
+    (lw /. Float.max rw 1e-9)
 
 (* Self-healing under a starving budget: the same 2047-obligation campaign
    twice, with the BDD arena capped where the filler cones exhaust it —
@@ -305,24 +197,41 @@ let healing () =
       Mc.Engine.bdd_node_limit = Some 2_000;
       Mc.Engine.pobdd_node_limit = Some 2_000 }
   in
-  let portfolio =
-    Mc.Engine.portfolio ~name:"bdd-combined"
-      [ { Mc.Engine.m_strategy = Mc.Engine.Bdd_combined; m_budget = starved } ]
+  let strategy =
+    Mc.Engine.Portfolio
+      (Mc.Engine.portfolio ~name:"bdd-combined"
+         [ { Mc.Engine.m_strategy = Mc.Engine.Bdd_combined;
+             m_budget = starved } ])
   in
   let plain =
-    run_campaign ~budget:starved ~portfolio
+    run_campaign ~budget:starved ~strategy
       ~cache:(Mc.Cache.create ())
       "starved" (Lazy.force chip)
   in
   let healed =
-    run_campaign ~budget:starved ~portfolio ~self_heal:4
+    run_campaign ~budget:starved ~strategy ~self_heal:4
       ~cache:(Mc.Cache.create ())
       "starved-healed" (Lazy.force chip)
   in
-  healing_info := Some ("starved", "starved-healed");
-  let g (c : Core.Campaign.t) = c.Core.Campaign.grand_total in
-  Printf.printf "  resource-outs: %d starved -> %d after healing\n"
-    (g plain).Core.Campaign.resource_out (g healed).Core.Campaign.resource_out;
+  let ro (c : Core.Campaign.t) =
+    c.Core.Campaign.grand_total.Core.Campaign.resource_out
+  in
+  let recovered =
+    match healed.Core.Campaign.healing with
+    | Some h -> h.Core.Campaign.heal_recovered
+    | None -> 0
+  in
+  compared "healing"
+    Obs.Json.
+      [ ("starved_label", String "starved");
+        ("healed_label", String "starved-healed");
+        ("resource_out_before", Int (ro plain));
+        ("resource_out_after", Int (ro healed));
+        ("recovered", Int recovered);
+        ("recovery_rate",
+         Float (float_of_int recovered /. float_of_int (max (ro plain) 1))) ];
+  Printf.printf "  resource-outs: %d starved -> %d after healing\n" (ro plain)
+    (ro healed);
   (match healed.Core.Campaign.healing with
    | Some h ->
      Printf.printf
@@ -334,7 +243,8 @@ let healing () =
        h.Core.Campaign.heal_pieces
    | None -> ());
   Printf.printf "  verdict flips vs starved run: %b (must be false)\n"
-    ((g plain).Core.Campaign.failed <> (g healed).Core.Campaign.failed)
+    (plain.Core.Campaign.grand_total.Core.Campaign.failed
+    <> healed.Core.Campaign.grand_total.Core.Campaign.failed)
 
 (* Incremental SAT vs rebuild-from-scratch, on the configuration where the
    solver actually carries state between queries: the full 2047-obligation
@@ -363,24 +273,26 @@ let incremental () =
       ~cache:(Mc.Cache.create ())
       "bmc-incremental" (Lazy.force chip)
   in
-  incremental_info := Some ("bmc-scratch", "bmc-incremental");
-  let g (c : Core.Campaign.t) = c.Core.Campaign.grand_total in
-  Printf.printf "  verdict totals identical: %b\n"
-    (let s = g scratch and i = g inc in
-     s.Core.Campaign.proved = i.Core.Campaign.proved
-     && s.Core.Campaign.failed = i.Core.Campaign.failed
-     && s.Core.Campaign.resource_out = i.Core.Campaign.resource_out
-     && s.Core.Campaign.errors = i.Core.Campaign.errors);
+  let rate (c : Core.Campaign.t) =
+    float_of_int c.Core.Campaign.grand_total.Core.Campaign.total
+    /. Float.max c.Core.Campaign.wall_time_s 1e-9
+  in
   let sw = scratch.Core.Campaign.wall_time_s
   and iw = inc.Core.Campaign.wall_time_s in
+  compared "incremental"
+    Obs.Json.
+      [ ("scratch_label", String "bmc-scratch");
+        ("incremental_label", String "bmc-incremental");
+        ("scratch_wall_s", Float sw); ("incremental_wall_s", Float iw);
+        ("scratch_obligations_per_s", Float (rate scratch));
+        ("incremental_obligations_per_s", Float (rate inc));
+        ("speedup", Float (sw /. Float.max iw 1e-9));
+        ("verdicts_identical", Bool (same_totals scratch inc)) ];
+  Printf.printf "  verdict totals identical: %b\n" (same_totals scratch inc);
   Printf.printf
     "  scratch %.1fs (%.1f obligations/s), incremental %.1fs (%.1f \
      obligations/s) -> speedup %.2fx\n"
-    sw
-    (float_of_int (g scratch).Core.Campaign.total /. Float.max sw 1e-9)
-    iw
-    (float_of_int (g inc).Core.Campaign.total /. Float.max iw 1e-9)
-    (sw /. Float.max iw 1e-9);
+    sw (rate scratch) iw (rate inc) (sw /. Float.max iw 1e-9);
   Printf.printf "  incremental reuse: %d warm solves\n"
     (List.fold_left
        (fun a (r : Core.Campaign.prop_result) ->

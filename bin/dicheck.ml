@@ -140,8 +140,8 @@ let write_diagnosis_dir dir (ds : Diag.Diagnosis.diagnosed list) =
 let campaign_cmd =
   let run with_bugs jobs csv cache_path no_cache deadline node_limit
       no_incremental max_retries journal_path resume trace metrics
-      progress_interval diagnose portfolio_spec race_jobs self_heal
-      status_socket flight_path no_flight =
+      progress_interval diagnose portfolio_spec self_heal status_socket
+      flight_path no_flight =
     try
       (* the flight recorder is always on: bounded memory, allocation-light
          writes, and it is exactly the runs that do NOT exit cleanly that
@@ -179,12 +179,13 @@ let campaign_cmd =
                    Mc.Engine.default_budget.Mc.Engine.pobdd_node_limit);
               incremental = not no_incremental }
       in
-      let portfolio =
+      let strategy =
         match portfolio_spec with
         | None -> None
         | Some spec -> (
           let base = Option.value ~default:Mc.Engine.default_budget budget in
-          if spec = "default" then Some (Mc.Engine.default_portfolio base)
+          if spec = "default" then
+            Some (Mc.Engine.Portfolio (Mc.Engine.default_portfolio base))
           else
             let members =
               List.map
@@ -194,7 +195,7 @@ let campaign_cmd =
                 (String.split_on_char ',' spec)
             in
             match Mc.Engine.portfolio ~name:spec members with
-            | p -> Some p
+            | p -> Some (Mc.Engine.Portfolio p)
             | exception Invalid_argument msg ->
               Printf.eprintf "invalid --portfolio %s: %s\n" spec msg;
               exit 2)
@@ -225,19 +226,17 @@ let campaign_cmd =
       Option.iter
         (fun p -> Printf.eprintf "status socket listening on %s\n%!" p)
         status_socket;
-      let t0 = Unix.gettimeofday () in
       let last = ref 0.0 in
-      let progress (p : Core.Campaign.progress) =
+      let progress (s : Core.Status.snapshot) =
         let now = Unix.gettimeofday () in
         if now -. !last > progress_interval then begin
           last := now;
-          let s = Core.Status.snapshot status in
           Printf.eprintf
             "... %d/%d (%.0fs; %d cache hits, %d replayed, %d retries, %d \
              healed, %d raced%s)\n%!"
-            p.Core.Campaign.done_ p.Core.Campaign.total (now -. t0)
-            p.Core.Campaign.cache_hits p.Core.Campaign.replayed
-            p.Core.Campaign.retries s.Core.Status.s_healed
+            s.Core.Status.s_done s.Core.Status.s_total s.Core.Status.s_elapsed_s
+            s.Core.Status.s_cache_hits s.Core.Status.s_replayed
+            s.Core.Status.s_retries s.Core.Status.s_healed
             s.Core.Status.s_raced
             (match s.Core.Status.s_eta_s with
              | Some e -> Printf.sprintf "; ETA %.0fs" e
@@ -246,8 +245,8 @@ let campaign_cmd =
       in
       let c =
         try
-          Core.Campaign.run ?budget ?portfolio ~progress ~jobs ?race_jobs
-            ~cache ?journal ~max_retries ?self_heal ~status chip
+          Core.Campaign.run ?budget ?strategy ~progress ~jobs ~cache ?journal
+            ~max_retries ?self_heal ~status chip
         with e ->
           Option.iter Core.Status.shutdown server;
           raise e
@@ -293,7 +292,7 @@ let campaign_cmd =
       if c.Core.Campaign.replayed > 0 || c.Core.Campaign.retries > 0 then
         Printf.printf "robustness: %d replayed from journal, %d crash retries\n"
           c.Core.Campaign.replayed c.Core.Campaign.retries;
-      if portfolio <> None then
+      if Option.is_some strategy then
         Printf.printf "strategy wins:%s\n"
           (String.concat ""
              (List.map
@@ -472,12 +471,6 @@ let campaign_cmd =
                    verdict cancels its siblings; verdicts are identical to \
                    running the same portfolio sequentially.")
   in
-  let race_jobs =
-    Arg.(value & opt (some int) None
-         & info [ "race-jobs" ] ~docv:"N"
-             ~doc:"Cap one obligation's concurrent member runs under \
-                   --portfolio (default: the pool size).")
-  in
   let self_heal =
     Arg.(value
          & opt ~vopt:(Some 4) (some int) None
@@ -520,8 +513,8 @@ let campaign_cmd =
     Term.(const run $ with_bugs $ jobs $ csv $ cache_path $ no_cache
           $ deadline $ node_limit $ no_incremental $ max_retries
           $ journal_path $ resume $ trace $ metrics $ progress_interval
-          $ diagnose $ portfolio $ race_jobs $ self_heal $ status_socket
-          $ flight_path $ no_flight)
+          $ diagnose $ portfolio $ self_heal $ status_socket $ flight_path
+          $ no_flight)
 
 (* ---- explain ---- *)
 

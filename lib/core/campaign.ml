@@ -31,14 +31,6 @@ type row = {
   time_s : float;
 }
 
-type progress = {
-  done_ : int;
-  total : int;
-  retries : int;
-  cache_hits : int;
-  replayed : int;
-}
-
 type heal_totals = {
   heal_attempted : int;
   heal_recovered : int;
@@ -121,6 +113,11 @@ let verdict_str (o : Mc.Engine.outcome) =
   | Mc.Engine.Resource_out c -> "resource_out:" ^ c
   | Mc.Engine.Error _ -> "error"
 
+let ob_name (w : work) = w.w_mdl.Rtl.Mdl.name ^ "." ^ w.w_prop_name
+
+(* the pause before each crash retry *)
+let retry_backoff_s = 0.05
+
 (* A shared-preparation cell of {!run}: one module structure's properties
    and, once prepared, each property's obligation and fingerprint. *)
 type cell = {
@@ -130,24 +127,23 @@ type cell = {
   mutable c_prepared : (unit Mc.Obligation.t * string) array option;
 }
 
-let run ?budget ?strategy ?portfolio ?(progress = fun (_ : progress) -> ())
-    ?jobs ?race_jobs ?cache ?journal ?(max_retries = 2)
-    ?(retry_backoff_s = 0.05) ?fault_hook ?self_heal ?status (chip : G.t) =
+let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
+    ?jobs ?cache ?journal ?(max_retries = 2) ?fault_hook ?self_heal ?status
+    (chip : G.t) =
   let t0 = Unix.gettimeofday () in
   let cache = match cache with Some c -> c | None -> Mc.Cache.create () in
-  let hits0 = Mc.Cache.hits cache in
   let items = Array.of_list (work_items chip) in
   let total = Array.length items in
-  (* a portfolio is just a strategy; the fingerprint salt covers its members
-     and budgets, so the cache/journal key is the same whether the members
-     are then raced on a pool or laddered sequentially *)
-  let strategy =
-    match portfolio with
-    | Some p -> Some (Mc.Engine.Portfolio p)
-    | None -> strategy
-  in
   let exec = Executor.of_jobs jobs in
-  let use_racing = portfolio <> None && Executor.jobs exec > 1 in
+  (* a portfolio races its members on a pool and ladders them on one job;
+     [Auto] always ladders. The fingerprint salt covers the members and
+     their budgets, so the cache/journal key is the same either way *)
+  let race_members =
+    match strategy with
+    | Some (Mc.Engine.Portfolio p) when Executor.jobs exec > 1 ->
+      Some (Array.of_list p.Mc.Engine.p_members)
+    | _ -> None
+  in
   (* Shared preparation. The P0/P1/P2 obligations of one module differ only
      in their monitor cone, so the module-level work (inliner tables, the
      pruner's elaboration, monitor weaving, the full elaborate, the COI
@@ -238,29 +234,40 @@ let run ?budget ?strategy ?portfolio ?(progress = fun (_ : progress) -> ())
           { nl with Rtl.Netlist.top = items.(i).w_mdl.Rtl.Mdl.name } },
       key )
   in
-  let stat f = match status with Some s -> f s | None -> () in
+  (* the run's only live counters: the caller's model, or a private one *)
+  let status =
+    match status with
+    | Some s -> s
+    | None -> Status.create ~jobs:(Executor.jobs exec) ()
+  in
   let strat_name =
     match strategy with
     | Some s -> Mc.Engine.strategy_name s
     | None -> "auto"
   in
-  stat (fun s ->
-      Status.set_total s total;
-      Status.set_phase s "campaign");
-  let done_ = ref 0 and retries_n = ref 0 and hits_n = ref 0
-  and replayed_n = ref 0 in
+  Status.set_total status total;
+  Status.set_phase status "campaign";
   let progress_lock = Mutex.create () in
-  let note_retry () =
-    Mutex.lock progress_lock;
-    incr retries_n;
-    Mutex.unlock progress_lock
-  in
   let fault (w : work) ~fingerprint attempt =
     match fault_hook with
     | Some f ->
       f ~module_name:w.w_mdl.Rtl.Mdl.name ~prop_name:w.w_prop_name
         ~fingerprint ~attempt
     | None -> ()
+  in
+  (* Every obligation — plain, raced or a healing piece — is answered here
+     first: a journal replay, else a cache hit, else a miss for the caller
+     to run. Cache hits are re-journaled: after a kill the in-memory cache
+     is gone, so resume must be able to replay them from disk. *)
+  let lookup ~key =
+    match Option.bind journal (fun j -> Journal.replay j ~key) with
+    | Some outcome -> `Replayed outcome
+    | None -> (
+      match Mc.Cache.find cache ~key with
+      | Some outcome ->
+        Option.iter (fun j -> Journal.append j ~key outcome) journal;
+        `Cached outcome
+      | None -> `Miss)
   in
   let record ~key outcome =
     (* checkpoint + cache under the ORIGINAL fingerprint even when a retry
@@ -274,35 +281,23 @@ let run ?budget ?strategy ?portfolio ?(progress = fun (_ : progress) -> ())
       Option.iter (fun j -> Journal.append j ~key outcome) journal
   in
   let finish (w : work) ~cache_hit ~replayed ~attempts outcome =
-    let ob_name = w.w_mdl.Rtl.Mdl.name ^ "." ^ w.w_prop_name in
     let healed =
       String.equal outcome.Mc.Engine.engine_used Heal.engine_name
       && Mc.Engine.conclusive outcome
     in
     Obs.Flight.record "ob.done"
       ~detail:
-        (ob_name ^ " " ^ verdict_str outcome ^ " "
+        (ob_name w ^ " " ^ verdict_str outcome ^ " "
         ^ outcome.Mc.Engine.engine_used);
     Mc.Beacon.idle ();
-    stat (fun s ->
-        Status.finish s ~verdict:(verdict_class outcome) ~cache_hit ~replayed
-          ~raced:(use_racing && (not cache_hit) && (not replayed)
-                  && attempts > 0)
-          ~healed);
+    (* the callback runs under the lock, so snapshots arrive in completion
+       order and user printf output stays whole *)
     Mutex.lock progress_lock;
-    incr done_;
-    if cache_hit then incr hits_n;
-    if replayed then incr replayed_n;
-    let snap =
-      { done_ = !done_; total; retries = !retries_n; cache_hits = !hits_n;
-        replayed = !replayed_n }
-    in
-    (* the callback runs under the lock so user printf output stays whole *)
-    (try progress snap
-     with e ->
-       Mutex.unlock progress_lock;
-       raise e);
-    Mutex.unlock progress_lock;
+    Fun.protect ~finally:(fun () -> Mutex.unlock progress_lock) (fun () ->
+        Status.finish status ~verdict:(verdict_class outcome) ~cache_hit
+          ~replayed ~healed
+          ~raced:(Option.is_some race_members && attempts > 0);
+        progress (Status.snapshot status));
     { category = w.w_category; module_name = w.w_mdl.Rtl.Mdl.name;
       vunit_name = w.w_vunit_name; prop_name = w.w_prop_name; cls = w.w_cls;
       outcome; bug = w.w_bug; cache_hit; replayed; attempts;
@@ -310,170 +305,133 @@ let run ?budget ?strategy ?portfolio ?(progress = fun (_ : progress) -> ())
          journal; the attribution marks it *)
       healed }
   in
-  let check_body i =
-    let w = items.(i) in
-    let ob_name = w.w_mdl.Rtl.Mdl.name ^ "." ^ w.w_prop_name in
-    stat (fun s ->
-        Status.begin_work s ~obligation:ob_name ~engine:strat_name ~attempt:1);
-    (* prepare inside the worker so instrumentation, elaboration and COI
-       reduction parallelize along with the engine runs; the preparation is
-       shared across every module of one structure (see [slots]) *)
-    let ob, key = obligation i in
-    let outcome, cache_hit, replayed, attempts =
-      match Option.bind journal (fun j -> Journal.replay j ~key) with
-      | Some outcome -> (outcome, false, true, 0)
-      | None -> (
-        match Mc.Cache.find cache ~key with
-        | Some outcome ->
-          (* re-journal cache hits: after a kill the in-memory cache is gone,
-             so resume must be able to replay them from disk *)
-          Option.iter (fun j -> Journal.append j ~key outcome) journal;
-          (outcome, true, false, 0)
-        | None ->
-          (* retry ladder: a crash gets capped re-runs with a halved budget
-             and exponential backoff; a crash on the last rung becomes an
-             [Error] verdict instead of taking the campaign down *)
-          let rec attempt ob n =
-            if n > 1 then
-              stat (fun s ->
-                  Status.begin_work s ~obligation:ob_name ~engine:strat_name
-                    ~attempt:n);
-            (* the hook runs inside the match scrutinee: a fault it injects
-               is indistinguishable from the engine itself crashing *)
-            match
-              fault w ~fingerprint:key n;
-              Mc.Obligation.run ob
-            with
-            | outcome -> (outcome, n)
-            | exception exn ->
-              if n > max_retries then (crash_outcome exn, n)
-              else begin
-                note_retry ();
-                stat Status.retry;
-                Obs.Flight.record "ob.retry" ~detail:ob_name;
-                if retry_backoff_s > 0.0 then
-                  Unix.sleepf
-                    (Float.min 1.0
-                       (retry_backoff_s *. (2.0 ** float_of_int (n - 1))));
-                attempt
-                  { ob with
-                    Mc.Obligation.budget =
-                      Mc.Engine.degrade_budget ob.Mc.Obligation.budget }
-                  (n + 1)
-              end
-          in
-          let outcome, attempts = attempt ob 1 in
-          record ~key outcome;
-          (outcome, false, false, attempts))
-    in
-    finish w ~cache_hit ~replayed ~attempts outcome
-  in
-  let check i =
+  (* Opening item [i] prepares it inside the worker, so instrumentation,
+     elaboration and COI reduction parallelize along with the engine runs
+     (the preparation is shared across every module of one structure, see
+     [slots]), and answers it through [lookup]. Only a miss differs between
+     the two schedulers: [settled] wraps an answered row, [miss] runs the
+     retry ladder or opens the raced members. *)
+  let open_item ~settled ~miss i =
     let w = items.(i) in
     Obs.Telemetry.span ~cat:"obligation"
       ~args:
         [ ("category", w.w_category); ("module", w.w_mdl.Rtl.Mdl.name);
           ("property", w.w_prop_name) ]
-      (w.w_mdl.Rtl.Mdl.name ^ "." ^ w.w_prop_name)
-      (fun () -> check_body i)
+      (ob_name w)
+    @@ fun () ->
+    Status.begin_work status ~obligation:(ob_name w) ~engine:strat_name
+      ~attempt:1;
+    let ob, key = obligation i in
+    match lookup ~key with
+    | `Replayed outcome ->
+      settled (finish w ~cache_hit:false ~replayed:true ~attempts:0 outcome)
+    | `Cached outcome ->
+      settled (finish w ~cache_hit:true ~replayed:false ~attempts:0 outcome)
+    | `Miss -> miss w ob key
   in
-  (* The racing path: preparation and cache/journal lookup happen when the
-     scheduler opens the group; on a miss the portfolio members become the
-     group's attempts, each a full engine run under its own member budget
-     and under the obligation's deadline (fixed here at open — exactly where
-     the sequential runner fixes it) with the scheduler's cancellation hook
+  (* retry ladder: a crash gets capped re-runs with a halved budget after a
+     short pause; a crash on the last rung becomes an [Error] verdict
+     instead of taking the campaign down *)
+  let ladder w ob key =
+    let rec attempt ob n =
+      if n > 1 then
+        Status.begin_work status ~obligation:(ob_name w) ~engine:strat_name
+          ~attempt:n;
+      (* the hook runs inside the match scrutinee: a fault it injects is
+         indistinguishable from the engine itself crashing *)
+      match
+        fault w ~fingerprint:key n;
+        Mc.Obligation.run ob
+      with
+      | outcome -> (outcome, n)
+      | exception exn ->
+        if n > max_retries then (crash_outcome exn, n)
+        else begin
+          Status.retry status;
+          Obs.Flight.record "ob.retry" ~detail:(ob_name w);
+          Unix.sleepf retry_backoff_s;
+          attempt
+            { ob with
+              Mc.Obligation.budget =
+                Mc.Engine.degrade_budget ob.Mc.Obligation.budget }
+            (n + 1)
+        end
+    in
+    let outcome, attempts = attempt ob 1 in
+    record ~key outcome;
+    finish w ~cache_hit:false ~replayed:false ~attempts outcome
+  in
+  (* The racing miss: the portfolio members become the group's attempts,
+     each a full engine run under its own member budget and under the
+     obligation's deadline (fixed here at open — exactly where the
+     sequential runner fixes it) with the scheduler's cancellation hook
      attached, both threaded into every engine loop. [Engine.settles]
      decides the group, as it stops the sequential runner, and
      [Engine.combine_portfolio] folds the attributed prefix, so a raced
      group reports byte-identically to the same portfolio laddered on one
-     domain. Member crashes become
-     non-conclusive [Error] member outcomes — the race continues and the
-     sibling verdicts still decide the obligation. *)
-  let open_group i =
-    let w = items.(i) in
-    Obs.Telemetry.span ~cat:"obligation"
-      ~args:
-        [ ("category", w.w_category); ("module", w.w_mdl.Rtl.Mdl.name);
-          ("property", w.w_prop_name) ]
-      (w.w_mdl.Rtl.Mdl.name ^ "." ^ w.w_prop_name ^ ".open")
-    @@ fun () ->
-    let ob, key = obligation i in
-    match Option.bind journal (fun j -> Journal.replay j ~key) with
-    | Some outcome ->
-      Executor.Done
-        (finish w ~cache_hit:false ~replayed:true ~attempts:0 outcome)
-    | None -> (
-      match Mc.Cache.find cache ~key with
-      | Some outcome ->
-        Option.iter (fun j -> Journal.append j ~key outcome) journal;
-        Executor.Done
-          (finish w ~cache_hit:true ~replayed:false ~attempts:0 outcome)
-      | None ->
-        let members =
-          match ob.Mc.Obligation.strategy with
-          | Mc.Engine.Portfolio p -> Array.of_list p.Mc.Engine.p_members
-          | _ -> assert false (* racing is only entered with a portfolio *)
-        in
-        let outer =
-          Mc.Deadline.of_budget
-            ob.Mc.Obligation.budget.Mc.Engine.wall_deadline_s
-        in
-        Executor.Race
-          { attempts = Array.length members;
-            run =
-              (fun k ~cancel ->
-                let m = members.(k) in
-                let mname = Mc.Engine.strategy_name m.Mc.Engine.m_strategy in
-                let ob_name = w.w_mdl.Rtl.Mdl.name ^ "." ^ w.w_prop_name in
-                stat (fun s ->
-                    Status.begin_work s ~obligation:ob_name ~engine:mname
-                      ~attempt:(k + 1));
-                let out =
-                  Obs.Telemetry.span ~cat:"race"
-                    ~args:
-                      [ ("member", mname);
-                        ("module", w.w_mdl.Rtl.Mdl.name);
-                        ("property", w.w_prop_name) ]
-                    (ob_name ^ "#" ^ mname)
-                  @@ fun () ->
-                  match
-                    fault w ~fingerprint:key (k + 1);
-                    Mc.Engine.check_netlist ~budget:m.Mc.Engine.m_budget
-                      ?constraint_signal:ob.Mc.Obligation.constraint_signal
-                      ~deadline:(Mc.Deadline.with_stop outer cancel)
-                      ~strategy:m.Mc.Engine.m_strategy ob.Mc.Obligation.nl
-                      ~ok_signal:ob.Mc.Obligation.ok_signal
-                  with
-                  | outcome -> outcome
-                  | exception exn -> crash_outcome exn
-                in
-                Mc.Beacon.idle ();
-                stat Status.end_work;
-                Obs.Flight.record "race.member"
-                  ~detail:(ob_name ^ "#" ^ mname ^ " " ^ verdict_str out);
-                out);
-            conclusive = Mc.Engine.settles;
-            combine =
-              (fun outs ->
-                let outcome = Mc.Engine.combine_portfolio outs in
-                if Obs.Telemetry.active () then begin
-                  Obs.Telemetry.count
-                    ("race.win." ^ outcome.Mc.Engine.engine_used);
-                  Obs.Telemetry.count
-                    ~n:(List.length outs - 1)
-                    "race.losers"
-                end;
-                record ~key outcome;
-                finish w ~cache_hit:false ~replayed:false ~attempts:1 outcome)
-          })
+     domain. Member crashes become non-conclusive [Error] member outcomes —
+     the race continues and the sibling verdicts still decide the
+     obligation. *)
+  let race members w ob key =
+    (* the members take over the lanes from here *)
+    Status.end_work status;
+    let outer =
+      Mc.Deadline.of_budget ob.Mc.Obligation.budget.Mc.Engine.wall_deadline_s
+    in
+    Executor.Race
+      { attempts = Array.length members;
+        run =
+          (fun k ~cancel ->
+            let m = members.(k) in
+            let mname = Mc.Engine.strategy_name m.Mc.Engine.m_strategy in
+            Status.begin_work status ~obligation:(ob_name w) ~engine:mname
+              ~attempt:(k + 1);
+            let out =
+              Obs.Telemetry.span ~cat:"race"
+                ~args:
+                  [ ("member", mname); ("module", w.w_mdl.Rtl.Mdl.name);
+                    ("property", w.w_prop_name) ]
+                (ob_name w ^ "#" ^ mname)
+              @@ fun () ->
+              match
+                fault w ~fingerprint:key (k + 1);
+                Mc.Engine.check_netlist ~budget:m.Mc.Engine.m_budget
+                  ?constraint_signal:ob.Mc.Obligation.constraint_signal
+                  ~deadline:(Mc.Deadline.with_stop outer cancel)
+                  ~strategy:m.Mc.Engine.m_strategy ob.Mc.Obligation.nl
+                  ~ok_signal:ob.Mc.Obligation.ok_signal
+              with
+              | outcome -> outcome
+              | exception exn -> crash_outcome exn
+            in
+            Mc.Beacon.idle ();
+            Status.end_work status;
+            Obs.Flight.record "race.member"
+              ~detail:(ob_name w ^ "#" ^ mname ^ " " ^ verdict_str out);
+            out);
+        conclusive = Mc.Engine.settles;
+        combine =
+          (fun outs ->
+            let outcome = Mc.Engine.combine_portfolio outs in
+            if Obs.Telemetry.active () then begin
+              Obs.Telemetry.count ("race.win." ^ outcome.Mc.Engine.engine_used);
+              Obs.Telemetry.count ~n:(List.length outs - 1) "race.losers"
+            end;
+            record ~key outcome;
+            finish w ~cache_hit:false ~replayed:false ~attempts:1 outcome) }
   in
   let results =
     (* the executor's per-item isolation is the outer safety net: anything
        that escapes the retry ladder (a crash in prepare, a raising progress
        callback) still yields a row instead of losing the campaign *)
     (let idx = Array.init total Fun.id in
-     if use_racing then Executor.race_map_result exec ?race_jobs open_group idx
-     else Executor.map_result exec check idx)
+     match race_members with
+     | Some members ->
+       Executor.race_map_result exec
+         (open_item ~settled:(fun r -> Executor.Done r) ~miss:(race members))
+         idx
+     | None ->
+       Executor.map_result exec (open_item ~settled:Fun.id ~miss:ladder) idx)
     |> Array.mapi (fun i -> function
          | Ok r -> r
          | Error exn ->
@@ -499,17 +457,12 @@ let run ?budget ?strategy ?portfolio ?(progress = fun (_ : progress) -> ())
     | None -> (results, None)
     | Some max_iters ->
       let th0 = Unix.gettimeofday () in
-      stat (fun s -> Status.set_phase s "healing");
+      Status.set_phase status "healing";
       let arr = Array.of_list results in
       let ro_idx =
         Array.init (Array.length arr) Fun.id
         |> Array.to_list
-        |> List.filter (fun i ->
-               match arr.(i).outcome.Mc.Engine.verdict with
-               | Mc.Engine.Resource_out _ -> true
-               | Mc.Engine.Proved | Mc.Engine.Proved_bounded _
-               | Mc.Engine.Failed _ | Mc.Engine.Error _ ->
-                 false)
+        |> List.filter (fun i -> verdict_class arr.(i).outcome = `Resource_out)
         |> Array.of_list
       in
       let run_piece (p : Heal.piece) =
@@ -523,28 +476,25 @@ let run ?budget ?strategy ?portfolio ?(progress = fun (_ : progress) -> ())
             ~assert_:p.Heal.p_assert ~assumes:p.Heal.p_assumes ~meta:()
         in
         let key = Mc.Obligation.fingerprint ~salt:p.Heal.p_salt ob in
-        match Option.bind journal (fun j -> Journal.replay j ~key) with
-        | Some outcome ->
+        match lookup ~key with
+        | `Replayed outcome ->
           Obs.Telemetry.count "heal.piece.replayed";
           outcome
-        | None -> (
-          match Mc.Cache.find cache ~key with
-          | Some outcome ->
-            Option.iter (fun j -> Journal.append j ~key outcome) journal;
-            Obs.Telemetry.count "heal.piece.cached";
-            outcome
-          | None ->
-            let outcome = Mc.Obligation.run ob in
-            record ~key outcome;
-            Obs.Telemetry.count "heal.piece.solved";
-            outcome)
+        | `Cached outcome ->
+          Obs.Telemetry.count "heal.piece.cached";
+          outcome
+        | `Miss ->
+          let outcome = Mc.Obligation.run ob in
+          record ~key outcome;
+          Obs.Telemetry.count "heal.piece.solved";
+          outcome
       in
       let heal_i i =
         let w = items.(i) in
         Obs.Telemetry.span ~cat:"heal"
           ~args:[ ("module", w.w_mdl.Rtl.Mdl.name);
                   ("property", w.w_prop_name) ]
-          ("heal:" ^ w.w_mdl.Rtl.Mdl.name ^ "." ^ w.w_prop_name)
+          ("heal:" ^ ob_name w)
         @@ fun () ->
         let hr =
           Heal.heal_one ~max_iters ~run_piece ~mdl:w.w_mdl
@@ -575,21 +525,17 @@ let run ?budget ?strategy ?portfolio ?(progress = fun (_ : progress) -> ())
             subs := !subs + hr.Heal.h_subs_proved;
             bad := !bad + hr.Heal.h_bad_cuts;
             pieces := !pieces + hr.Heal.h_pieces;
-            let heal_name w =
-              w.w_mdl.Rtl.Mdl.name ^ "." ^ w.w_prop_name
-            in
+            let i = ro_idx.(k) in
             (match hr.Heal.h_outcome with
             | None ->
-              Obs.Flight.record "heal.unhealable"
-                ~detail:(heal_name items.(ro_idx.(k)));
+              Obs.Flight.record "heal.unhealable" ~detail:(ob_name items.(i));
               incr unhealable
             | Some out ->
-              let i = ro_idx.(k) in
-              stat (fun s -> Status.reclassify s ~to_:(verdict_class out));
+              Status.reclassify status ~to_:(verdict_class out);
               Obs.Flight.record
                 (if Mc.Engine.conclusive out then "heal.recovered"
                  else "heal.exhausted")
-                ~detail:(heal_name items.(i) ^ " " ^ verdict_str out);
+                ~detail:(ob_name items.(i) ^ " " ^ verdict_str out);
               arr.(i) <-
                 { (arr.(i)) with
                   outcome = out;
@@ -619,15 +565,13 @@ let run ?budget ?strategy ?portfolio ?(progress = fun (_ : progress) -> ())
   let row_of cat subs cat_results =
     let by f = List.length (List.filter f cat_results) in
     let count_cls cls = by (fun r -> r.cls = cls) in
+    let count_verdict v = by (fun r -> verdict_class r.outcome = v) in
     let failed_modules =
       List.sort_uniq compare
         (List.filter_map
            (fun r ->
-             match r.outcome.Mc.Engine.verdict with
-             | Mc.Engine.Failed _ -> Some r.module_name
-             | Mc.Engine.Proved | Mc.Engine.Proved_bounded _
-             | Mc.Engine.Resource_out _ | Mc.Engine.Error _ ->
-               None)
+             if verdict_class r.outcome = `Failed then Some r.module_name
+             else None)
            cat_results)
     in
     (* B5/B6 live in separate decoder modules, so defects = defective
@@ -635,34 +579,9 @@ let run ?budget ?strategy ?portfolio ?(progress = fun (_ : progress) -> ())
     { cat; subs; bugs_found = List.length failed_modules;
       p0 = count_cls PG.P0; p1 = count_cls PG.P1; p2 = count_cls PG.P2;
       p3 = count_cls PG.P3; total = List.length cat_results;
-      proved =
-        by (fun r ->
-            match r.outcome.Mc.Engine.verdict with
-            | Mc.Engine.Proved | Mc.Engine.Proved_bounded _ -> true
-            | Mc.Engine.Failed _ | Mc.Engine.Resource_out _
-            | Mc.Engine.Error _ ->
-              false);
-      failed =
-        by (fun r ->
-            match r.outcome.Mc.Engine.verdict with
-            | Mc.Engine.Failed _ -> true
-            | Mc.Engine.Proved | Mc.Engine.Proved_bounded _
-            | Mc.Engine.Resource_out _ | Mc.Engine.Error _ ->
-              false);
-      resource_out =
-        by (fun r ->
-            match r.outcome.Mc.Engine.verdict with
-            | Mc.Engine.Resource_out _ -> true
-            | Mc.Engine.Proved | Mc.Engine.Proved_bounded _
-            | Mc.Engine.Failed _ | Mc.Engine.Error _ ->
-              false);
-      errors =
-        by (fun r ->
-            match r.outcome.Mc.Engine.verdict with
-            | Mc.Engine.Error _ -> true
-            | Mc.Engine.Proved | Mc.Engine.Proved_bounded _
-            | Mc.Engine.Failed _ | Mc.Engine.Resource_out _ ->
-              false);
+      proved = count_verdict `Proved; failed = count_verdict `Failed;
+      resource_out = count_verdict `Resource_out;
+      errors = count_verdict `Error;
       time_s =
         List.fold_left (fun acc r -> acc +. r.outcome.Mc.Engine.time_s) 0.0
           cat_results }
@@ -674,34 +593,26 @@ let run ?budget ?strategy ?portfolio ?(progress = fun (_ : progress) -> ())
           (List.filter (fun r -> r.category = c.G.cat_name) results))
       chip.G.categories
   in
+  let sum f = List.fold_left (fun a r -> a + f r) 0 rows in
   let grand_total =
-    { cat = "Total"; subs = List.fold_left (fun a r -> a + r.subs) 0 rows;
-      bugs_found = List.fold_left (fun a r -> a + r.bugs_found) 0 rows;
-      p0 = List.fold_left (fun a r -> a + r.p0) 0 rows;
-      p1 = List.fold_left (fun a r -> a + r.p1) 0 rows;
-      p2 = List.fold_left (fun a r -> a + r.p2) 0 rows;
-      p3 = List.fold_left (fun a r -> a + r.p3) 0 rows;
-      total = List.fold_left (fun a (r : row) -> a + r.total) 0 rows;
-      proved = List.fold_left (fun a r -> a + r.proved) 0 rows;
-      failed = List.fold_left (fun a r -> a + r.failed) 0 rows;
-      resource_out = List.fold_left (fun a r -> a + r.resource_out) 0 rows;
-      errors = List.fold_left (fun a r -> a + r.errors) 0 rows;
+    { cat = "Total"; subs = sum (fun r -> r.subs);
+      bugs_found = sum (fun r -> r.bugs_found); p0 = sum (fun r -> r.p0);
+      p1 = sum (fun r -> r.p1); p2 = sum (fun r -> r.p2);
+      p3 = sum (fun r -> r.p3); total = sum (fun (r : row) -> r.total);
+      proved = sum (fun r -> r.proved); failed = sum (fun r -> r.failed);
+      resource_out = sum (fun r -> r.resource_out);
+      errors = sum (fun r -> r.errors);
       time_s = List.fold_left (fun a r -> a +. r.time_s) 0.0 rows }
   in
-  stat (fun s -> Status.set_phase s "done");
+  Status.set_phase status "done";
+  let count f = List.length (List.filter f results) in
   { results; rows; grand_total; wall_time_s = Unix.gettimeofday () -. t0;
-    cache_hits = Mc.Cache.hits cache - hits0; retries = !retries_n;
-    replayed = !replayed_n; healing }
+    cache_hits = count (fun r -> r.cache_hit);
+    retries = List.fold_left (fun a r -> a + max 0 (r.attempts - 1)) 0 results;
+    replayed = count (fun r -> r.replayed); healing }
 
 let failed_results t =
-  List.filter
-    (fun r ->
-      match r.outcome.Mc.Engine.verdict with
-      | Mc.Engine.Failed _ -> true
-      | Mc.Engine.Proved | Mc.Engine.Proved_bounded _
-      | Mc.Engine.Resource_out _ | Mc.Engine.Error _ ->
-        false)
-    t.results
+  List.filter (fun r -> verdict_class r.outcome = `Failed) t.results
 
 (* Work totals over every result row — cached and replayed rows carry the
    perf of the run that produced them, so these totals do not depend on how
@@ -785,9 +696,45 @@ let resource_out_causes t =
     (fun (a, _) (b, _) -> compare (rank a) (rank b))
     (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
-let to_metrics_json ?report ?jobs t =
+let perf_json t =
   let module J = Obs.Json in
   let p = aggregate_perf t in
+  [ ("engine_time_s", J.Float p.engine_time_s);
+    ("engine_attempts", J.Int p.engine_attempts);
+    ("fix_iterations", J.Int p.fix_iterations);
+    ("bdd_peak", J.Int p.bdd_peak);
+    ("peak_set_size", J.Int p.peak_set_size);
+    ("bdd_polls", J.Int p.bdd_polls);
+    ("sat_decisions", J.Int p.sat_decisions);
+    ("sat_conflicts", J.Int p.sat_conflicts);
+    ("sat_propagations", J.Int p.sat_propagations);
+    ("sat_restarts", J.Int p.sat_restarts);
+    ("max_unroll_depth", J.Int p.max_unroll_depth);
+    ("max_final_k", J.Int p.max_final_k);
+    ("max_ic3_frames", J.Int p.max_ic3_frames) ]
+
+let recovery_json t =
+  let module J = Obs.Json in
+  Option.map
+    (fun h ->
+      [ ("attempted", J.Int h.heal_attempted);
+        ("recovered", J.Int h.heal_recovered);
+        ("healed_proved", J.Int h.heal_proved);
+        ("healed_failed", J.Int h.heal_failed);
+        ("exhausted", J.Int h.heal_exhausted);
+        ("unhealable", J.Int h.heal_unhealable);
+        ("spurious_cex", J.Int h.heal_spurious);
+        ("cegar_iters", J.Int h.heal_cegar_iters);
+        ("subs_proved", J.Int h.heal_subs_proved);
+        ("bad_cuts", J.Int h.heal_bad_cuts);
+        ("pieces", J.Int h.heal_pieces);
+        ("healed_rows",
+         J.Int (List.length (List.filter (fun r -> r.healed) t.results)));
+        ("wall_s", J.Float h.heal_wall_s) ])
+    t.healing
+
+let to_metrics_json ?report ?jobs t =
+  let module J = Obs.Json in
   let row_fields (r : row) =
     [ ("subs", J.Int r.subs); ("bugs_found", J.Int r.bugs_found);
       ("p0", J.Int r.p0); ("p1", J.Int r.p1); ("p2", J.Int r.p2);
@@ -809,43 +756,13 @@ let to_metrics_json ?report ?jobs t =
         ("resource_out_causes",
          J.Obj
            (List.map (fun (c, n) -> (c, J.Int n)) (resource_out_causes t)));
-        ("perf",
-         J.Obj
-           [ ("engine_time_s", J.Float p.engine_time_s);
-             ("engine_attempts", J.Int p.engine_attempts);
-             ("fix_iterations", J.Int p.fix_iterations);
-             ("bdd_peak", J.Int p.bdd_peak);
-             ("peak_set_size", J.Int p.peak_set_size);
-             ("bdd_polls", J.Int p.bdd_polls);
-             ("sat_decisions", J.Int p.sat_decisions);
-             ("sat_conflicts", J.Int p.sat_conflicts);
-             ("sat_propagations", J.Int p.sat_propagations);
-             ("sat_restarts", J.Int p.sat_restarts);
-             ("max_unroll_depth", J.Int p.max_unroll_depth);
-             ("max_final_k", J.Int p.max_final_k);
-             ("max_ic3_frames", J.Int p.max_ic3_frames) ]);
+        ("perf", J.Obj (perf_json t));
         ("strategy_wins",
          J.Obj
            (List.map (fun (e, n) -> (e, J.Int n)) (wins_by_engine t))) ]
-    @ (match t.healing with
+    @ (match recovery_json t with
       | None -> []
-      | Some h ->
-        [ ("recovery",
-           J.Obj
-             [ ("attempted", J.Int h.heal_attempted);
-               ("recovered", J.Int h.heal_recovered);
-               ("healed_proved", J.Int h.heal_proved);
-               ("healed_failed", J.Int h.heal_failed);
-               ("exhausted", J.Int h.heal_exhausted);
-               ("unhealable", J.Int h.heal_unhealable);
-               ("spurious_cex", J.Int h.heal_spurious);
-               ("cegar_iters", J.Int h.heal_cegar_iters);
-               ("subs_proved", J.Int h.heal_subs_proved);
-               ("bad_cuts", J.Int h.heal_bad_cuts);
-               ("pieces", J.Int h.heal_pieces);
-               ("healed_rows",
-                J.Int (List.length (List.filter (fun r -> r.healed) t.results)));
-               ("wall_s", J.Float h.heal_wall_s) ]) ])
+      | Some r -> [ ("recovery", J.Obj r) ])
     @ [
         ("categories",
          J.Obj

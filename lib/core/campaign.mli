@@ -16,11 +16,12 @@
       that overruns it yields [Resource_out "deadline"] instead of hanging a
       worker;
     - {b crash isolation + retry} — an obligation whose engine run raises is
-      retried with a degraded budget ({!Mc.Engine.degrade_budget}, capped by
-      [max_retries], exponential backoff); a crash on the last rung becomes
-      an {!Mc.Engine.Error} verdict in its row, and the executor's per-item
-      isolation catches anything that escapes (e.g. a crash in preparation),
-      so one poisoned obligation can never lose the rest of the campaign;
+      retried with a degraded budget ({!Mc.Engine.degrade_budget}) after a
+      constant pause, at most [max_retries] times; a crash on the last rung
+      becomes an {!Mc.Engine.Error} verdict in its row, and the executor's
+      per-item isolation catches anything that escapes (e.g. a crash in
+      preparation), so one poisoned obligation can never lose the rest of
+      the campaign;
     - {b checkpoint/resume} — pass a {!Journal} and every completed
       obligation is fsync'd to disk as it finishes; reopening the journal
       with [~resume:true] replays those verdicts without re-running engines.
@@ -61,14 +62,6 @@ type row = {
   resource_out : int;
   errors : int;  (** obligations that crashed through the whole retry ladder *)
   time_s : float;
-}
-
-type progress = {
-  done_ : int;  (** obligations completed so far; never exceeds [total] *)
-  total : int;
-  retries : int;  (** crash re-runs performed so far *)
-  cache_hits : int;  (** of the completed, answered from the cache *)
-  replayed : int;  (** of the completed, replayed from the journal *)
 }
 
 type work = {
@@ -115,23 +108,20 @@ type t = {
   rows : row list;  (** one per category, in A..E order *)
   grand_total : row;
   wall_time_s : float;
-  cache_hits : int;  (** checks answered from the cache during this run *)
-  retries : int;  (** crash re-runs performed during this run *)
-  replayed : int;  (** checks replayed from the journal *)
+  cache_hits : int;  (** result rows flagged [cache_hit] *)
+  retries : int;  (** crash re-runs behind the result rows' [attempts] *)
+  replayed : int;  (** result rows flagged [replayed] *)
   healing : heal_totals option;  (** present iff [run] got [?self_heal] *)
 }
 
 val run :
   ?budget:Mc.Engine.budget ->
   ?strategy:Mc.Engine.strategy ->
-  ?portfolio:Mc.Engine.portfolio ->
-  ?progress:(progress -> unit) ->
+  ?progress:(Status.snapshot -> unit) ->
   ?jobs:int ->
-  ?race_jobs:int ->
   ?cache:Mc.Cache.t ->
   ?journal:Journal.t ->
   ?max_retries:int ->
-  ?retry_backoff_s:float ->
   ?fault_hook:
     (module_name:string ->
     prop_name:string ->
@@ -146,52 +136,56 @@ val run :
     [n] runs on a pool of [n] domains. [cache] is the structural result
     cache; a private one is created per run when absent (deduplicating
     within the run), while passing a shared cache additionally reuses
-    verdicts across runs — e.g. the post-fix re-campaign. [progress] may be
-    invoked from worker domains, serialized under a lock.
+    verdicts across runs — e.g. the post-fix re-campaign.
 
-    [portfolio] overrides [strategy] with [Portfolio p] and, on a pool,
-    switches the campaign to the racing scheduler
+    [strategy] (default [Auto]) picks the engines. A [Portfolio p] on a
+    pool switches the campaign to the racing scheduler
     ({!Executor.race_map_result}): each cache-missing obligation fans out
     into one speculative engine run per member, the first conclusive
     verdict cancels the surviving siblings, and
     {!Mc.Engine.combine_portfolio} folds the attributed prefix. On one job
     the same portfolio runs as the engine's sequential short-circuiting
-    ladder, so verdicts, attributed perf and cache/journal keys are
+    ladder, and [Auto] runs its members one at a time whatever the job
+    count, so verdicts, attributed perf and cache/journal keys are
     identical between the two modes — racing changes wall time, not
-    answers. [race_jobs] caps one obligation's concurrent member runs
-    (default: the pool size). Under racing, member crashes become
-    non-conclusive [Error] member outcomes (no retry ladder) and
-    [fault_hook] runs once per member with [attempt] = member index + 1.
+    answers. Under racing, member crashes become non-conclusive [Error]
+    member outcomes (no retry ladder) and [fault_hook] runs once per member
+    with [attempt] = member index + 1.
 
-    [journal] checkpoints every completed obligation and replays the records
-    it was opened with (see {!Journal.create} [~resume]). [max_retries]
-    (default 2) caps crash re-runs per obligation; each retry degrades the
-    budget via {!Mc.Engine.degrade_budget} and sleeps [retry_backoff_s]
-    (default 0.05s) doubling per rung, capped at 1s. [fault_hook], intended
-    for tests, runs in the worker just before each real engine attempt
-    (never for cache hits or replays) — it can count engine invocations or
-    inject crashes.
+    Every obligation, including each healing piece, is answered the same
+    way: a [journal] replay, else a cache hit (re-journaled), else an
+    engine run. [journal] checkpoints every completed obligation and
+    replays the records it was opened with (see {!Journal.create}
+    [~resume]). [max_retries] (default 2) caps crash re-runs per
+    obligation; each retry degrades the budget via
+    {!Mc.Engine.degrade_budget} after a constant 50 ms pause. [fault_hook],
+    intended for tests, runs in the worker just before each real engine
+    attempt (never for cache hits or replays) — it can count engine
+    invocations or inject crashes.
 
-    [status] is a live {!Status} model the runtime keeps current: totals
-    and phase on entry, per-lane in-flight obligations around every engine
+    [status] is the run's live {!Status} model; a private one is kept when
+    it is absent. The runtime keeps it current: totals and phase on entry,
+    per-lane in-flight obligations around preparation and every engine
     attempt (including racing members and retry rungs), verdict tallies and
     cache/replay/race/heal attribution as obligations finish, and
-    reclassification as the healing pass recovers resource-outs. Purely
-    observational — it never affects scheduling, verdicts or keys, so seq ≡
-    pool determinism holds with or without it. The runtime also records
-    flight-recorder events ({!Obs.Flight}: [ob.done], [ob.retry],
+    reclassification as the healing pass recovers resource-outs. It is
+    purely observational — it never affects scheduling, verdicts or keys,
+    so seq ≡ pool determinism holds with or without it. [progress]
+    receives the model's {!Status.snapshot} after every completed
+    obligation, possibly from a worker domain but serialized under a lock,
+    so [s_done] counts 1, 2, …, [s_total] in order. The runtime also
+    records flight-recorder events ({!Obs.Flight}: [ob.done], [ob.retry],
     [race.member], [heal.*]) whenever a recorder is enabled.
 
     [self_heal] turns on the automatic Figure 7 recovery pass
     ({!Heal.heal_one}) over every [Resource_out] result, with at most
-    [self_heal] freed-cut final checks per obligation. Healing pieces run
-    through the same prepare/cache/journal path as first-class obligations
-    under cut-salted fingerprints, and a healed verdict is journaled under
-    the monolithic key after the original resource-out record — so
-    [~resume] replays healing without re-proving any piece. The pass is
-    parallelized across obligations on the same executor and is
-    deterministic: sequential, pooled and raced campaigns heal to identical
-    verdicts. *)
+    [self_heal] freed-cut final checks per obligation. Healing pieces are
+    looked up and run like first-class obligations under cut-salted
+    fingerprints, and a healed verdict is journaled under the monolithic
+    key after the original resource-out record — so [~resume] replays
+    healing without re-proving any piece. The pass is parallelized across
+    obligations on the same executor and is deterministic: sequential,
+    pooled and raced campaigns heal to identical verdicts. *)
 
 val failed_results : t -> prop_result list
 
@@ -234,6 +228,15 @@ val wins_by_engine : t -> (string * int) list
     member's verdict each obligation was attributed to. Cached and replayed
     rows count the engine of the producing run, so the tally is
     schedule-independent (seq ≡ race). *)
+
+val perf_json : t -> (string * Obs.Json.t) list
+(** {!aggregate_perf} as JSON fields: the ["perf"] object of
+    {!to_metrics_json}. *)
+
+val recovery_json : t -> (string * Obs.Json.t) list option
+(** {!t.healing} as JSON fields, plus the [healed_rows] count: the
+    ["recovery"] object of {!to_metrics_json}. [None] without
+    [?self_heal]. *)
 
 val to_metrics_json : ?report:Obs.Telemetry.report -> ?jobs:int -> t -> string
 (** The campaign summary as pretty-printed JSON (schema

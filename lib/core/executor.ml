@@ -138,11 +138,6 @@ let map_result t f xs =
     let n = Array.length xs in
     if n = 0 then [||] else parallel_map_result ~workers:(min j n) f xs
 
-let map t f xs =
-  Array.map
-    (function Ok v -> v | Error e -> raise e)
-    (map_result t f xs)
-
 (* ---- speculative task groups (portfolio racing) ---- *)
 
 type ('b, 'c) group =
@@ -202,7 +197,6 @@ type ('b, 'c) gstate = {
   g_combine : 'b list -> 'c;
   g_results : ('b, exn) result option array;
   mutable g_next : int;  (* next attempt index to dispatch *)
-  mutable g_running : int;
   g_cancel_from : int Atomic.t;  (* attempts >= this are cancelled *)
   mutable g_cancel_time : float;  (* when cancellation was requested *)
   mutable g_settled : bool;
@@ -210,12 +204,12 @@ type ('b, 'c) gstate = {
 
 (* The racing scheduler. One lock + condition guards all bookkeeping;
    attempt bodies run unlocked with a per-attempt cancel hook reading the
-   group's [cancel_from] atomic. Dispatch policy: attempt 0 is a lone probe
-   (the cheap ladder head); once it completes without deciding, the
-   remaining attempts fan out concurrently, capped at [race_jobs] in
-   flight per group. Started groups are preferred over opening new ones,
-   so hard obligations get their racers early instead of at the tail. *)
-let race_pool ~workers ~race_jobs open_ xs =
+   group's [cancel_from] atomic. Dispatch policy: a free worker takes the
+   next undispatched, uncancelled attempt of the oldest open group, so a
+   group's attempts start in index order, at most [workers] at once.
+   Started groups are preferred over opening new ones, so hard obligations
+   get their racers early instead of at the tail. *)
+let race_pool ~workers open_ xs =
   let n = Array.length xs in
   let results = Array.make n None in
   let lock = Mutex.create () in
@@ -223,25 +217,14 @@ let race_pool ~workers ~race_jobs open_ xs =
   let active = ref [] in  (* opened, unsettled groups, ascending item index *)
   let next_open = ref 0 in
   let unsettled = ref n in
-  let latency_bucket dt =
-    (* legacy coarse counters (kept: tests and dashboards read them) plus
-       the first-class histogram they were generalized into *)
-    tick
-      (if dt <= 0.001 then "exec.race_cancel_le_1ms"
-       else if dt <= 0.01 then "exec.race_cancel_le_10ms"
-       else if dt <= 0.1 then "exec.race_cancel_le_100ms"
-       else "exec.race_cancel_gt_100ms");
+  let cancel_latency dt =
     Telemetry.observe "exec.race_cancel_s" dt;
     Obs.Flight.record "race.cancelled"
       ~detail:(Printf.sprintf "%.4fs" dt)
   in
   let dispatchable g =
-    if g.g_settled then false
-    else
-      let lim = min g.g_attempts (Atomic.get g.g_cancel_from) in
-      if g.g_next >= lim then false
-      else if g.g_next = 0 then g.g_running = 0
-      else g.g_running < race_jobs
+    (not g.g_settled)
+    && g.g_next < min g.g_attempts (Atomic.get g.g_cancel_from)
   in
   (* called with the lock held *)
   let rec pick () =
@@ -250,7 +233,6 @@ let race_pool ~workers ~race_jobs open_ xs =
     | Some g ->
       let a = g.g_next in
       g.g_next <- a + 1;
-      g.g_running <- g.g_running + 1;
       Some (`Attempt (g, a))
     | None ->
       if !next_open < n then begin
@@ -329,7 +311,7 @@ let race_pool ~workers ~race_jobs open_ xs =
                 { g_item = i; g_attempts = r.attempts; g_run = r.run;
                   g_conclusive = r.conclusive; g_combine = r.combine;
                   g_results = Array.make r.attempts None; g_next = 0;
-                  g_running = 0; g_cancel_from = Atomic.make max_int;
+                  g_cancel_from = Atomic.make max_int;
                   g_cancel_time = 0.0; g_settled = false }
               in
               Mutex.lock lock;
@@ -351,12 +333,11 @@ let race_pool ~workers ~race_jobs open_ xs =
             in
             Mutex.lock lock;
             g.g_results.(a) <- Some res;
-            g.g_running <- g.g_running - 1;
             if Atomic.get g.g_cancel_from <= a then begin
               (* a cancelled loser unwinding: how long did it take to let
                  go after the winner concluded? *)
               tick "exec.race_cancelled";
-              latency_bucket (Unix.gettimeofday () -. g.g_cancel_time)
+              cancel_latency (Unix.gettimeofday () -. g.g_cancel_time)
             end;
             if
               deciding g.g_conclusive res
@@ -395,19 +376,11 @@ let race_pool ~workers ~race_jobs open_ xs =
   Array.iter Domain.join helpers;
   Array.map (function Some r -> r | None -> assert false) results
 
-let race_map_result t ?race_jobs open_ xs =
+let race_map_result t open_ xs =
   match t with
   | Sequential -> race_seq open_ xs
-  | Pool j ->
-    let n = Array.length xs in
-    if n = 0 then [||]
-    else
-      (* unlike [map_result], one item is not one unit of work: a group
-         fans out into sibling attempts, so the pool keeps its full worker
-         count even when there are fewer items than workers *)
-      let workers = j in
-      let race_jobs =
-        match race_jobs with None -> workers | Some r -> max 1 r
-      in
-      if workers <= 1 then race_seq open_ xs
-      else race_pool ~workers ~race_jobs open_ xs
+  | Pool workers ->
+    (* unlike [map_result], one item is not one unit of work: a group fans
+       out into sibling attempts, so the pool keeps its full worker count
+       even when there are fewer items than workers *)
+    if Array.length xs = 0 then [||] else race_pool ~workers open_ xs

@@ -1,9 +1,10 @@
 (** Pluggable obligation executor.
 
-    Two backends behind one [map]: a sequential one, and an OCaml 5 domain
-    pool with a work-stealing index queue. Results land at their input's
-    index, so ordering is deterministic and identical across backends — the
-    campaign's verdicts do not depend on how the work was scheduled. *)
+    Two backends behind one {!map_result}: a sequential one, and an OCaml 5
+    domain pool with a work-stealing index queue. Results land at their
+    input's index, so ordering is deterministic and identical across
+    backends — the campaign's verdicts do not depend on how the work was
+    scheduled. *)
 
 type t
 
@@ -26,11 +27,6 @@ val map_result : t -> ('a -> 'b) -> 'a array -> ('b, exn) result array
     at its index — every other item still runs to completion, so one
     poisoned obligation cannot lose the rest of a campaign. *)
 
-val map : t -> ('a -> 'b) -> 'a array -> 'b array
-(** {!map_result} with the historical re-raising behavior: if any
-    application raised, the first exception in input order is re-raised
-    after all items have been attempted. *)
-
 type ('b, 'c) group =
   | Done of 'c  (** settled at open time (cache hit, journal replay) *)
   | Race of {
@@ -50,7 +46,7 @@ type ('b, 'c) group =
     }  (** a speculative group: N alternative attempts at one item *)
 
 val race_map_result :
-  t -> ?race_jobs:int -> ('a -> ('b, 'c) group) -> 'a array -> ('c, exn) result array
+  t -> ('a -> ('b, 'c) group) -> 'a array -> ('c, exn) result array
 (** Order-preserving map over speculative task groups — the portfolio-racing
     generalization of {!map_result}. [open_ x] prepares item [x] (outside
     the scheduler lock; cache and journal lookups belong here) and either
@@ -75,15 +71,13 @@ val race_map_result :
     records into its own result — were observed by the attempt itself).
     On the sequential backend [cancel] never fires.
 
-    {b Scheduling.} On a pool, attempt 0 of each group runs alone as a
-    probe (the cheap ladder head); if it returns without concluding, the
-    remaining attempts race with up to [race_jobs] (default: the pool
-    size) of one group's attempts in flight at once. Workers prefer
-    advancing already-open groups over opening new ones. With
-    [race_jobs = 1] the pool degrades to per-group ladder order.
+    {b Scheduling.} On a pool, a free worker takes the next undispatched
+    attempt of the oldest open group, so a group's attempts start in index
+    order and racing is capped at the pool size: at most [jobs] attempts,
+    of one group or several, run at once. Workers prefer advancing
+    already-open groups over opening new ones.
 
     Emits [exec.race_groups], [exec.race_attempts], [exec.race_cancelled]
-    telemetry counters and a cancellation-latency histogram
-    ([exec.race_cancel_le_1ms] / [le_10ms] / [le_100ms] / [gt_100ms])
-    measured from cancellation request to the loser's cooperative
-    return. *)
+    telemetry counters and the [exec.race_cancel_s] histogram of
+    cancellation latency, measured from cancellation request to the loser's
+    cooperative return. *)

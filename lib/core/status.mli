@@ -54,7 +54,9 @@ type snapshot = {
 
 val create : ?jobs:int -> unit -> t
 (** A fresh model; [jobs] is advisory display data. Pass it to
-    {!Campaign.run}'s [?status] and the runtime does the rest. *)
+    {!Campaign.run}'s [?status] and the runtime does the rest; a campaign
+    given none keeps a private one, whose snapshots feed its
+    [?progress] callback. *)
 
 val set_total : t -> int -> unit
 val set_phase : t -> string -> unit

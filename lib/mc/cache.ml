@@ -31,22 +31,9 @@ let find c ~key =
 
 let add c ~key o = with_lock c (fun () -> Hashtbl.replace c.tbl key o)
 
-let find_or_run c ~key f =
-  match find c ~key with
-  | Some o -> (o, true)
-  | None ->
-    let o = f () in
-    add c ~key o;
-    (o, false)
-
 let length c = with_lock c (fun () -> Hashtbl.length c.tbl)
 let hits c = c.hits
 let misses c = c.misses
-
-let reset_stats c =
-  with_lock c (fun () ->
-      c.hits <- 0;
-      c.misses <- 0)
 
 (* bump when Engine.outcome (or anything reachable from it) changes shape:
    Marshal gives no type safety across versions *)

@@ -20,23 +20,13 @@ val find : t -> key:string -> Engine.outcome option
     in a [cache/cache.find] telemetry span. *)
 
 val add : t -> key:string -> Engine.outcome -> unit
-(** Insert (or overwrite) an entry. Callers that must not cache certain
-    outcomes — e.g. the campaign excludes [Error] verdicts so a transient
-    crash cannot poison structurally identical siblings — use
-    {!find}/[add] directly instead of {!find_or_run}. *)
-
-val find_or_run : t -> key:string -> (unit -> Engine.outcome) -> Engine.outcome * bool
-(** [find_or_run c ~key f] returns the cached outcome for [key] and [true],
-    or runs [f], stores its outcome and returns it with [false]. [f] runs
-    outside the cache lock, so concurrent misses on distinct keys proceed in
-    parallel (two simultaneous misses on the same key may both run [f]; the
-    engine is deterministic, so either result is the same). *)
+(** Insert (or overwrite) an entry. The caller decides what to cache:
+    e.g. the campaign excludes [Error] verdicts so a transient crash cannot
+    poison structurally identical siblings. *)
 
 val length : t -> int
 val hits : t -> int
 val misses : t -> int
-val reset_stats : t -> unit
-(** Zero the hit/miss counters, keeping the entries. *)
 
 val save : t -> string -> unit
 (** Persist entries to a file (OCaml [Marshal] behind a format tag).

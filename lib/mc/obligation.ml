@@ -82,5 +82,3 @@ let size o =
     List.fold_left (fun acc (_, w) -> acc + w) 0 o.nl.Rtl.Netlist.inputs
   in
   (state, inputs)
-
-let map_meta f o = { o with meta = f o.meta }

@@ -77,5 +77,3 @@ val run : _ t -> Engine.outcome
 val size : _ t -> int * int
 (** [(state bits, input bits)] of the prepared model — the paper's "problem
     size of the properties". *)
-
-val map_meta : ('a -> 'b) -> 'a t -> 'b t

@@ -338,25 +338,28 @@ let test_campaign_warm_cache () =
 let test_executor_map () =
   let input = Array.init 201 (fun i -> i) in
   let f i = (i * 37) mod 101 in
-  let expected = Array.map f input in
+  let expected = Array.map (fun i -> Ok (f i)) input in
+  let results = Alcotest.(array (result int reject)) in
   List.iter
     (fun jobs ->
-      Alcotest.(check (array int))
+      Alcotest.check results
         (Printf.sprintf "pool of %d preserves order" jobs)
         expected
-        (Core.Executor.map (Core.Executor.pool ~jobs) f input))
+        (Core.Executor.map_result (Core.Executor.pool ~jobs) f input))
     [ 1; 2; 3; 8 ];
-  Alcotest.(check (array int)) "empty input" [||]
-    (Core.Executor.map (Core.Executor.pool ~jobs:4) f [||]);
+  Alcotest.check results "empty input" [||]
+    (Core.Executor.map_result (Core.Executor.pool ~jobs:4) f [||]);
   Alcotest.(check int) "of_jobs None is sequential" 1
     Core.Executor.(jobs (of_jobs None));
   Alcotest.(check int) "of_jobs clamps" 1 Core.Executor.(jobs (of_jobs (Some 0)));
-  (* exceptions propagate out of worker domains *)
-  Alcotest.check_raises "worker exception propagates" Exit (fun () ->
-      ignore
-        (Core.Executor.map (Core.Executor.pool ~jobs:3)
-           (fun i -> if i = 150 then raise Exit else i)
-           input))
+  (* an exception raised in a worker domain comes back at its index *)
+  match
+    (Core.Executor.map_result (Core.Executor.pool ~jobs:3)
+       (fun i -> if i = 150 then raise Exit else i)
+       input).(150)
+  with
+  | Error Exit -> ()
+  | _ -> Alcotest.fail "worker exception must come back as Error Exit"
 
 (* race_map_result: every backend and job count must settle every group on
    the same attributed prefix — racing changes wall time, not answers *)
@@ -395,13 +398,13 @@ let test_executor_race_groups () =
     (values "seq" (Core.Executor.race_map_result Core.Executor.sequential
                      open_ input));
   List.iter
-    (fun (jobs, race_jobs) ->
-      let label = Printf.sprintf "pool %d / race %d" jobs race_jobs in
+    (fun jobs ->
+      let label = Printf.sprintf "pool %d" jobs in
       Alcotest.(check (array (list int))) label expected
         (values label
-           (Core.Executor.race_map_result (Core.Executor.pool ~jobs)
-              ~race_jobs open_ input)))
-    [ (2, 1); (3, 2); (4, 4); (8, 3) ];
+           (Core.Executor.race_map_result (Core.Executor.pool ~jobs) open_
+              input)))
+    [ 2; 3; 4; 8 ];
   (* a raising attempt decides its group as Error on every backend *)
   let open_err i =
     Core.Executor.Race
@@ -488,12 +491,12 @@ let test_racing_matches_sequential_portfolio () =
   let base =
     { Mc.Engine.default_budget with Mc.Engine.bdd_node_limit = Some 5_000 }
   in
-  let portfolio = Mc.Engine.default_portfolio base in
+  let strategy = Mc.Engine.Portfolio (Mc.Engine.default_portfolio base) in
   let seq =
-    Core.Campaign.run ~budget:base ~portfolio ~cache:(Mc.Cache.create ()) mini
+    Core.Campaign.run ~budget:base ~strategy ~cache:(Mc.Cache.create ()) mini
   in
   let race =
-    Core.Campaign.run ~budget:base ~portfolio ~jobs:4 ~race_jobs:4
+    Core.Campaign.run ~budget:base ~strategy ~jobs:4
       ~cache:(Mc.Cache.create ()) mini
   in
   Alcotest.(check (list string)) "same verdicts in the same order"
@@ -540,6 +543,25 @@ let test_racing_matches_sequential_portfolio () =
   in
   Alcotest.(check (list (pair string int)))
     "aggregate perf identical under racing" (fields p_seq) (fields p_race)
+
+(* a portfolio strategy races exactly when the pool has more than one job;
+   [Auto] runs its members one at a time whatever the pool *)
+let test_racing_follows_strategy () =
+  let mini = mini_chip () in
+  let portfolio =
+    Mc.Engine.Portfolio (Mc.Engine.default_portfolio Mc.Engine.default_budget)
+  in
+  let race_groups strategy jobs =
+    Obs.Telemetry.start ();
+    ignore
+      (Core.Campaign.run ~strategy ~jobs ~cache:(Mc.Cache.create ()) mini);
+    Obs.Telemetry.counter (Obs.Telemetry.stop ()) "exec.race_groups"
+  in
+  Alcotest.(check bool) "a portfolio races on four jobs" true
+    (race_groups portfolio 4 > 0);
+  Alcotest.(check int) "a portfolio ladders on one job" 0
+    (race_groups portfolio 1);
+  Alcotest.(check int) "auto never races" 0 (race_groups Mc.Engine.Auto 4)
 
 let test_trace_vcd_export () =
   (* a counterexample exports as a well-formed VCD *)
@@ -735,6 +757,8 @@ let () =
            test_executor_race_cancellation;
          Alcotest.test_case "racing matches sequential portfolio" `Slow
            test_racing_matches_sequential_portfolio;
+         Alcotest.test_case "racing follows the strategy" `Slow
+           test_racing_follows_strategy;
          Alcotest.test_case "trace vcd export" `Quick test_trace_vcd_export ]);
       ("classification",
        [ Alcotest.test_case "table 3 reproduction" `Slow

@@ -369,6 +369,23 @@ let test_campaign_seq_matches_pool () =
   Alcotest.(check (list (pair string int))) "same recovery totals"
     (totals seq) (totals pool)
 
+let test_campaign_counts_rows () =
+  (* the healing pieces' own cache hits are not obligations: the summary
+     counts the rows flagged cache_hit, so "proved fresh" stays >= 0 *)
+  let t = run_heal_chip ~self_heal:4 () in
+  let flagged =
+    List.length
+      (List.filter
+         (fun (r : Core.Campaign.prop_result) -> r.Core.Campaign.cache_hit)
+         t.Core.Campaign.results)
+  in
+  Alcotest.(check int) "cache_hits counts the cache_hit rows" flagged
+    t.Core.Campaign.cache_hits;
+  Alcotest.(check bool) "no negative fresh count" true
+    (List.length t.Core.Campaign.results - t.Core.Campaign.cache_hits
+     - t.Core.Campaign.replayed
+    >= 0)
+
 let test_campaign_resume_replays_healing () =
   (* a resumed campaign must replay healed verdicts from the journal —
      healed flags intact — without one fresh engine run *)
@@ -424,5 +441,7 @@ let () =
            test_campaign_recovers;
          Alcotest.test_case "sequential matches pool" `Slow
            test_campaign_seq_matches_pool;
+         Alcotest.test_case "cache hits count rows, not lookups" `Slow
+           test_campaign_counts_rows;
          Alcotest.test_case "resume replays healing" `Slow
            test_campaign_resume_replays_healing ]) ]

@@ -674,15 +674,19 @@ let test_obligation_run_matches_engine () =
     "prepared obligations reproduce the engine facade" via_engine
     via_obligation
 
+(* the campaign's lookup: a hit answers, a miss runs and is stored *)
+let find_or_run cache ob =
+  let key = Mc.Obligation.fingerprint ob in
+  match Mc.Cache.find cache ~key with
+  | Some o -> (o, true)
+  | None ->
+    let o = Mc.Obligation.run ob in
+    Mc.Cache.add cache ~key o;
+    (o, false)
+
 let test_cache_dedups_clones () =
   let cache = Mc.Cache.create () in
-  let run obs =
-    List.map
-      (fun ob ->
-        Mc.Cache.find_or_run cache ~key:(Mc.Obligation.fingerprint ob)
-          (fun () -> Mc.Obligation.run ob))
-      obs
-  in
+  let run obs = List.map (find_or_run cache) obs in
   let a = counter_obligations "cache_a" in
   let first = run a in
   Alcotest.(check int) "cold run: every check is fresh" (List.length a)
@@ -703,12 +707,7 @@ let test_cache_dedups_clones () =
 let test_cache_persistence () =
   let cache = Mc.Cache.create () in
   let obs = counter_obligations "cache_p" in
-  List.iter
-    (fun ob ->
-      ignore
-        (Mc.Cache.find_or_run cache ~key:(Mc.Obligation.fingerprint ob)
-           (fun () -> Mc.Obligation.run ob)))
-    obs;
+  List.iter (fun ob -> ignore (find_or_run cache ob)) obs;
   let path = Filename.temp_file "dicheck" ".cache" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -721,20 +720,13 @@ let test_cache_persistence () =
       in
       Alcotest.(check int) "all entries survive the round trip"
         (Mc.Cache.length cache) (Mc.Cache.length reloaded);
-      let fresh_runs = ref 0 in
       List.iter
         (fun ob ->
-          let _, hit =
-            Mc.Cache.find_or_run reloaded
-              ~key:(Mc.Obligation.fingerprint ob)
-              (fun () ->
-                incr fresh_runs;
-                Mc.Obligation.run ob)
-          in
-          Alcotest.(check bool) "reloaded entry hits" true hit)
+          Alcotest.(check bool) "reloaded entry hits" true
+            (snd (find_or_run reloaded ob)))
         obs;
       Alcotest.(check int) "zero fresh engine calls after reload" 0
-        !fresh_runs);
+        (Mc.Cache.misses reloaded));
   Alcotest.(check bool) "missing file loads as None" true
     (Mc.Cache.load "/nonexistent/dicheck.cache" = None)
 

@@ -787,6 +787,20 @@ let test_campaign_status_seq_eq_pool () =
   Alcotest.(check (list (pair string string)))
     "flight ob.done event sets identical seq vs pool" f1 f2
 
+(* progress is a view of the status model: under a pool the callback still
+   sees every completion count once, in order *)
+let test_campaign_progress_pool () =
+  let mini = mini_chip () in
+  let seen = ref [] in
+  let progress (s : S.snapshot) = seen := s :: !seen in
+  let t = Core.Campaign.run ~jobs:4 ~progress mini in
+  let total = List.length t.Core.Campaign.results in
+  Alcotest.(check (list int)) "s_done counts 1 .. total in order"
+    (List.init total (fun i -> i + 1))
+    (List.rev_map (fun s -> s.S.s_done) !seen);
+  Alcotest.(check bool) "s_total is the obligation count" true
+    (List.for_all (fun s -> s.S.s_total = total) !seen)
+
 let () =
   Alcotest.run "obs"
     [ ("json",
@@ -829,7 +843,9 @@ let () =
          Alcotest.test_case "socket serves live snapshots" `Quick
            test_status_socket;
          Alcotest.test_case "observed campaign: seq = pool" `Slow
-           test_campaign_status_seq_eq_pool ]);
+           test_campaign_status_seq_eq_pool;
+         Alcotest.test_case "progress under a pool counts in order" `Slow
+           test_campaign_progress_pool ]);
       ("engine",
        [ Alcotest.test_case "bdd node limit reports canonical cause" `Quick
            test_bdd_nodes_cause;
