@@ -187,12 +187,16 @@ let trace_of_model inc model ~fail_frame =
   done;
   List.rev !cycles
 
+(* one span each for encoding and search, so a profile splits the engine's
+   time between them *)
 let solve_depth ?(max_conflicts = max_int) ?(should_stop = fun () -> false)
     inc ~depth =
-  encode_to inc depth;
+  Obs.Telemetry.span ~cat:"sat" "encode" (fun () -> encode_to inc depth);
   let bad = List.assoc depth inc.bad_lits in
   let result, st =
-    Solver.solve_assuming_stats ~max_conflicts ~should_stop inc.solver [ bad ]
+    Obs.Telemetry.span ~cat:"sat" "search" (fun () ->
+        Solver.solve_assuming_stats ~max_conflicts ~should_stop inc.solver
+          [ bad ])
   in
   match result with
   | Solver.Unsat -> (`No_violation, st)

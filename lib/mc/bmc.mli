@@ -59,7 +59,9 @@ val solve_depth :
   [ `No_violation | `Violation of Trace.t | `Unknown ] * Solver.stats
 (** Solve "bad at exactly [depth]" (frames [<depth] must already have been
     proven clean for the bounded-violation reading), extending the live
-    encoding as needed. Returns the per-call solver stats. *)
+    encoding as needed. Returns the per-call solver stats. The encoding and
+    the solve are recorded as telemetry spans of category ["sat"], named
+    ["encode"] and ["search"]. *)
 
 val inc_cnf_vars : inc -> int
 val inc_cnf_clauses : inc -> int

@@ -83,15 +83,19 @@ let step_encode_to st j =
 
 (* The inductive step at depth k: UNSAT means any k consecutive satisfying
    states can only step to a satisfying state, which together with the base
-   case proves the property for all time. *)
+   case proves the property for all time. Encoding and search are spanned as
+   in [Bmc.solve_depth]. *)
 let step_query ~max_conflicts ~should_stop st ~k =
-  step_encode_to st k;
-  for f = st.asserted_upto to k - 1 do
-    Tseitin.assert_lit st.ctx (List.assoc f st.ok_lits)
-  done;
-  if k > st.asserted_upto then st.asserted_upto <- k;
+  Obs.Telemetry.span ~cat:"sat" "encode" (fun () ->
+      step_encode_to st k;
+      for f = st.asserted_upto to k - 1 do
+        Tseitin.assert_lit st.ctx (List.assoc f st.ok_lits)
+      done;
+      if k > st.asserted_upto then st.asserted_upto <- k);
   let nok = -List.assoc k st.ok_lits in
-  Solver.solve_assuming_stats ~max_conflicts ~should_stop st.solver [ nok ]
+  Obs.Telemetry.span ~cat:"sat" "search" (fun () ->
+      Solver.solve_assuming_stats ~max_conflicts ~should_stop st.solver
+        [ nok ])
 
 let check ?(incremental = true) ?(max_conflicts = max_int) ?(max_k = 20)
     ?(deadline = Deadline.none) ?constraint_signal nl ~ok_signal =

@@ -1,8 +1,33 @@
 (* CDCL in the MiniSat style. Variables are 0-based internally; literal
    encoding is 2*v for the positive and 2*v+1 for the negative literal.
-   watches.(l) holds the indices of clauses currently watching literal l;
-   when l becomes false those clauses must find a new watch, propagate, or
-   conflict.
+
+   Clause storage. Every clause, problem or learnt, lives in one growable
+   int array, the arena; a clause reference is its offset there, and
+   reasons and conflicts hold offsets (-1 for none). The clause at offset c
+   is laid out as
+
+     c      length n
+     c+1    chain link of watch slot 0
+     c+2    chain link of watch slot 1
+     c+3..  its n literals; slots 0 and 1 are the two watched literals
+
+   The clauses watching literal l form a chain threaded through those
+   links: watch_head.(l) is the first, the link of the slot holding l in
+   that clause names the next, and -1 ends it. The two watched literals are
+   distinct, so the slot holding l is found by comparing literals, and when
+   the two watches trade slots their links trade with them. Clause intake
+   and conflict analysis build their literals in one reusable scratch
+   buffer, so propagation, intake and analysis allocate nothing.
+
+   Visiting order. When l becomes false its chain is detached and walked
+   from the head, and each clause is pushed onto the head of the chain it
+   belongs to next (l's own when it keeps the watch): clauses propagate in
+   the order a list of watches per literal, re-consed on every visit, gives
+   them. That order fixes every reason, learnt clause and later decision,
+   so keeping it keeps the search, and with it the verdicts, traces and
+   solver counters the tests pin. Stored problem clauses keep their
+   literals ascending and learnt clauses keep analysis order for the same
+   reason: both decide which literals are watched first.
 
    The solver is persistent/incremental: a [t] keeps its clause database,
    learnt clauses, VSIDS activities and saved phases across
@@ -44,13 +69,14 @@ let add_stats a b =
 type t = {
   mutable nvars : int;       (* highest DIMACS variable seen *)
   mutable cap : int;         (* allocated capacity of the per-var arrays *)
-  mutable clauses : int array array;
-  mutable num_clauses : int;         (* problem + learnt *)
+  mutable arena : int array;         (* every clause: header, then literals *)
+  mutable arena_size : int;          (* used prefix of [arena] *)
   mutable num_problem_clauses : int; (* clauses added through add_clause *)
-  mutable watches : int list array;  (* indexed by literal *)
+  mutable watch_head : int array;    (* per literal: first clause, or -1 *)
+  mutable scratch : int array;       (* literals of the clause being built *)
   mutable assigns : int array;       (* -1 / 0 / 1 per var *)
   mutable level : int array;
-  mutable reason : int array;        (* clause index or -1 *)
+  mutable reason : int array;        (* clause offset or -1 *)
   mutable trail : int array;
   mutable trail_size : int;
   mutable qhead : int;
@@ -89,10 +115,14 @@ let neg l = l lxor 1
 let var_of l = l lsr 1
 let lit_of_var v sign = (v lsl 1) lor (if sign then 0 else 1)
 
+(* clause header words: the length, then the links of watch slots 0 and 1 *)
+let header = 3
+
 let create () =
   let cap = 64 in
-  { nvars = 0; cap; clauses = Array.make 256 [||]; num_clauses = 0;
-    num_problem_clauses = 0; watches = Array.make (2 * cap) [];
+  { nvars = 0; cap; arena = Array.make 1024 0; arena_size = 0;
+    num_problem_clauses = 0; watch_head = Array.make (2 * cap) (-1);
+    scratch = Array.make 16 0;
     assigns = Array.make cap (-1); level = Array.make cap 0;
     reason = Array.make cap (-1); trail = Array.make cap 0; trail_size = 0;
     qhead = 0; trail_lim = Array.make cap 0; n_levels = 0;
@@ -163,9 +193,9 @@ let grow_to t want =
     let b = Array.make cap fill in
     Array.blit a 0 b 0 t.cap; b
   in
-  let watches = Array.make (2 * cap) [] in
-  Array.blit t.watches 0 watches 0 (2 * t.cap);
-  t.watches <- watches;
+  let watch_head = Array.make (2 * cap) (-1) in
+  Array.blit t.watch_head 0 watch_head 0 (2 * t.cap);
+  t.watch_head <- watch_head;
   t.assigns <- copy_int t.assigns (-1);
   t.level <- copy_int t.level 0;
   t.reason <- copy_int t.reason (-1);
@@ -193,6 +223,16 @@ let ensure_vars t n =
     t.nvars <- n
   end
 
+(* Room for [n] literals in the scratch buffer. Growth keeps the contents:
+   conflict analysis grows the buffer under a half-built learnt clause. *)
+let reserve_scratch t n =
+  let len = Array.length t.scratch in
+  if n > len then begin
+    let bigger = Array.make (max n (2 * len)) 0 in
+    Array.blit t.scratch 0 bigger 0 len;
+    t.scratch <- bigger
+  end
+
 let num_vars t = t.nvars
 let num_clauses t = t.num_problem_clauses
 
@@ -213,20 +253,27 @@ let push_level t =
   t.trail_lim.(t.n_levels) <- t.trail_size;
   t.n_levels <- t.n_levels + 1
 
-let add_clause_raw t lits =
-  let idx = t.num_clauses in
-  if idx >= Array.length t.clauses then begin
-    let bigger = Array.make (max 16 (2 * Array.length t.clauses)) [||] in
-    Array.blit t.clauses 0 bigger 0 idx;
-    t.clauses <- bigger
+(* Put clause [c] at the head of literal [l]'s chain through link cell [s]. *)
+let push_watch t l c s =
+  t.arena.(s) <- t.watch_head.(l);
+  t.watch_head.(l) <- c
+
+(* Append the clause in scratch.(0 .. n-1), n >= 2, watching its first two
+   literals; returns its offset. *)
+let store t n =
+  let c = t.arena_size in
+  let size = c + header + n in
+  if size > Array.length t.arena then begin
+    let bigger = Array.make (max size (2 * Array.length t.arena)) 0 in
+    Array.blit t.arena 0 bigger 0 c;
+    t.arena <- bigger
   end;
-  t.clauses.(idx) <- lits;
-  t.num_clauses <- idx + 1;
-  if Array.length lits >= 2 then begin
-    t.watches.(lits.(0)) <- idx :: t.watches.(lits.(0));
-    t.watches.(lits.(1)) <- idx :: t.watches.(lits.(1))
-  end;
-  idx
+  t.arena.(c) <- n;
+  Array.blit t.scratch 0 t.arena (c + header) n;
+  t.arena_size <- size;
+  push_watch t t.scratch.(0) c (c + 1);
+  push_watch t t.scratch.(1) c (c + 2);
+  c
 
 let enqueue t l reason =
   match value t l with
@@ -246,78 +293,127 @@ let lit_of_dimacs l =
   let v = abs l - 1 in
   lit_of_var v (l > 0)
 
+(* DIMACS input is checked before it touches any state *)
+let check_dimacs fn lits =
+  if List.exists (fun l -> l = 0) lits then
+    invalid_arg (fn ^ ": 0 is not a DIMACS literal")
+
+(* Write a clause's literals into [s] from slot [i]; returns the end. *)
+let rec fill s i = function
+  | [] -> i
+  | l :: rest ->
+    s.(i) <- lit_of_dimacs l;
+    fill s (i + 1) rest
+
+(* Sort s.(0 .. n-1) ascending in place and drop repeats; returns the new
+   length. Insertion sort: encoder clauses are a few literals long. *)
+let sort_uniq (s : int array) n =
+  for i = 1 to n - 1 do
+    let x = s.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && s.(!j) > x do
+      s.(!j + 1) <- s.(!j);
+      decr j
+    done;
+    s.(!j + 1) <- x
+  done;
+  let m = ref (min n 1) in
+  for i = 1 to n - 1 do
+    if s.(i) <> s.(!m - 1) then begin
+      s.(!m) <- s.(i);
+      incr m
+    end
+  done;
+  !m
+
 (* Add a problem clause (DIMACS literals). Must be called at decision level
    0, i.e. between solves. Root-level simplification: literals already false
    at the root are dropped (root assignments are permanent), clauses already
    true at the root are discarded, the empty clause flips the solver into
-   [unsat] forever, units are enqueued at the root. *)
+   [unsat] forever, units are enqueued at the root. The stored clause keeps
+   its literals in ascending order. *)
 let add_clause t clause =
+  check_dimacs "Solver.add_clause" clause;
   t.num_problem_clauses <- t.num_problem_clauses + 1;
   if not t.unsat then begin
-    let lits = List.sort_uniq compare (List.map lit_of_dimacs clause) in
-    List.iter (fun l -> ensure_vars t (var_of l + 1)) lits;
-    let tautology = List.exists (fun l -> List.mem (neg l) lits) lits in
-    let satisfied = List.exists (fun l -> value t l = 1) lits in
-    if not (tautology || satisfied) then begin
-      let lits = List.filter (fun l -> value t l <> 0) lits in
-      match lits with
-      | [] -> t.unsat <- true
-      | [ l ] -> if not (enqueue t l (-1)) then t.unsat <- true
-      | _ -> ignore (add_clause_raw t (Array.of_list lits))
+    reserve_scratch t (List.length clause);
+    let s = t.scratch in
+    let n = sort_uniq s (fill s 0 clause) in
+    if n > 0 then ensure_vars t (var_of s.(n - 1) + 1);
+    (* sorted, a literal and its negation are neighbours *)
+    let tautology = ref false and satisfied = ref false in
+    for i = 0 to n - 1 do
+      if i + 1 < n && neg s.(i) = s.(i + 1) then tautology := true;
+      if value t s.(i) = 1 then satisfied := true
+    done;
+    if not (!tautology || !satisfied) then begin
+      let kept = ref 0 in
+      for i = 0 to n - 1 do
+        if value t s.(i) <> 0 then begin
+          s.(!kept) <- s.(i);
+          incr kept
+        end
+      done;
+      match !kept with
+      | 0 -> t.unsat <- true
+      | 1 -> if not (enqueue t s.(0) (-1)) then t.unsat <- true
+      | len -> ignore (store t len)
     end
   end
 
-(* returns the index of a conflicting clause, or -1 *)
+(* Returns the offset of a conflicting clause, or -1. *)
 let propagate t =
+  let a = t.arena in
   let conflict = ref (-1) in
   while !conflict < 0 && t.qhead < t.trail_size do
     let p = t.trail.(t.qhead) in
     t.qhead <- t.qhead + 1;
     t.n_propagations <- t.n_propagations + 1;
     let false_lit = neg p in
-    let ws = t.watches.(false_lit) in
-    t.watches.(false_lit) <- [];
-    let rec process = function
-      | [] -> ()
-      | ci :: rest when !conflict >= 0 ->
-        (* conflict already found: retain remaining watches untouched *)
-        t.watches.(false_lit) <- ci :: t.watches.(false_lit);
-        process rest
-      | ci :: rest ->
-        let lits = t.clauses.(ci) in
-        if lits.(0) = false_lit then begin
-          lits.(0) <- lits.(1);
-          lits.(1) <- false_lit
+    let next = ref t.watch_head.(false_lit) in
+    t.watch_head.(false_lit) <- -1;
+    while !next >= 0 do
+      let c = !next in
+      if !conflict >= 0 then begin
+        (* conflict already found: put the rest back untouched *)
+        let s = if a.(c + header) = false_lit then c + 1 else c + 2 in
+        next := a.(s);
+        push_watch t false_lit c s
+      end
+      else begin
+        (* the false literal goes to slot 1, and its link with it *)
+        if a.(c + header) = false_lit then begin
+          a.(c + header) <- a.(c + header + 1);
+          a.(c + header + 1) <- false_lit;
+          let link = a.(c + 1) in
+          a.(c + 1) <- a.(c + 2);
+          a.(c + 2) <- link
         end;
-        if value t lits.(0) = 1 then begin
-          t.watches.(false_lit) <- ci :: t.watches.(false_lit);
-          process rest
-        end
+        next := a.(c + 2);
+        let first = a.(c + header) in
+        if value t first = 1 then push_watch t false_lit c (c + 2)
         else begin
-          let n = Array.length lits in
-          let rec find_watch k =
-            if k >= n then -1
-            else if value t lits.(k) <> 0 then k
-            else find_watch (k + 1)
-          in
-          let k = find_watch 2 in
-          if k >= 0 then begin
-            lits.(1) <- lits.(k);
-            lits.(k) <- false_lit;
-            t.watches.(lits.(1)) <- ci :: t.watches.(lits.(1));
-            process rest
+          let n = a.(c) in
+          let k = ref 2 in
+          while !k < n && value t a.(c + header + !k) = 0 do
+            incr k
+          done;
+          if !k < n then begin
+            let w = a.(c + header + !k) in
+            a.(c + header + 1) <- w;
+            a.(c + header + !k) <- false_lit;
+            push_watch t w c (c + 2)
           end
           else begin
-            t.watches.(false_lit) <- ci :: t.watches.(false_lit);
-            if not (enqueue t lits.(0) ci) then begin
-              conflict := ci;
+            push_watch t false_lit c (c + 2);
+            if not (enqueue t first c) then begin
+              conflict := c;
               t.qhead <- t.trail_size
-            end;
-            process rest
+            end
           end
         end
-    in
-    process ws
+      end
+    done
   done;
   !conflict
 
@@ -333,8 +429,14 @@ let bump t v =
   end;
   if t.heap_pos.(v) >= 0 then heap_sift_up t t.heap_pos.(v)
 
+(* First-UIP analysis of the conflict clause at [confl]. Leaves the learnt
+   clause in scratch.(0 .. n-1) and returns n: the negated UIP first, then
+   the other literals newest first, except that one of the highest level
+   among them is swapped into slot 1, so slot 1's level is the backjump
+   level. *)
 let analyze t confl =
-  let learnt = ref [] in
+  let a = t.arena in
+  let n = ref 1 in
   let path_count = ref 0 in
   let p = ref (-1) in
   let index = ref (t.trail_size - 1) in
@@ -342,16 +444,20 @@ let analyze t confl =
   let current_level = decision_level t in
   let continue = ref true in
   while !continue do
-    let lits = t.clauses.(!confl) in
+    let c = !confl in
     let start = if !p = -1 then 0 else 1 in
-    for i = start to Array.length lits - 1 do
-      let q = lits.(i) in
+    for i = start to a.(c) - 1 do
+      let q = a.(c + header + i) in
       let v = var_of q in
       if (not t.seen.(v)) && t.level.(v) > 0 then begin
         t.seen.(v) <- true;
         bump t v;
         if t.level.(v) >= current_level then incr path_count
-        else learnt := q :: !learnt
+        else begin
+          reserve_scratch t (!n + 1);
+          t.scratch.(!n) <- q;
+          incr n
+        end
       end
     done;
     (* pick the next literal to resolve on: last seen var on the trail *)
@@ -365,25 +471,28 @@ let analyze t confl =
     if !path_count > 0 then confl := t.reason.(var_of !p)
     else continue := false
   done;
-  let learnt = Array.of_list (neg !p :: !learnt) in
-  (* clear seen flags *)
-  Array.iter (fun l -> t.seen.(var_of l) <- false) learnt;
-  (* backtrack level: second-highest level in the learnt clause *)
-  let bt_level = ref 0 in
-  let swap_pos = ref 1 in
-  for i = 1 to Array.length learnt - 1 do
-    let lv = t.level.(var_of learnt.(i)) in
-    if lv > !bt_level then begin
-      bt_level := lv;
-      swap_pos := i
-    end
+  let s = t.scratch and n = !n in
+  s.(0) <- neg !p;
+  (* reverse slots 1 .. n-1 into newest-first order *)
+  for i = 1 to (n - 1) / 2 do
+    let x = s.(i) in
+    s.(i) <- s.(n - i);
+    s.(n - i) <- x
   done;
-  if Array.length learnt > 1 then begin
-    let tmp = learnt.(1) in
-    learnt.(1) <- learnt.(!swap_pos);
-    learnt.(!swap_pos) <- tmp
+  for i = 0 to n - 1 do
+    t.seen.(var_of s.(i)) <- false
+  done;
+  let swap_pos = ref 1 in
+  for i = 2 to n - 1 do
+    if t.level.(var_of s.(i)) > t.level.(var_of s.(!swap_pos)) then
+      swap_pos := i
+  done;
+  if n > 1 then begin
+    let x = s.(1) in
+    s.(1) <- s.(!swap_pos);
+    s.(!swap_pos) <- x
   end;
-  (learnt, !bt_level)
+  n
 
 let backtrack t lvl =
   (* trail_lim.(lvl) is the trail size when level lvl+1 was entered, i.e.
@@ -444,8 +553,92 @@ let decide t assumps =
     end
   end
 
+(* The CDCL loop under assumption literals [assumps], from the root; it
+   returns with the search's assignments still on the trail. *)
+let search ~max_conflicts ~should_stop t assumps =
+  let n_assumps = Array.length assumps in
+  let conflicts_total = ref 0 in
+  let restart_limit = ref 100 in
+  let conflicts_since_restart = ref 0 in
+  let result = ref None in
+  (* poll the stop callback once per [stop_period] search steps: each
+     step is one propagate + decide/analyze, so the poll (typically a
+     gettimeofday behind a deadline) stays off the hot path *)
+  let stop_period = 1024 in
+  let stop_fuel = ref stop_period in
+  while !result = None do
+    decr stop_fuel;
+    if !stop_fuel <= 0 then begin
+      stop_fuel := stop_period;
+      if should_stop () then result := Some Unknown
+    end;
+    let confl = propagate t in
+    if confl >= 0 then begin
+      incr conflicts_total;
+      incr conflicts_since_restart;
+      t.n_conflicts <- t.n_conflicts + 1;
+      t.var_inc <- t.var_inc /. 0.95;
+      if decision_level t = 0 then begin
+        (* conflict under no decisions at all: unsat regardless of
+           assumptions, now and forever *)
+        t.unsat <- true;
+        result := Some Unsat
+      end
+      else if decision_level t <= n_assumps then
+        (* every open decision level is an assumption level: the clause
+           database refutes the assumption prefix — unsat under these
+           assumptions only, the database itself stays consistent *)
+        result := Some Unsat
+      else if !conflicts_total >= max_conflicts then result := Some Unknown
+      else begin
+        let n = analyze t confl in
+        t.n_learned <- t.n_learned + 1;
+        backtrack t (if n > 1 then t.level.(var_of t.scratch.(1)) else 0);
+        let uip = t.scratch.(0) in
+        if n = 1 then begin
+          (* a unit learnt backjumps to the root: the enqueue is permanent,
+             so the clause itself need not be stored *)
+          if not (enqueue t uip (-1)) then begin
+            t.unsat <- true;
+            result := Some Unsat
+          end
+        end
+        else begin
+          let c = store t n in
+          let ok = enqueue t uip c in
+          assert ok
+        end
+      end
+    end
+    else if
+      !conflicts_since_restart >= !restart_limit
+      && decision_level t > n_assumps
+    then begin
+      conflicts_since_restart := 0;
+      restart_limit := !restart_limit * 3 / 2;
+      t.n_restarts <- t.n_restarts + 1;
+      (* restart to the assumption prefix, never below: backtracking to 0
+         would undo the assumptions (they would be re-installed, but the
+         prefix is where the warm search state lives) *)
+      backtrack t n_assumps
+    end
+    else begin
+      match decide t assumps with
+      | All_assigned ->
+        let model = Array.init t.nvars (fun v -> t.assigns.(v) = 1) in
+        result := Some (Sat model)
+      | Assumption_false ->
+        (* the next assumption is already false under the previous ones:
+           unsat under assumptions *)
+        result := Some Unsat
+      | Decided -> ()
+    end
+  done;
+  match !result with Some r -> r | None -> assert false
+
 let solve_assuming_stats ?(max_conflicts = max_int)
     ?(should_stop = fun () -> false) t assumptions =
+  check_dimacs "Solver.solve_assuming" assumptions;
   t.n_solves <- t.n_solves + 1;
   t.n_decisions <- 0;
   t.n_conflicts <- 0;
@@ -461,87 +654,16 @@ let solve_assuming_stats ?(max_conflicts = max_int)
   else begin
     List.iter (fun l -> ensure_vars t (abs l)) assumptions;
     let assumps = Array.of_list (List.map lit_of_dimacs assumptions) in
-    let n_assumps = Array.length assumps in
-    let conflicts_total = ref 0 in
-    let restart_limit = ref 100 in
-    let conflicts_since_restart = ref 0 in
-    let result = ref None in
-    (* poll the stop callback once per [stop_period] search steps: each
-       step is one propagate + decide/analyze, so the poll (typically a
-       gettimeofday behind a deadline) stays off the hot path *)
-    let stop_period = 1024 in
-    let stop_fuel = ref stop_period in
-    while !result = None do
-      decr stop_fuel;
-      if !stop_fuel <= 0 then begin
-        stop_fuel := stop_period;
-        if should_stop () then result := Some Unknown
-      end;
-      let confl = propagate t in
-      if confl >= 0 then begin
-        incr conflicts_total;
-        incr conflicts_since_restart;
-        t.n_conflicts <- t.n_conflicts + 1;
-        t.var_inc <- t.var_inc /. 0.95;
-        if decision_level t = 0 then begin
-          (* conflict under no decisions at all: unsat regardless of
-             assumptions, now and forever *)
-          t.unsat <- true;
-          result := Some Unsat
-        end
-        else if decision_level t <= n_assumps then
-          (* every open decision level is an assumption level: the clause
-             database refutes the assumption prefix — unsat under these
-             assumptions only, the database itself stays consistent *)
-          result := Some Unsat
-        else if !conflicts_total >= max_conflicts then result := Some Unknown
-        else begin
-          let learnt, bt_level = analyze t confl in
-          t.n_learned <- t.n_learned + 1;
-          backtrack t bt_level;
-          if Array.length learnt = 1 then begin
-            (* bt_level is 0 for unit learnts: the enqueue is permanent, so
-               the clause itself need not be stored *)
-            if not (enqueue t learnt.(0) (-1)) then begin
-              t.unsat <- true;
-              result := Some Unsat
-            end
-          end
-          else begin
-            let ci = add_clause_raw t learnt in
-            let ok = enqueue t learnt.(0) ci in
-            assert ok
-          end
-        end
-      end
-      else if
-        !conflicts_since_restart >= !restart_limit
-        && decision_level t > n_assumps
-      then begin
-        conflicts_since_restart := 0;
-        restart_limit := !restart_limit * 3 / 2;
-        t.n_restarts <- t.n_restarts + 1;
-        (* restart to the assumption prefix, never below: backtracking to 0
-           would undo the assumptions (they would be re-installed, but the
-           prefix is where the warm search state lives) *)
-        backtrack t n_assumps
-      end
-      else begin
-        match decide t assumps with
-        | All_assigned ->
-          let model = Array.init t.nvars (fun v -> t.assigns.(v) = 1) in
-          result := Some (Sat model)
-        | Assumption_false ->
-          (* the next assumption is already false under the previous ones:
-             unsat under assumptions *)
-          result := Some Unsat
-        | Decided -> ()
-      end
-    done;
-    backtrack t 0;
-    match !result with
-    | Some r -> (r, stats_of t)
-    | None -> assert false
+    (* every exit, an exception from [should_stop] included, leaves the
+       solver at the root, where [add_clause] needs it *)
+    match search ~max_conflicts ~should_stop t assumps with
+    | r ->
+      backtrack t 0;
+      (r, stats_of t)
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      backtrack t 0;
+      Printexc.raise_with_backtrace e bt
   end
 
 let solve_assuming ?max_conflicts ?should_stop t assumptions =

@@ -8,7 +8,22 @@
     survive across {!solve_assuming} calls, so the model checkers extend a
     live CNF (depth [k+1] reuses everything learnt at depth [k]) instead of
     rebuilding it. Restarts backtrack to the assumption prefix — never
-    below — and no warm-start state is reset between calls. *)
+    below — and no warm-start state is reset between calls.
+
+    Storage. Every clause, problem or learnt, sits in one growable [int]
+    arena as a header (its length, then one watch-list link for each of
+    its two watched literals) followed by its literals; a clause is named
+    by its offset. The clauses watching a literal form a chain threaded
+    through those links. Clause intake and conflict analysis work in one
+    reusable scratch buffer, so propagation, intake and analysis allocate
+    nothing. When a literal becomes false its chain is walked from the head
+    and each clause is pushed back onto the head of the chain it stays or
+    moves to: the order in which re-consing a list of watches would rebuild
+    the chains. The search is defined by that order (it decides which
+    clause propagates first, hence every reason, learnt clause and later
+    decision), so it is kept; as are the ascending literal order of stored
+    problem clauses and the literal order of learnt clauses, which analysis
+    and the choice of watches read. *)
 
 type result =
   | Sat of bool array  (** [model.(v-1)] is the value of DIMACS variable [v] *)
@@ -46,7 +61,8 @@ val add_clause : t -> int list -> unit
     is the negation of variable [v]). Variables are allocated on demand.
     Must be called between solves (the solver is at decision level 0).
     Clauses are simplified against permanent root-level assignments; an
-    empty clause makes the solver permanently unsatisfiable. *)
+    empty clause makes the solver permanently unsatisfiable.
+    @raise Invalid_argument on a literal [0], before any state changes. *)
 
 val solve_assuming :
   ?max_conflicts:int -> ?should_stop:(unit -> bool) -> t -> int list -> result
@@ -56,7 +72,9 @@ val solve_assuming :
     while everything learnt is kept. [Unsat] means unsat {e under these
     assumptions} (or absolutely, if the database itself is contradictory).
     [max_conflicts] and [should_stop] are per-call budgets as in
-    {!solve}. *)
+    {!solve}. Every exit, an exception raised by [should_stop] included,
+    leaves the solver at decision level 0, ready for {!add_clause}.
+    @raise Invalid_argument on a literal [0], before any state changes. *)
 
 val solve_assuming_stats :
   ?max_conflicts:int -> ?should_stop:(unit -> bool) -> t -> int list ->

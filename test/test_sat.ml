@@ -1,5 +1,7 @@
-(* CDCL solver and Tseitin encoder: crafted instances, random CNFs checked
-   against brute force, and equisatisfiability of the encoding. *)
+(* CDCL solver and Tseitin encoder: crafted instances, misuse of the
+   incremental interface, instances large enough to grow every buffer,
+   random CNFs checked against brute force, equisatisfiability of the
+   encoding, and the exact search counters of two BMC runs. *)
 
 module X = Rtl.Bexpr
 
@@ -73,6 +75,169 @@ let test_conflict_budget () =
    | Solver.Sat _ -> Alcotest.fail "php(5,4) cannot be sat");
   Alcotest.(check bool) "php(5,4) unsat with full budget" true
     (is_unsat (Solver.solve c))
+
+(* --- incremental use: bad input and a search cut short --- *)
+
+let test_literal_zero_rejected () =
+  let t = Solver.create () in
+  Solver.add_clause t [ 1; 2 ];
+  Alcotest.check_raises "assumption 0"
+    (Invalid_argument "Solver.solve_assuming: 0 is not a DIMACS literal")
+    (fun () -> ignore (Solver.solve_assuming t [ 1; 0 ]));
+  Alcotest.check_raises "clause literal 0"
+    (Invalid_argument "Solver.add_clause: 0 is not a DIMACS literal")
+    (fun () -> Solver.add_clause t [ 0 ]);
+  Alcotest.(check int) "rejected clause not counted" 1 (Solver.num_clauses t);
+  (* nothing of the rejected calls is left behind: [-1] is a root unit *)
+  Solver.add_clause t [ -1 ];
+  match Solver.solve_assuming t [] with
+  | Solver.Sat m ->
+    Alcotest.(check bool) "same model as a fresh solver" true
+      ((not m.(0)) && m.(1))
+  | Solver.Unsat | Solver.Unknown -> Alcotest.fail "{1 v 2, -1} is sat"
+
+(* A long implication-free chain: every other variable is a decision, so
+   the search is still running when [should_stop] is first polled. *)
+let test_stop_exception_returns_to_root () =
+  let n = 4000 in
+  let t = Solver.create () in
+  for v = 1 to n - 1 do
+    Solver.add_clause t [ v; v + 1 ]
+  done;
+  Alcotest.check_raises "stop hook exception escapes" Exit (fun () ->
+      ignore (Solver.solve_assuming ~should_stop:(fun () -> raise Exit) t []));
+  (* variable 1 was decided false; a root unit must not be read against
+     that decision *)
+  Solver.add_clause t [ 1 ];
+  match Solver.solve_assuming t [] with
+  | Solver.Sat m -> Alcotest.(check bool) "unit holds" true m.(0)
+  | Solver.Unsat | Solver.Unknown -> Alcotest.fail "the chain is sat"
+
+(* --- growth: long clauses, many variables, long learnt clauses --- *)
+
+let rand_lit rng nvars =
+  let v = 1 + Random.State.int rng nvars in
+  if Random.State.bool rng then v else -v
+
+(* Clauses of 100+ literals (with repeats) added between solves of one
+   solver. Assuming every literal of the newest clause false is unsat;
+   assuming all but one false is answered as a fresh solver answers it. *)
+let test_long_clauses_incremental () =
+  let rng = Random.State.make [| 11 |] in
+  let nvars = 400 in
+  let t = Solver.create () in
+  let clauses = ref [] in
+  for _ = 1 to 12 do
+    let vars = Array.init nvars (fun i -> i + 1) in
+    for i = nvars - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let x = vars.(i) in
+      vars.(i) <- vars.(j);
+      vars.(j) <- x
+    done;
+    let len = 100 + Random.State.int rng 100 in
+    let lits =
+      List.init len (fun i ->
+          if Random.State.bool rng then vars.(i) else -vars.(i))
+    in
+    let clause = lits @ List.filteri (fun i _ -> i < 5) lits in
+    Solver.add_clause t clause;
+    clauses := clause :: !clauses;
+    let falsified = List.map (fun l -> -l) lits in
+    Alcotest.(check bool) "newest clause falsified" true
+      (is_unsat (Solver.solve_assuming t falsified));
+    let assumptions = List.tl falsified in
+    let units = List.map (fun l -> [ l ]) assumptions in
+    let whole = cnf nvars (units @ !clauses) in
+    match (Solver.solve_assuming t assumptions, Solver.solve whole) with
+    | Solver.Sat m, Solver.Sat _ ->
+      Alcotest.(check bool) "model satisfies clauses and assumptions" true
+        (Cnf.eval whole (fun v -> m.(v - 1)))
+    | Solver.Unsat, Solver.Unsat -> ()
+    | _ -> Alcotest.fail "incremental and fresh answers differ"
+  done
+
+(* Random 3-SAT at clause ratio 4.2 over a planted assignment: every
+   clause keeps one literal the assignment makes true. *)
+let test_planted_3sat () =
+  let rng = Random.State.make [| 2004 |] in
+  for _ = 1 to 3 do
+    let nvars = 200 in
+    let planted = Array.init nvars (fun _ -> Random.State.bool rng) in
+    let holds l = planted.(abs l - 1) = (l > 0) in
+    let rec clause () =
+      let c = List.init 3 (fun _ -> rand_lit rng nvars) in
+      if List.exists holds c then c else clause ()
+    in
+    let c = cnf nvars (List.init (42 * nvars / 10) (fun _ -> clause ())) in
+    match Solver.solve c with
+    | Solver.Sat m ->
+      Alcotest.(check bool) "model satisfies" true
+        (Cnf.eval c (fun v -> m.(v - 1)))
+    | Solver.Unsat | Solver.Unknown -> Alcotest.fail "planted 3-SAT is sat"
+  done
+
+let test_pigeonhole_8_7 () =
+  let pigeons = 8 and holes = 7 in
+  let var p h = (p * holes) + h + 1 in
+  let clauses =
+    List.init pigeons (fun p -> List.init holes (var p))
+    @ List.concat_map
+        (fun h ->
+          List.concat_map
+            (fun p1 ->
+              List.filter_map
+                (fun p2 ->
+                  if p2 > p1 then Some [ -var p1 h; -var p2 h ] else None)
+                (List.init pigeons Fun.id))
+            (List.init pigeons Fun.id))
+        (List.init holes Fun.id)
+  in
+  Alcotest.(check bool) "php(8,7) unsat" true
+    (is_unsat (Solver.solve (cnf (pigeons * holes) clauses)))
+
+(* --- the search itself, pinned --- *)
+
+(* Two seeded-chip cones through incremental BMC to depth 20, each a
+   sequence of solves on one live solver: one proved to the bound (with
+   restarts), one violated. Any change to watch order, learnt-clause
+   literal order or the decision heuristic moves these counters. *)
+let test_pinned_bmc_search () =
+  let works =
+    Core.Campaign.work_items (Chip.Generator.generate ~with_bugs:true ())
+  in
+  let check mname prop ~violation (expected : Solver.stats) =
+    let w =
+      List.find
+        (fun (w : Core.Campaign.work) ->
+          w.Core.Campaign.w_mdl.Rtl.Mdl.name = mname
+          && w.Core.Campaign.w_prop_name = prop)
+        works
+    in
+    let nl, ok_signal, constraint_signal =
+      Mc.Engine.instrumented_netlist w.Core.Campaign.w_mdl
+        ~assert_:w.Core.Campaign.w_assert ~assumes:w.Core.Campaign.w_assumes
+    in
+    let found, (s : Mc.Bmc.stats) =
+      match Mc.Bmc.check ?constraint_signal nl ~ok_signal ~depth:20 with
+      | Mc.Bmc.No_violation_upto (_, s) -> (false, s)
+      | Mc.Bmc.Violation (_, s) -> (true, s)
+      | Mc.Bmc.Inconclusive _ -> Alcotest.fail "bmc inconclusive"
+    in
+    let label = mname ^ "." ^ prop in
+    Alcotest.(check bool) (label ^ " verdict") violation found;
+    let row (st : Solver.stats) =
+      [ st.decisions; st.conflicts; st.propagations; st.restarts; st.learned ]
+    in
+    Alcotest.(check (list int)) (label ^ " sat stats") (row expected)
+      (row s.Mc.Bmc.sat)
+  in
+  check "E_leaf00" "pNoError_0" ~violation:false
+    { decisions = 56930; conflicts = 1860; propagations = 244837;
+      restarts = 3; learned = 1840 };
+  check "e_dec0" "pNoError_0" ~violation:true
+    { decisions = 317; conflicts = 201; propagations = 9234; restarts = 1;
+      learned = 201 }
 
 (* --- random CNFs vs brute force --- *)
 
@@ -193,6 +358,19 @@ let () =
          Alcotest.test_case "pigeonhole" `Quick test_pigeonhole;
          Alcotest.test_case "xor chain" `Quick test_xor_chain;
          Alcotest.test_case "conflict budget" `Quick test_conflict_budget ]);
+      ("incremental",
+       [ Alcotest.test_case "literal 0 rejected" `Quick
+           test_literal_zero_rejected;
+         Alcotest.test_case "stop exception returns to the root" `Quick
+           test_stop_exception_returns_to_root ]);
+      ("growth",
+       [ Alcotest.test_case "long clauses between solves" `Quick
+           test_long_clauses_incremental;
+         Alcotest.test_case "planted 3-SAT, 200 vars" `Quick test_planted_3sat;
+         Alcotest.test_case "pigeonhole 8/7" `Quick test_pigeonhole_8_7 ]);
+      ("pinned",
+       [ Alcotest.test_case "BMC search counters" `Quick
+           test_pinned_bmc_search ]);
       ("dimacs",
        [ Alcotest.test_case "roundtrip" `Quick test_dimacs_roundtrip;
          Alcotest.test_case "errors" `Quick test_dimacs_errors;
