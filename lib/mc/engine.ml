@@ -398,7 +398,7 @@ let rec run ~budget ?constraint_signal ~deadline ~strategy nl ~ok_signal =
               ~max_frames:budget.ic3_max_frames ~deadline ?constraint_signal
               nl ~ok_signal
           with
-          | Ic3.Proved s -> (Proved, s)
+          | Ic3.Proved (s, _) -> (Proved, s)
           | Ic3.Violation (trace, s) -> (Failed trace, s)
           | Ic3.Inconclusive (Ic3.Frames_exhausted, s) ->
             (Resource_out ro_ic3_frames, s)

@@ -12,15 +12,15 @@ type stats = {
 
 type reason = Frames_exhausted | Solver_limit
 
-type result =
-  | Proved of stats
-  | Violation of Trace.t * stats
-  | Inconclusive of reason * stats
-
 (* A cube is a conjunction of state-bit literals [(var, value)], kept sorted
    by variable id. Counterexamples-to-induction are extracted as full
    minterms over the state bits and shrunk by inductive generalization. *)
 type cube = (int * bool) list
+
+type result =
+  | Proved of stats * cube list
+  | Violation of Trace.t * stats
+  | Inconclusive of reason * stats
 
 exception Limit_hit
 exception Cex of int  (* transitions from an initial state to a bad state *)
@@ -119,6 +119,47 @@ let check ?(incremental = true) ?(max_conflicts = max_int) ?(max_frames = 32)
     if incremental then
       Tseitin.add_clause inc_ctx (-act_lit i :: inc_not_cube c)
   in
+  (* Solve under the target's literals, which [assume] places among the
+     query's other assumptions: the bad literal, or per cube literal its
+     next-state literal [next v], negated when the literal is false.
+     [`Unsat g]: for a [`Next c] target, [g] keeps each literal of [c]
+     whose next-state literal is in the failed-assumption core, matched by
+     value, since one solver literal can stand for several cube literals;
+     [[]] for [`Bad]. [`Sat] carries the model's state minterm, [state_var]
+     naming each bit's solver variable. *)
+  let ask solver ~state_var ~bad ~next ~assume target =
+    let target_lits =
+      match target with
+      | `Bad -> [ bad () ]
+      | `Next (c : cube) ->
+        List.map
+          (fun (v, b) ->
+            let l = next v in
+            if b then l else -l)
+          c
+    in
+    let result, st =
+      Solver.solve_assuming_stats ~max_conflicts
+        ~should_stop:(Deadline.checker deadline) solver (assume target_lits)
+    in
+    acc_st st;
+    match (result, target) with
+    | Solver.Unsat, `Bad -> `Unsat []
+    | Solver.Unsat, `Next c ->
+      let core = Solver.failed_assumptions solver in
+      `Unsat
+        (List.fold_right2
+           (fun lit l g -> if List.mem l core then lit :: g else g)
+           c target_lits [])
+    | Solver.Unknown, _ -> raise Limit_hit
+    | Solver.Sat model, _ ->
+      let value v =
+        match state_var v with
+        | Some cv -> cv <= Array.length model && model.(cv - 1)
+        | None -> false
+      in
+      `Sat (List.init nstate (fun v -> (v, value v)))
+  in
   let solve_query_inc ~level ~block_cube ~target =
     incr n_sat_calls;
     let assumptions = ref [] in
@@ -138,41 +179,26 @@ let check ?(incremental = true) ?(max_conflicts = max_int) ?(max_frames = 32)
        assumptions := b :: !assumptions;
        retire := Some b
      | None -> ());
-    (match target with
-     | `Bad -> assumptions := bad_lit () :: !assumptions
-     | `Next (c : cube) ->
-       List.iter
-         (fun (v, b) ->
-           let l = next_lit v in
-           assumptions := (if b then l else -l) :: !assumptions)
-         c);
-    let result, st =
-      Solver.solve_assuming_stats ~max_conflicts
-        ~should_stop:(Deadline.checker deadline) inc_solver !assumptions
+    let r =
+      ask inc_solver ~state_var:(Hashtbl.find_opt inc_tbl) ~bad:bad_lit
+        ~next:next_lit
+        ~assume:(fun lits -> List.rev_append lits !assumptions)
+        target
     in
-    acc_st st;
     (match !retire with
      | Some b -> Solver.add_clause inc_solver [ -b ]
      | None -> ());
-    match result with
-    | Solver.Unsat -> `Unsat
-    | Solver.Unknown -> raise Limit_hit
-    | Solver.Sat model ->
-      let value v =
-        match Hashtbl.find_opt inc_tbl v with
-        | Some cv -> cv <= Array.length model && model.(cv - 1)
-        | None -> false
-      in
-      `Sat (List.init nstate (fun v -> (v, value v)))
+    r
   in
   (* ------------------------------------------------------------------ *)
-  (* Scratch query engine: one fresh CNF per query — F_level (init units at
-     level 0), the input constraint, an optional blocking clause, and
-     either the bad cone or a successor cube. Kept as the differential
-     oracle for the persistent-solver path. *)
+  (* Scratch query engine: one fresh solver and CNF per query — F_level
+     (init units at level 0), the input constraint and an optional blocking
+     clause, with the target (the bad literal or a successor cube) assumed.
+     Kept as the differential oracle for the persistent-solver path. *)
   let solve_query_scratch ~level ~block_cube ~target =
     incr n_sat_calls;
-    let ctx = Tseitin.create () in
+    let solver = Solver.create () in
+    let ctx = Tseitin.create ~on_clause:(Solver.add_clause solver) () in
     let tbl = Hashtbl.create 197 in
     let var_map v =
       match Hashtbl.find_opt tbl v with
@@ -195,62 +221,54 @@ let check ?(incremental = true) ?(max_conflicts = max_int) ?(max_frames = 32)
       for j = level to Array.length deltas - 1 do
         List.iter (fun c -> Tseitin.add_clause ctx (not_cube c)) deltas.(j)
       done;
+    let lit e = Tseitin.lit_of_bexpr ctx var_map e in
     (match constraint0 with
-     | Some c -> Tseitin.assert_lit ctx (Tseitin.lit_of_bexpr ctx var_map c)
+     | Some c -> Tseitin.assert_lit ctx (lit c)
      | None -> ());
     (match block_cube with
      | Some c -> Tseitin.add_clause ctx (not_cube c)
      | None -> ());
-    (match target with
-     | `Bad ->
-       Tseitin.assert_lit ctx (Tseitin.lit_of_bexpr ctx var_map bad0)
-     | `Next (c : cube) ->
-       List.iter
-         (fun (v, b) ->
-           let l = Tseitin.lit_of_bexpr ctx var_map next_of.(v) in
-           Tseitin.assert_lit ctx (if b then l else -l))
-         c);
-    let cnf = Tseitin.to_cnf ctx in
-    let result, st =
-      Solver.solve_stats ~max_conflicts
-        ~should_stop:(Deadline.checker deadline) cnf
-    in
-    acc_st st;
-    match result with
-    | Solver.Unsat -> `Unsat
-    | Solver.Unknown -> raise Limit_hit
-    | Solver.Sat model ->
-      let value v =
-        match Hashtbl.find_opt tbl v with
-        | Some cv -> model.(cv - 1)
-        | None -> false
-      in
-      `Sat (List.init nstate (fun v -> (v, value v)))
+    ask solver ~state_var:(Hashtbl.find_opt tbl)
+      ~bad:(fun () -> lit bad0)
+      ~next:(fun v -> lit next_of.(v))
+      ~assume:Fun.id target
   in
   let solve_query ~level ~block_cube ~target =
     if incremental then solve_query_inc ~level ~block_cube ~target
     else solve_query_scratch ~level ~block_cube ~target
   in
   (* SAT(F_{level} /\ ~cube /\ constraint /\ T /\ cube'): is [cube] still
-     reachable in one step from F_level states outside it? *)
+     reachable in one step from F_level states outside it? [`Unsat g]
+     carries [g], the cube cut to its core literals. Any [g] between the
+     core and the cube is relatively inductive: [~g] implies [~cube], and
+     [g'] implies the core's assumptions. When [g] would hold the initial
+     state, the cube's first literal that disagrees with it is put back. *)
   let rel_sat level cube =
-    solve_query ~level ~block_cube:(Some cube) ~target:(`Next cube)
+    match solve_query ~level ~block_cube:(Some cube) ~target:(`Next cube) with
+    | `Sat _ as sat -> sat
+    | `Unsat g when excludes_init g -> `Unsat g
+    | `Unsat g ->
+      let keep = List.find (fun (v, b) -> init_val.(v) <> b) cube in
+      `Unsat (List.filter (fun l -> l = keep || List.mem l g) cube)
   in
-  (* inductive generalization: drop literals one at a time, keeping the
-     cube relatively inductive and disjoint from the initial state *)
+  (* inductive generalization of a cube already cut to its core: try
+     dropping each literal still in it, keeping the cube relatively
+     inductive and disjoint from the initial state; a successful drop
+     leaves the candidate's own core *)
   let generalize s i =
-    let g = ref s in
-    List.iter
-      (fun lit ->
-        let cand = List.filter (fun l -> l <> lit) !g in
-        if cand <> [] && excludes_init cand then begin
-          Deadline.check deadline;
-          match rel_sat (i - 1) cand with
-          | `Unsat -> g := cand
-          | `Sat _ -> ()
-        end)
-      s;
-    !g
+    List.fold_left
+      (fun g lit ->
+        if not (List.mem lit g) then g
+        else
+          let cand = List.filter (fun l -> l <> lit) g in
+          if cand = [] || not (excludes_init cand) then g
+          else begin
+            Deadline.check deadline;
+            match rel_sat (i - 1) cand with
+            | `Unsat g' -> g'
+            | `Sat _ -> g
+          end)
+      s s
   in
   (* recursively block cube [s] at frame [i]; [depth] counts transitions
      from [s] to the bad state that spawned this proof obligation *)
@@ -260,25 +278,31 @@ let check ?(incremental = true) ?(max_conflicts = max_int) ?(max_frames = 32)
     assert (i > 0);
     let rec until_blocked () =
       match rel_sat (i - 1) s with
-      | `Unsat -> ()
+      | `Unsat g -> g
       | `Sat pred ->
         block pred (i - 1) (depth + 1);
         until_blocked ()
     in
-    until_blocked ();
+    let g = until_blocked () in
     incr n_ctis;
-    let g = generalize s i in
+    let g =
+      Obs.Telemetry.span ~cat:"ic3" "generalize" (fun () -> generalize g i)
+    in
     deltas.(i) <- g :: deltas.(i);
     frame_clause_added i g;
     incr n_clauses
+  in
+  (* F_j as a clause set: the union of deltas j.. *)
+  let frame j =
+    List.concat (Array.to_list (Array.sub deltas j (Array.length deltas - j)))
   in
   let k = ref 0 in
   let run () =
     (* depth-0 base case: a bad initial state never enters the frame loop *)
     (match solve_query ~level:0 ~block_cube:None ~target:`Bad with
      | `Sat _ -> raise (Cex 0)
-     | `Unsat -> ());
-    if nstate = 0 then Proved (stats_at 0)
+     | `Unsat _ -> ());
+    if nstate = 0 then Proved (stats_at 0, [])
     else begin
       let proved = ref None in
       k := 1;
@@ -288,33 +312,36 @@ let check ?(incremental = true) ?(max_conflicts = max_int) ?(max_frames = 32)
         (* block every bad state reachable within F_k *)
         let rec drain () =
           match solve_query ~level:!k ~block_cube:None ~target:`Bad with
-          | `Unsat -> ()
+          | `Unsat _ -> ()
           | `Sat s ->
-            block s !k 0;
+            Obs.Telemetry.span ~cat:"ic3" "block" (fun () -> block s !k 0);
             drain ()
         in
         drain ();
         (* push clauses forward while they stay relatively inductive; an
            emptied delta means F_i = F_{i+1}: an inductive fixpoint *)
-        for i = 1 to !k - 1 do
-          if !proved = None then begin
-            Deadline.check deadline;
-            let kept, moved =
-              List.partition
-                (fun c ->
-                  match rel_sat i c with `Sat _ -> true | `Unsat -> false)
-                deltas.(i)
-            in
-            deltas.(i) <- kept;
-            deltas.(i + 1) <- moved @ deltas.(i + 1);
-            List.iter (frame_clause_added (i + 1)) moved;
-            if kept = [] then proved := Some (stats_at !k)
-          end
-        done;
+        Obs.Telemetry.span ~cat:"ic3" "propagate" (fun () ->
+            for i = 1 to !k - 1 do
+              if !proved = None then begin
+                Deadline.check deadline;
+                let kept, moved =
+                  List.partition
+                    (fun c ->
+                      match rel_sat i c with
+                      | `Sat _ -> true
+                      | `Unsat _ -> false)
+                    deltas.(i)
+                in
+                deltas.(i) <- kept;
+                deltas.(i + 1) <- moved @ deltas.(i + 1);
+                List.iter (frame_clause_added (i + 1)) moved;
+                if kept = [] then proved := Some (stats_at !k, frame (i + 1))
+              end
+            done);
         incr k
       done;
       match !proved with
-      | Some st -> Proved st
+      | Some (st, inv) -> Proved (st, inv)
       | None -> Inconclusive (Frames_exhausted, stats_at max_frames)
     end
   in

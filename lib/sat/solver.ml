@@ -39,7 +39,9 @@
    into the assumption prefix the decision loop re-enqueues the remaining
    assumptions in order, so learnt clauses — which mention assumption
    literals negatively where needed and are therefore implied by the clause
-   database alone — can be kept forever.
+   database alone — can be kept forever. An answer of Unsat under
+   assumptions also records the failed assumptions it rests on, read off
+   the trail before the solver returns to the root.
 
    Restart discipline (the retention-killer fixed here): restarts backtrack
    to the assumption prefix, never below it, and neither activities,
@@ -101,6 +103,7 @@ type t = {
   mutable phase : bool array;
   mutable seen : bool array;
   mutable unsat : bool;              (* root-level conflict: unsat forever *)
+  mutable failed : int list;         (* the last Unsat's core, DIMACS *)
   mutable n_solves : int;
   (* per-solve work counters: solver-local, so concurrent solves on
      different domains never race (unlike the old stats_last globals) *)
@@ -129,7 +132,7 @@ let create () =
     activity = Array.make cap 0.0; var_inc = 1.0;
     phase = Array.make cap false; seen = Array.make cap false;
     heap = Array.make cap 0; heap_size = 0; heap_pos = Array.make cap (-1);
-    unsat = false;
+    unsat = false; failed = [];
     n_solves = 0; n_decisions = 0; n_conflicts = 0; n_propagations = 0;
     n_restarts = 0; n_learned = 0 }
 
@@ -292,6 +295,8 @@ let enqueue t l reason =
 let lit_of_dimacs l =
   let v = abs l - 1 in
   lit_of_var v (l > 0)
+
+let dimacs_of_lit l = if l land 1 = 0 then var_of l + 1 else -(var_of l + 1)
 
 (* DIMACS input is checked before it touches any state *)
 let check_dimacs fn lits =
@@ -510,6 +515,36 @@ let backtrack t lvl =
     t.n_levels <- lvl
   end
 
+(* Marks [v] for the final-conflict walk; root assignments need no
+   assumption, so they are never marked. *)
+let mark_final t v = if t.level.(v) > 0 then t.seen.(v) <- true
+
+(* MiniSat's analyzeFinal: the assumptions the marked variables' values rest
+   on, prepended to [core]. Walks the trail from the top down to the first
+   assumption level; every open level is an assumption level, so a marked
+   assignment without a reason is an assumption, and an implied one marks
+   its reason's other variables. Reads the trail and reasons only and
+   unmarks as it goes: activities, phases, the heap and [seen] end as they
+   were, so the search is unchanged. *)
+let final_core t core =
+  let a = t.arena in
+  let core = ref core in
+  let bottom = if t.n_levels > 0 then t.trail_lim.(0) else t.trail_size in
+  for i = t.trail_size - 1 downto bottom do
+    let l = t.trail.(i) in
+    let v = var_of l in
+    if t.seen.(v) then begin
+      t.seen.(v) <- false;
+      let r = t.reason.(v) in
+      if r < 0 then core := dimacs_of_lit l :: !core
+      else
+        for j = 1 to a.(r) - 1 do
+          mark_final t (var_of a.(r + header + j))
+        done
+    end
+  done;
+  !core
+
 type decide_outcome = All_assigned | Decided | Assumption_false
 
 (* While decision_level < |assumps| the next "decision" is the next
@@ -584,11 +619,16 @@ let search ~max_conflicts ~should_stop t assumps =
         t.unsat <- true;
         result := Some Unsat
       end
-      else if decision_level t <= n_assumps then
+      else if decision_level t <= n_assumps then begin
         (* every open decision level is an assumption level: the clause
            database refutes the assumption prefix — unsat under these
            assumptions only, the database itself stays consistent *)
+        for i = 0 to t.arena.(confl) - 1 do
+          mark_final t (var_of t.arena.(confl + header + i))
+        done;
+        t.failed <- final_core t [];
         result := Some Unsat
+      end
       else if !conflicts_total >= max_conflicts then result := Some Unknown
       else begin
         let n = analyze t confl in
@@ -630,6 +670,9 @@ let search ~max_conflicts ~should_stop t assumps =
       | Assumption_false ->
         (* the next assumption is already false under the previous ones:
            unsat under assumptions *)
+        let p = assumps.(decision_level t) in
+        mark_final t (var_of p);
+        t.failed <- final_core t [ dimacs_of_lit p ];
         result := Some Unsat
       | Decided -> ()
     end
@@ -645,6 +688,7 @@ let solve_assuming_stats ?(max_conflicts = max_int)
   t.n_propagations <- 0;
   t.n_restarts <- 0;
   t.n_learned <- 0;
+  t.failed <- [];
   let stats_of t =
     { decisions = t.n_decisions; conflicts = t.n_conflicts;
       propagations = t.n_propagations; restarts = t.n_restarts;
@@ -668,6 +712,8 @@ let solve_assuming_stats ?(max_conflicts = max_int)
 
 let solve_assuming ?max_conflicts ?should_stop t assumptions =
   fst (solve_assuming_stats ?max_conflicts ?should_stop t assumptions)
+
+let failed_assumptions t = t.failed
 
 let solves t = t.n_solves
 

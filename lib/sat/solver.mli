@@ -81,6 +81,16 @@ val solve_assuming_stats :
   result * stats
 (** Like {!solve_assuming}, plus the work counters for this call alone. *)
 
+val failed_assumptions : t -> int list
+(** The failed-assumption core of the last {!solve_assuming} call, valid
+    when it answered [Unsat] (MiniSat's [analyzeFinal]): a subset of that
+    call's assumptions that is unsatisfiable together with the clause
+    database, so the database plus the core as unit clauses is unsat. It is
+    [[]] when the database itself is contradictory; [[p]] when assumption
+    [p] is false at the root; and it holds both [x] and [-x] when both were
+    assumed. The core is read off the trail and the reason clauses before
+    the call returns to the root; computing it changes no search state. *)
+
 val num_vars : t -> int
 (** Highest DIMACS variable seen so far. Models index [0 .. num_vars-1]. *)
 

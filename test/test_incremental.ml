@@ -3,7 +3,8 @@
    retention, assumption solving) must be observationally identical to the
    rebuild-from-scratch oracles: same verdicts, same final depths/k, same
    trace lengths — on every structurally distinct seeded-chip obligation and
-   on a Qa.Gen fuzz stream. The solver itself is pinned by a QCheck
+   on a Qa.Gen fuzz stream. Every IC3 proof met on the way, in either mode,
+   is checked with BDDs. The solver itself is pinned by a QCheck
    equivalence (solve_assuming A = fresh solve of CNF ∧ A) and a
    determinism/retention regression. The arena BDD is pinned against
    exhaustive truth tables across slab growth and unique-table rehashes. *)
@@ -34,7 +35,54 @@ let ic3_sig = function
   | Mc.Ic3.Violation _ -> "violation"
   | Mc.Ic3.Inconclusive _ -> "inconclusive"
 
-let check_netlist_both ~label (nl, ok_signal, constraint_signal) =
+(* Every IC3 proof's fixpoint frame, checked with BDDs on a [Sym] of the
+   same netlist: with [c] the constraint bit, Init => Inv, Inv /\ c =>
+   Inv' and Inv /\ c => ok. A check whose BDDs outgrow the node limit is
+   counted, not failed. *)
+let ic3_proofs_checked = ref 0
+let ic3_proofs_over_limit = ref 0
+
+let check_ic3_proof ~label sym (_, ok_signal, constraint_signal) inv =
+  match Lazy.force sym with
+  | exception Bdd.Node_limit -> incr ic3_proofs_over_limit
+  | sym -> (
+    let m = Mc.Sym.man sym in
+    let implies a b = Bdd.is_zero (Bdd.and_ m a (Bdd.not_ m b)) in
+    match
+      let inv =
+        List.fold_left
+          (fun acc cube ->
+            let cube =
+              List.map (fun (v, b) -> (Mc.Sym.cur_var sym v, b)) cube
+            in
+            Bdd.and_ m acc (Bdd.not_ m (Bdd.cube m cube)))
+          (Bdd.one m) inv
+      in
+      let inv_c =
+        match constraint_signal with
+        | Some c -> Bdd.and_ m inv (Mc.Sym.signal_bit sym c 0)
+        | None -> inv
+      in
+      ( implies (Mc.Sym.init sym) inv,
+        implies inv_c (Mc.Sym.subst_next sym inv),
+        implies inv_c (Mc.Sym.signal_bit sym ok_signal 0) )
+    with
+    | exception Bdd.Node_limit -> incr ic3_proofs_over_limit
+    | initiation, consecution, safety ->
+      Alcotest.(check bool) (label ^ ": Init => Inv") true initiation;
+      Alcotest.(check bool) (label ^ ": Inv /\\ C => Inv'") true consecution;
+      Alcotest.(check bool) (label ^ ": Inv /\\ C => ok") true safety;
+      incr ic3_proofs_checked)
+
+let report_ic3_proofs () =
+  Printf.printf "IC3 proofs checked with BDDs: %d, over the node limit: %d\n"
+    !ic3_proofs_checked !ic3_proofs_over_limit;
+  Alcotest.(check bool) "IC3 proofs were checked" true
+    (!ic3_proofs_checked > 0);
+  ic3_proofs_checked := 0;
+  ic3_proofs_over_limit := 0
+
+let check_netlist_both ~label ((nl, ok_signal, constraint_signal) as prep) =
   let bmc inc =
     bmc_sig
       (Mc.Bmc.check ~incremental:inc ~max_conflicts:50_000 ?constraint_signal
@@ -47,10 +95,18 @@ let check_netlist_both ~label (nl, ok_signal, constraint_signal) =
          ?constraint_signal nl ~ok_signal)
   in
   Alcotest.(check string) (label ^ ": kind") (kind false) (kind true);
+  let sym = lazy (Mc.Sym.create ~node_limit:500_000 nl) in
   let ic3 inc =
-    ic3_sig
-      (Mc.Ic3.check ~incremental:inc ~max_conflicts:50_000 ~max_frames:8
-         ?constraint_signal nl ~ok_signal)
+    let r =
+      Mc.Ic3.check ~incremental:inc ~max_conflicts:50_000 ~max_frames:8
+        ?constraint_signal nl ~ok_signal
+    in
+    (match r with
+     | Mc.Ic3.Proved (_, inv) ->
+       let mode = if inc then ": ic3 proof" else ": ic3[scratch] proof" in
+       check_ic3_proof ~label:(label ^ mode) sym prep inv
+     | Mc.Ic3.Violation _ | Mc.Ic3.Inconclusive _ -> ());
+    ic3_sig r
   in
   Alcotest.(check string) (label ^ ": ic3") (ic3 false) (ic3 true)
 
@@ -96,7 +152,8 @@ let test_seeded_chip_differential () =
         (E.prepare_module mdl ~props))
     (List.rev !order);
   Alcotest.(check int) "all obligations prepared" (List.length works) !total;
-  Alcotest.(check bool) "dedup leaves a meaningful sweep" true (!unique > 20)
+  Alcotest.(check bool) "dedup leaves a meaningful sweep" true (!unique > 20);
+  report_ic3_proofs ()
 
 (* a Qa.Gen stream — wider parameter space than the chip, including seeded
    mutations, so violating obligations are well represented *)
@@ -115,7 +172,8 @@ let test_fuzz_stream_differential () =
               prep)
           (Psl.Ast.asserts vu))
       (Verifiable.Propgen.all case.Qa.Gen.info case.Qa.Gen.spec)
-  done
+  done;
+  report_ic3_proofs ()
 
 (* ---- solve_assuming A == fresh solve of (CNF ∧ A), sequenced ---- *)
 

@@ -372,11 +372,11 @@ let test_ic3 () =
   | Mc.Engine.Proved_bounded _ | Mc.Engine.Failed _ | Mc.Engine.Error _ ->
     Alcotest.fail "tight frame budget must prove or run out"
 
-let test_ic3_proves_kind_inconclusive () =
-  (* the portfolio's reason to exist: a wrapping 4-bit counter whose states
-     8..15 are unreachable but form arbitrarily long simple paths satisfying
-     the property — plain k-induction can never close it, IC3 learns the
-     strengthening clauses and proves it *)
+(* the portfolio's reason to exist: a wrapping 4-bit counter whose states
+   8..15 are unreachable but form arbitrarily long simple paths satisfying
+   the property — plain k-induction can never close it, IC3 learns the
+   strengthening clauses and proves it *)
+let wrap8 () =
   let m = M.create "wrap8" in
   let m = M.add_output m "OK" 1 in
   let next =
@@ -387,7 +387,10 @@ let test_ic3_proves_kind_inconclusive () =
   in
   let m = M.add_reg m "s" 4 next in
   let m = M.add_assign m "OK" (E.( !: ) E.(var "s" ==: of_int ~width:4 12)) in
-  let assert_ = Psl.Parser.fl_of_string "always OK" in
+  (m, Psl.Parser.fl_of_string "always OK")
+
+let test_ic3_proves_kind_inconclusive () =
+  let m, assert_ = wrap8 () in
   let budget =
     { Mc.Engine.default_budget with Mc.Engine.induction_max_k = 3 }
   in
@@ -404,6 +407,53 @@ let test_ic3_proves_kind_inconclusive () =
   check_verdict "ic3 proves it" "proved" ic3;
   Alcotest.(check bool) "proof needed at least one frame" true
     (ic3.Mc.Engine.perf.Mc.Engine.ic3_frames >= 1)
+
+(* IC3's search, pinned in both modes: frames, clauses, CTIs, queries and
+   the summed solver counters of two proofs. Any change to how cubes are
+   generalized, to the query encoding or to the solver moves them. *)
+let test_ic3_pinned_search () =
+  let pin label (nl, ok_signal, constraint_signal) ~expected =
+    List.iter2
+      (fun incremental (frames, clauses, ctis, sat_calls, sat) ->
+        let label =
+          label ^ if incremental then " (incremental)" else " (scratch)"
+        in
+        match
+          Mc.Ic3.check ~incremental ?constraint_signal nl ~ok_signal
+        with
+        | Mc.Ic3.Proved (s, _) ->
+          let row (st : Solver.stats) =
+            [ st.decisions; st.conflicts; st.propagations; st.restarts;
+              st.learned ]
+          in
+          Alcotest.(check (list int)) (label ^ " stats")
+            ([ frames; clauses; ctis; sat_calls ] @ sat)
+            ([ s.Mc.Ic3.frames; s.Mc.Ic3.clauses; s.Mc.Ic3.ctis;
+               s.Mc.Ic3.sat_calls ]
+            @ row s.Mc.Ic3.sat)
+        | Mc.Ic3.Violation _ | Mc.Ic3.Inconclusive _ ->
+          Alcotest.failf "%s: expected a proof" label)
+      [ true; false ] expected
+  in
+  let m, assert_ = wrap8 () in
+  pin "wrap8"
+    (Mc.Engine.instrumented_netlist m ~assert_ ~assumes:[])
+    ~expected:
+      [ (4, 6, 6, 35, [ 27; 7; 1100; 0; 0 ]);
+        (5, 15, 15, 85, [ 32; 10; 1010; 0; 0 ]) ];
+  let w =
+    List.find
+      (fun (w : Core.Campaign.work) ->
+        w.Core.Campaign.w_mdl.Rtl.Mdl.name = "E_leaf00"
+        && w.Core.Campaign.w_prop_name = "pNoError_1")
+      (Core.Campaign.work_items (Chip.Generator.generate ~with_bugs:true ()))
+  in
+  pin "E_leaf00.pNoError_1"
+    (Mc.Engine.instrumented_netlist w.Core.Campaign.w_mdl
+       ~assert_:w.Core.Campaign.w_assert ~assumes:w.Core.Campaign.w_assumes)
+    ~expected:
+      [ (8, 118, 118, 794, [ 12472; 604; 71388; 0; 215 ]);
+        (8, 139, 139, 966, [ 17981; 3045; 83146; 0; 2650 ]) ]
 
 (* IC3 agrees with BDD reachability on the seeded-bug counter: same
    falsifications, and every IC3 trace replays in the simulator *)
@@ -789,6 +839,7 @@ let () =
        [ Alcotest.test_case "ic3 basics" `Quick test_ic3;
          Alcotest.test_case "proves where k-induction gives up" `Quick
            test_ic3_proves_kind_inconclusive;
+         Alcotest.test_case "search counters" `Quick test_ic3_pinned_search;
          Alcotest.test_case "agrees with BDD on the bugged counter" `Slow
            test_ic3_agrees_on_bug_module ]);
       ("obligation",

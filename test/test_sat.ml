@@ -1,7 +1,8 @@
 (* CDCL solver and Tseitin encoder: crafted instances, misuse of the
-   incremental interface, instances large enough to grow every buffer,
-   random CNFs checked against brute force, equisatisfiability of the
-   encoding, and the exact search counters of two BMC runs. *)
+   incremental interface, the failed-assumption core, instances large
+   enough to grow every buffer, random CNFs checked against brute force,
+   equisatisfiability of the encoding, and the exact search counters of two
+   BMC runs. *)
 
 module X = Rtl.Bexpr
 
@@ -112,6 +113,86 @@ let test_stop_exception_returns_to_root () =
   match Solver.solve_assuming t [] with
   | Solver.Sat m -> Alcotest.(check bool) "unit holds" true m.(0)
   | Solver.Unsat | Solver.Unknown -> Alcotest.fail "the chain is sat"
+
+(* --- the failed-assumption core --- *)
+
+let test_core_edge_cases () =
+  let core_of t assumptions =
+    match Solver.solve_assuming t assumptions with
+    | Solver.Unsat -> List.sort compare (Solver.failed_assumptions t)
+    | Solver.Sat _ | Solver.Unknown -> Alcotest.fail "expected unsat"
+  in
+  let t = Solver.create () in
+  Solver.add_clause t [ 1; 2 ];
+  Solver.add_clause t [ -1 ];
+  Alcotest.(check (list int)) "complementary assumptions" [ -3; 3 ]
+    (core_of t [ 2; 3; -3 ]);
+  Alcotest.(check (list int)) "an assumption false at the root" [ 1 ]
+    (core_of t [ 2; 1 ]);
+  Alcotest.(check (list int)) "only the assumptions the refutation used"
+    [ -2 ] (core_of t [ 3; -2; 4 ]);
+  let t = Solver.create () in
+  Solver.add_clause t [ 1 ];
+  Solver.add_clause t [ -1 ];
+  Alcotest.(check (list int)) "a database contradictory at intake" []
+    (core_of t [ 2; 3 ]);
+  let t = Solver.create () in
+  List.iter (Solver.add_clause t)
+    [ [ 1; 2 ]; [ 1; -2 ]; [ -1; 2 ]; [ -1; -2 ] ];
+  Alcotest.(check (list int)) "a database the search refutes" []
+    (core_of t [ 3 ]);
+  (* a sat answer in between clears the core *)
+  let t = Solver.create () in
+  Solver.add_clause t [ -1; -2 ];
+  Alcotest.(check (list int)) "core of the first call" [ 1; 2 ]
+    (core_of t [ 1; 2 ]);
+  (match Solver.solve_assuming t [ 1 ] with
+   | Solver.Sat _ -> ()
+   | Solver.Unsat | Solver.Unknown -> Alcotest.fail "{-1 v -2} with 1 is sat");
+  Alcotest.(check (list int)) "no core after a sat answer" []
+    (Solver.failed_assumptions t)
+
+(* Random CNFs solved under several assumption lists in turn on one solver,
+   repeats and complementary pairs included: every Unsat core is a subset of
+   its call's assumptions, and the CNF plus the core as units is unsat. *)
+let arb_core_instance =
+  let open QCheck.Gen in
+  let gen =
+    int_range 1 8 >>= fun nvars ->
+    let lit =
+      int_range 1 nvars >>= fun v -> map (fun b -> if b then v else -v) bool
+    in
+    int_range 0 30 >>= fun nclauses ->
+    list_repeat nclauses (int_range 1 3 >>= fun len -> list_repeat len lit)
+    >>= fun clauses ->
+    int_range 1 4 >>= fun nsets ->
+    list_repeat nsets (int_range 0 6 >>= fun n -> list_repeat n lit)
+    >|= fun sets -> (nvars, clauses, sets)
+  in
+  let ints l = String.concat "," (List.map string_of_int l) in
+  QCheck.make
+    ~print:(fun (nvars, clauses, sets) ->
+      Printf.sprintf "nvars=%d clauses=%s sets=%s" nvars
+        (String.concat ";" (List.map ints clauses))
+        (String.concat ";" (List.map ints sets)))
+    gen
+
+let prop_core_refutes =
+  QCheck.Test.make ~name:"the Unsat core is a refuting subset" ~count:500
+    arb_core_instance (fun (nvars, clauses, sets) ->
+      let t = Solver.create () in
+      List.iter (Solver.add_clause t) clauses;
+      List.for_all
+        (fun assumptions ->
+          match Solver.solve_assuming t assumptions with
+          | Solver.Sat _ | Solver.Unknown -> true
+          | Solver.Unsat ->
+            let core = Solver.failed_assumptions t in
+            List.for_all (fun l -> List.mem l assumptions) core
+            && is_unsat
+                 (Solver.solve
+                    (cnf nvars (clauses @ List.map (fun l -> [ l ]) core))))
+        sets)
 
 (* --- growth: long clauses, many variables, long learnt clauses --- *)
 
@@ -362,7 +443,9 @@ let () =
        [ Alcotest.test_case "literal 0 rejected" `Quick
            test_literal_zero_rejected;
          Alcotest.test_case "stop exception returns to the root" `Quick
-           test_stop_exception_returns_to_root ]);
+           test_stop_exception_returns_to_root;
+         Alcotest.test_case "failed-assumption core edge cases" `Quick
+           test_core_edge_cases ]);
       ("growth",
        [ Alcotest.test_case "long clauses between solves" `Quick
            test_long_clauses_incremental;
@@ -378,4 +461,4 @@ let () =
            test_dimacs_comments_and_spacing ]);
       ("properties",
        List.map QCheck_alcotest.to_alcotest
-         [ prop_solver_correct; prop_tseitin_equisat ]) ]
+         [ prop_solver_correct; prop_tseitin_equisat; prop_core_refutes ]) ]
