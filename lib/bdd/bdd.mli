@@ -31,8 +31,9 @@ val set_interrupt : man -> (unit -> bool) option -> unit
 (** Install (or clear) a cancellation callback, polled every few thousand
     node allocations. When it returns [true] the allocating operation raises
     {!Interrupted}, abandoning the partially-built result. The arena stays
-    consistent — only in-flight operation caches may hold partial entries —
-    but callers normally discard the whole manager afterwards. *)
+    consistent and the manager usable (no later operation reads the memo
+    entries of the abandoned one), but callers normally discard the whole
+    manager afterwards. The callback must not operate on the manager. *)
 
 val node_count : man -> int
 (** Total nodes allocated in the arena (a monotone work measure). *)
@@ -80,7 +81,9 @@ val and_exists : man -> int list -> t -> t -> t
 
 val vector_compose : man -> (int -> t option) -> t -> t
 (** [vector_compose m f b] substitutes [f i] (when [Some]) simultaneously for
-    each variable [i] in [b]. *)
+    each variable [i] in [b]. [f] is called once per variable, in index
+    order, before the substitution starts; it must not call
+    [vector_compose] on [m]. *)
 
 val restrict : man -> int -> bool -> t -> t
 (** Cofactor with respect to one literal. *)

@@ -20,22 +20,11 @@ let decompose m ~windows f =
 let recombine m t =
   List.fold_left (fun acc p -> Bdd.or_ m acc p.part) (Bdd.zero m) t
 
-let map m f t =
-  List.map (fun p -> { p with part = Bdd.and_ m p.window (f p.part) }) t
-
 let peak_size m t =
   List.fold_left (fun acc p -> max acc (Bdd.size m p.part)) 0 t
 
 let total_size m t =
   List.fold_left (fun acc p -> acc + Bdd.size m p.part) 0 t
-
-let is_zero t = List.for_all (fun p -> Bdd.is_zero p.part) t
-
-let equal _m a b =
-  List.length a = List.length b
-  && List.for_all2
-       (fun p q -> Bdd.equal p.part q.part && Bdd.equal p.window q.window)
-       a b
 
 let choose_splitting_vars m ~candidates ~k f =
   let rec pick chosen remaining f n =

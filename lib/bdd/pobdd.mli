@@ -23,17 +23,11 @@ val recombine : Bdd.man -> t -> Bdd.t
 (** Disjunction of all partitions (may be large — use for final answers and
     tests only). *)
 
-val map : Bdd.man -> (Bdd.t -> Bdd.t) -> t -> t
-(** Apply an image-style operation inside each partition, re-constraining the
-    result to the partition's window. *)
-
 val peak_size : Bdd.man -> t -> int
 (** Largest single partition size in nodes — the quantity partitioning is
     meant to bound. *)
 
 val total_size : Bdd.man -> t -> int
-val is_zero : t -> bool
-val equal : Bdd.man -> t -> t -> bool
 
 val choose_splitting_vars : Bdd.man -> candidates:int list -> k:int -> Bdd.t -> int list
 (** Pick [k] splitting variables greedily: at each step choose the candidate

@@ -12,6 +12,7 @@ let make_parts sym =
       (t_i, Bdd.support man t_i))
 
 let image_with_parts ?constrain sym parts s =
+  Obs.Telemetry.span ~cat:"bdd" "image" @@ fun () ->
   let s =
     match constrain with
     | Some c -> Bdd.and_ (Sym.man sym) s c
@@ -45,6 +46,7 @@ let image_with_parts ?constrain sym parts s =
 let image ?constrain sym s = image_with_parts ?constrain sym (make_parts sym) s
 
 let pre_image ?constrain sym b =
+  Obs.Telemetry.span ~cat:"bdd" "image" @@ fun () ->
   let man = Sym.man sym in
   let b' = Sym.subst_next sym b in
   let b' =
@@ -110,6 +112,8 @@ let failing_inputs ?constrain sym ~ok state_bits =
 
 (* ---- forward traversal ---- *)
 
+let fixpoint loop = Obs.Telemetry.span ~cat:"bdd" "fixpoint" loop
+
 (* forward rings: rings.(j) = states first reached at step j (cur vars) *)
 let forward_rings_to_violation ?constrain ?(deadline = Deadline.none) sym ~bad =
   let man = Sym.man sym in
@@ -127,7 +131,7 @@ let forward_rings_to_violation ?constrain ?(deadline = Deadline.none) sym ~bad =
       else
         go (frontier :: rings) (Bdd.or_ man reached fresh) fresh (iter + 1) peak
   in
-  go [] (Sym.init sym) (Sym.init sym) 0 0
+  fixpoint (fun () -> go [] (Sym.init sym) (Sym.init sym) 0 0)
 
 (* walk back from a state in the last ring to the initial state *)
 let backtrack_forward ?constrain sym rings final_bits =
@@ -206,7 +210,7 @@ let reachable ?constrain sym =
     if Bdd.is_zero fresh then reached
     else go (Bdd.or_ man reached fresh) fresh
   in
-  go (Sym.init sym) (Sym.init sym)
+  fixpoint (fun () -> go (Sym.init sym) (Sym.init sym))
 
 (* ---- backward traversal ---- *)
 
@@ -225,7 +229,7 @@ let backward_rings ?constrain ?(deadline = Deadline.none) sym ~bad ~stop_when =
       if Bdd.is_zero fresh then `Fixpoint (iter, peak)
       else go (frontier :: rings) (Bdd.or_ man covered fresh) fresh (iter + 1) peak
   in
-  go [] bad bad 0 0
+  fixpoint (fun () -> go [] bad bad 0 0)
 
 (* forward replay from a state known to be t steps from bad *)
 let forward_walk_to_bad ?constrain sym ~ok rings_array start_bits
@@ -310,7 +314,7 @@ let check_combined ?constrain ?(deadline = Deadline.none) sym ~ok =
     end
   in
   (* the meet check needs b_covered to include ring 0 from the start *)
-  match go [] init init [] bad bad 0 0 with
+  match fixpoint (fun () -> go [] init init [] bad bad 0 0) with
   | `ProvedF (iterations, peak) | `ProvedB (iterations, peak) ->
     Proved { iterations; bdd_nodes = Bdd.node_count man; peak_set_size = peak }
   | `Meet (f_rings, b_rings, iterations, peak) ->

@@ -79,7 +79,7 @@ let rec bdd_of_bexpr t (e : Rtl.Bexpr.t) =
     Hashtbl.replace t.bexpr_cache (Rtl.Bexpr.id e) b;
     b
 
-let create ?node_limit ?interrupt nl =
+let build ?node_limit ?interrupt nl =
   let flat = B.flatten nl in
   let nstate =
     List.fold_left (fun acc (_, vars) -> acc + Array.length vars) 0
@@ -136,6 +136,10 @@ let create ?node_limit ?interrupt nl =
   in
   { t with next_fns; init }
 
+let create ?node_limit ?interrupt nl =
+  Obs.Telemetry.span ~cat:"bdd" "build" (fun () ->
+      build ?node_limit ?interrupt nl)
+
 let man t = t.man
 let netlist t = t.nl
 let num_state_bits t = t.nstate
@@ -174,19 +178,16 @@ let input_bit_name t j =
   if j < 0 || j >= t.ninputs then invalid_arg "Sym.input_bit_name";
   t.flat.B.bit_of_var (t.nstate + j)
 
-(* state bit index of a current/next BDD var, or None *)
-let rename t ~from_of ~to_of b =
+let nxt_to_cur t b =
+  (* state bit index of a next-state BDD var *)
   let state_of = Hashtbl.create 97 in
-  Array.iteri (fun i v -> Hashtbl.replace state_of v i) from_of;
+  Array.iteri (fun i v -> Hashtbl.replace state_of v i) t.nxt_of;
   Bdd.vector_compose t.man
     (fun v ->
       match Hashtbl.find_opt state_of v with
-      | Some i when i < t.nstate -> Some (Bdd.var t.man to_of.(i))
+      | Some i when i < t.nstate -> Some (Bdd.var t.man t.cur_of.(i))
       | Some _ | None -> None)
     b
-
-let nxt_to_cur t b = rename t ~from_of:t.nxt_of ~to_of:t.cur_of b
-let cur_to_nxt t b = rename t ~from_of:t.cur_of ~to_of:t.nxt_of b
 
 let classify_var t v =
   match Hashtbl.find_opt t.var_class v with

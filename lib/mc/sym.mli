@@ -1,8 +1,12 @@
 (** Symbolic FSM: a netlist compiled to BDDs.
 
-    Variable order interleaves current- and next-state variables (state bit
-    [i] gets BDD variables [2i] and [2i+1]) with input variables after all
-    state variables — the standard order for image computation. *)
+    Variable order: the state bits come in register order, each one's
+    current- and next-state variables adjacent. Right after a bit's pair
+    come the input bits its next-state function reads that no earlier bit
+    read; inputs no next-state function reads go last. Keeping a capture
+    register's input next to its pair keeps the image computation's
+    intermediate products small. {!cur_var}, {!nxt_var} and
+    {!classify_var} map between state/input bits and BDD variables. *)
 
 type t
 
@@ -47,8 +51,6 @@ val input_bit_name : t -> int -> string * int
 
 val nxt_to_cur : t -> Bdd.t -> Bdd.t
 (** Rename next-state variables to current-state variables. *)
-
-val cur_to_nxt : t -> Bdd.t -> Bdd.t
 
 val classify_var : t -> int -> [ `Cur of int | `Nxt of int | `Inp of int ]
 (** What a BDD variable stands for: current/next state bit or input bit. *)

@@ -34,13 +34,7 @@ let check_forward_partitioned ?constrain ?(deadline = Deadline.none) sym ~ok
   let rec go iter =
     Deadline.check deadline;
     track_peak ();
-    if hit_bad () then begin
-      let trace = Reach.trace_from_rings ?constrain sym ~ok (List.rev !rings) in
-      Reach.Failed
-        (trace,
-         { Reach.iterations = iter; bdd_nodes = Bdd.node_count man;
-           peak_set_size = !peak })
-    end
+    if hit_bad () then `Violation iter
     else begin
       (* image each live partition, then redistribute across windows *)
       let images =
@@ -66,10 +60,7 @@ let check_forward_partitioned ?constrain ?(deadline = Deadline.none) sym ~ok
             new_frontier.(w) <- fresh
           end)
         windows;
-      if not !any_fresh then
-        Reach.Proved
-          { Reach.iterations = iter; bdd_nodes = Bdd.node_count man;
-            peak_set_size = !peak }
+      if not !any_fresh then `Proved iter
       else begin
         Array.blit new_frontier 0 frontier 0 nwin;
         rings := global_frontier () :: !rings;
@@ -77,4 +68,11 @@ let check_forward_partitioned ?constrain ?(deadline = Deadline.none) sym ~ok
       end
     end
   in
-  go 0
+  let stats iterations =
+    { Reach.iterations; bdd_nodes = Bdd.node_count man; peak_set_size = !peak }
+  in
+  match Obs.Telemetry.span ~cat:"bdd" "fixpoint" (fun () -> go 0) with
+  | `Proved iter -> Reach.Proved (stats iter)
+  | `Violation iter ->
+    let trace = Reach.trace_from_rings ?constrain sym ~ok (List.rev !rings) in
+    Reach.Failed (trace, stats iter)

@@ -189,6 +189,224 @@ let prop_and_exists_correct =
         (Bdd.and_exists man [ 0; 2; 4 ] bf bg)
         (Bdd.exists man [ 0; 2; 4 ] (Bdd.and_ man bf bg)))
 
+(* ---- many calls on one manager: no memo entry outlives its call ---- *)
+
+(* truth tables over the [nvars] variables, indexed by assignment mask *)
+let npoints = 1 lsl nvars
+let bit x i = (x lsr i) land 1 = 1
+let table_of f = Array.init npoints (fun x -> eval_form (bit x) f)
+let mask_of vars = List.fold_left (fun acc v -> acc lor (1 lsl v)) 0 vars
+
+(* operations on a pool of functions, named by their index in the pool *)
+type op =
+  | Exists of int list * int
+  | Forall of int list * int
+  | And_exists of int list * int * int
+  | Compose of int option list * int  (** per variable: a function or keep *)
+  | Restrict of int * bool * int
+  | Support of int
+
+let pp_op ppf =
+  let vars =
+    Format.(
+      pp_print_list ~pp_sep:(fun ppf () -> pp_print_char ppf ',') pp_print_int)
+  in
+  let sub = function Some j -> "f" ^ string_of_int j | None -> "_" in
+  function
+  | Exists (vs, i) -> Format.fprintf ppf "exists[%a] f%d" vars vs i
+  | Forall (vs, i) -> Format.fprintf ppf "forall[%a] f%d" vars vs i
+  | And_exists (vs, i, j) ->
+    Format.fprintf ppf "and_exists[%a] f%d f%d" vars vs i j
+  | Compose (subs, i) ->
+    Format.fprintf ppf "compose[%s] f%d"
+      (String.concat "," (List.map sub subs))
+      i
+  | Restrict (v, b, i) -> Format.fprintf ppf "restrict v%d=%b f%d" v b i
+  | Support i -> Format.fprintf ppf "support f%d" i
+
+let pool_size = 3
+
+let gen_op =
+  let open QCheck.Gen in
+  let vars =
+    map
+      (fun mask -> List.filter (bit mask) (List.init nvars Fun.id))
+      (int_bound (npoints - 1))
+  in
+  let f = int_bound (pool_size - 1) in
+  oneof
+    [ map2 (fun vs i -> Exists (vs, i)) vars f;
+      map2 (fun vs i -> Forall (vs, i)) vars f;
+      map3 (fun vs i j -> And_exists (vs, i, j)) vars f f;
+      map2 (fun sub i -> Compose (sub, i)) (list_repeat nvars (opt f)) f;
+      map3 (fun v b i -> Restrict (v, b, i)) (int_bound (nvars - 1)) bool f;
+      map (fun i -> Support i) f ]
+
+let gen_ops = QCheck.Gen.(list_size (int_range 2 10) gen_op)
+let gen_pool = QCheck.Gen.list_repeat pool_size gen_form
+
+let print_pool forms =
+  String.concat "; "
+    (List.mapi (fun i f -> Format.asprintf "f%d = %a" i pp_form f) forms)
+
+(* quantify [vars] out of a table: every (or some) extension holds *)
+let quantified ~all vars t =
+  let vm = mask_of vars in
+  Array.init npoints (fun x ->
+      let base = x land lnot vm in
+      let hits = ref 0 and total = ref 0 in
+      for s = 0 to npoints - 1 do
+        if s land lnot vm = 0 then begin
+          incr total;
+          if t.(base lor s) then incr hits
+        end
+      done;
+      if all then !hits = !total else !hits > 0)
+
+(* run one operation on a manager's pool and check it against the tables *)
+let op_ok man pool tables op =
+  let agrees b t =
+    List.for_all (fun x -> Bdd.eval man (bit x) b = t.(x))
+      (List.init npoints Fun.id)
+  in
+  match op with
+  | Exists (vs, i) ->
+    agrees (Bdd.exists man vs pool.(i)) (quantified ~all:false vs tables.(i))
+  | Forall (vs, i) ->
+    agrees (Bdd.forall man vs pool.(i)) (quantified ~all:true vs tables.(i))
+  | And_exists (vs, i, j) ->
+    agrees
+      (Bdd.and_exists man vs pool.(i) pool.(j))
+      (quantified ~all:false vs
+         (Array.map2 ( && ) tables.(i) tables.(j)))
+  | Compose (sub, i) ->
+    let sub = Array.of_list sub in
+    let image x =
+      mask_of
+        (List.filter
+           (fun v ->
+             match sub.(v) with Some j -> tables.(j).(x) | None -> bit x v)
+           (List.init nvars Fun.id))
+    in
+    agrees
+      (Bdd.vector_compose man (fun v -> Option.map (Array.get pool) sub.(v))
+         pool.(i))
+      (Array.init npoints (fun x -> tables.(i).(image x)))
+  | Restrict (v, b, i) ->
+    let set x = if b then x lor (1 lsl v) else x land lnot (1 lsl v) in
+    agrees (Bdd.restrict man v b pool.(i))
+      (Array.init npoints (fun x -> tables.(i).(set x)))
+  | Support i ->
+    let t = tables.(i) in
+    Bdd.support man pool.(i)
+    = List.filter
+        (fun v ->
+          List.exists
+            (fun x -> t.(x) <> t.(x lxor (1 lsl v)))
+            (List.init npoints Fun.id))
+        (List.init nvars Fun.id)
+
+let fresh_pool forms =
+  let man = Bdd.create ~nvars () in
+  (man, Array.of_list (List.map (build man) forms),
+   Array.of_list (List.map table_of forms))
+
+let prop_call_sequence =
+  QCheck.Test.make ~name:"call sequences on one manager" ~count:200
+    (QCheck.make
+       ~print:(fun (forms, ops) ->
+         print_pool forms ^ " | "
+         ^ String.concat "; " (List.map (Format.asprintf "%a" pp_op) ops))
+       QCheck.Gen.(pair gen_pool gen_ops))
+    (fun (forms, ops) ->
+      let man, pool, tables = fresh_pool forms in
+      List.for_all (op_ok man pool tables) ops)
+
+let prop_two_managers =
+  QCheck.Test.make ~name:"call sequences on two interleaved managers"
+    ~count:100
+    (QCheck.make
+       ~print:(fun (a, b, ops) ->
+         print_pool a ^ " | " ^ print_pool b ^ " | "
+         ^ String.concat "; "
+             (List.map
+                (fun (left, op) ->
+                  Format.asprintf "%s:%a" (if left then "a" else "b") pp_op op)
+                ops))
+       QCheck.Gen.(
+         triple gen_pool gen_pool
+           (list_size (int_range 2 10) (pair bool gen_op))))
+    (fun (a, b, ops) ->
+      let a = fresh_pool a and b = fresh_pool b in
+      List.for_all
+        (fun (left, op) ->
+          let man, pool, tables = if left then a else b in
+          op_ok man pool tables op)
+        ops)
+
+(* An operation cut short by the interrupt leaves the manager usable:
+   once the callback returns false, every answer is right again. The
+   interrupted call is a vector_compose that builds ~2^(n+1) nodes; the
+   identity compose of the same argument right after it must not see its
+   entries. *)
+let test_answers_after_interrupt () =
+  let n = 13 in
+  let m = Bdd.create ~nvars:(2 * n) () in
+  let pairs pair =
+    List.fold_left
+      (fun acc i ->
+        let a, b = pair i in
+        Bdd.or_ m acc (Bdd.and_ m (Bdd.var m a) (Bdd.var m b)))
+      (Bdd.zero m) (List.init n Fun.id)
+  in
+  (* x2i ∧ x2i+1 is small under the index order; xi ∧ xn+i is not *)
+  let adjacent = pairs (fun i -> (2 * i, (2 * i) + 1)) in
+  let spread v =
+    Some (Bdd.var m (if v mod 2 = 0 then v / 2 else n + (v / 2)))
+  in
+  Bdd.set_interrupt m (Some (fun () -> true));
+  (match Bdd.vector_compose m spread adjacent with
+   | _ -> Alcotest.fail "expected the interrupt"
+   | exception Bdd.Interrupted -> ());
+  Bdd.set_interrupt m (Some (fun () -> false));
+  Alcotest.(check bool) "identity compose" true
+    (Bdd.equal (Bdd.vector_compose m (fun _ -> None) adjacent) adjacent);
+  let spread_direct = pairs (fun i -> (i, n + i)) in
+  let composed = Bdd.vector_compose m spread adjacent in
+  Alcotest.(check bool) "compose after the interrupt" true
+    (Bdd.equal composed spread_direct);
+  (* no pair both true: 3 choices per pair *)
+  Alcotest.(check (float 0.0)) "sat_count"
+    (2.0 ** float_of_int (2 * n) -. (3.0 ** float_of_int n))
+    (Bdd.sat_count m composed);
+  let second_half =
+    List.fold_left (fun acc i -> Bdd.or_ m acc (Bdd.var m (n + i))) (Bdd.zero m)
+      (List.init n Fun.id)
+  in
+  Alcotest.(check bool) "exists after the interrupt" true
+    (Bdd.equal (Bdd.exists m (List.init n Fun.id) composed) second_half);
+  (* with x1 .. xn-1 false only the pair (x0, xn) is left *)
+  let only_first = Bdd.cube m (List.init (n - 1) (fun i -> (i + 1, false))) in
+  Alcotest.(check bool) "and_exists after the interrupt" true
+    (Bdd.equal
+       (Bdd.and_exists m (List.init n Fun.id) composed only_first)
+       (Bdd.var m n))
+
+(* [size] and [support] mark nodes with a one-byte walk stamp: a node
+   last seen many walks ago must not read as seen once the stamp wraps *)
+let test_visit_marks_wrap () =
+  let man = Bdd.create ~nvars () in
+  let f = Bdd.xor man (Bdd.var man 0) (Bdd.var man 1) in
+  let g = Bdd.and_ man (Bdd.var man 2) (Bdd.nvar man 3) in
+  let size_g = Bdd.size man g in
+  for gap = 0 to 300 do
+    for _ = 1 to gap do
+      ignore (Bdd.size man f)
+    done;
+    Alcotest.(check int) "size" size_g (Bdd.size man g);
+    Alcotest.(check (list int)) "support" [ 2; 3 ] (Bdd.support man g)
+  done
+
 (* POBDD layer *)
 
 let test_pobdd_roundtrip () =
@@ -250,7 +468,11 @@ let () =
          Alcotest.test_case "any_sat" `Quick test_any_sat;
          Alcotest.test_case "node limit" `Quick test_node_limit;
          Alcotest.test_case "restrict and support" `Quick test_restrict_support;
-         Alcotest.test_case "fold paths" `Quick test_fold_paths ]);
+         Alcotest.test_case "fold paths" `Quick test_fold_paths;
+         Alcotest.test_case "answers after an interrupt" `Quick
+           test_answers_after_interrupt;
+         Alcotest.test_case "visit marks across stamp wraps" `Quick
+           test_visit_marks_wrap ]);
       ("pobdd",
        [ Alcotest.test_case "roundtrip" `Quick test_pobdd_roundtrip;
          Alcotest.test_case "splitting vars" `Quick test_choose_splitting;
@@ -259,4 +481,5 @@ let () =
       ("properties",
        List.map QCheck_alcotest.to_alcotest
          [ prop_build_correct; prop_canonical; prop_exists_correct;
-           prop_sat_count; prop_and_exists_correct ]) ]
+           prop_sat_count; prop_and_exists_correct; prop_call_sequence;
+           prop_two_managers ]) ]

@@ -408,6 +408,21 @@ let test_ic3_proves_kind_inconclusive () =
   Alcotest.(check bool) "proof needed at least one frame" true
     (ic3.Mc.Engine.perf.Mc.Engine.ic3_frames >= 1)
 
+(* the instrumented netlist of one obligation of the seeded pre-fix chip *)
+let seeded_chip =
+  lazy (Core.Campaign.work_items (Chip.Generator.generate ~with_bugs:true ()))
+
+let chip_cone mdl_name prop_name =
+  let w =
+    List.find
+      (fun (w : Core.Campaign.work) ->
+        w.Core.Campaign.w_mdl.Rtl.Mdl.name = mdl_name
+        && w.Core.Campaign.w_prop_name = prop_name)
+      (Lazy.force seeded_chip)
+  in
+  Mc.Engine.instrumented_netlist w.Core.Campaign.w_mdl
+    ~assert_:w.Core.Campaign.w_assert ~assumes:w.Core.Campaign.w_assumes
+
 (* IC3's search, pinned in both modes: frames, clauses, CTIs, queries and
    the summed solver counters of two proofs. Any change to how cubes are
    generalized, to the query encoding or to the solver moves them. *)
@@ -441,19 +456,105 @@ let test_ic3_pinned_search () =
     ~expected:
       [ (4, 6, 6, 35, [ 27; 7; 1100; 0; 0 ]);
         (5, 15, 15, 85, [ 32; 10; 1010; 0; 0 ]) ];
-  let w =
-    List.find
-      (fun (w : Core.Campaign.work) ->
-        w.Core.Campaign.w_mdl.Rtl.Mdl.name = "E_leaf00"
-        && w.Core.Campaign.w_prop_name = "pNoError_1")
-      (Core.Campaign.work_items (Chip.Generator.generate ~with_bugs:true ()))
-  in
   pin "E_leaf00.pNoError_1"
-    (Mc.Engine.instrumented_netlist w.Core.Campaign.w_mdl
-       ~assert_:w.Core.Campaign.w_assert ~assumes:w.Core.Campaign.w_assumes)
+    (chip_cone "E_leaf00" "pNoError_1")
     ~expected:
       [ (8, 118, 118, 794, [ 12472; 604; 71388; 0; 215 ]);
         (8, 139, 139, 966, [ 17981; 3045; 83146; 0; 2650 ]) ]
+
+(* the instrumented netlist of one obligation of a Qa.Gen fuzz design *)
+let fuzz_cone ~seed ~index prop_name =
+  let case = Qa.Gen.case_of ~seed ~index in
+  let assumes, assert_ =
+    List.find_map
+      (fun (_, vu) ->
+        Option.map
+          (fun a -> (List.map snd (Psl.Ast.assumes vu), a))
+          (List.assoc_opt prop_name (Psl.Ast.asserts vu)))
+      (Verifiable.Propgen.all case.Qa.Gen.info case.Qa.Gen.spec)
+    |> Option.get
+  in
+  Mc.Engine.instrumented_netlist case.Qa.Gen.info.Verifiable.Transform.mdl
+    ~assert_ ~assumes
+
+(* one BDD traversal on a fresh manager with an always-false interrupt
+   installed, so that its polls are counted *)
+let bdd_work ?node_limit (nl, ok_signal, constraint_signal) engine =
+  let sym = Mc.Sym.create ?node_limit ~interrupt:(fun () -> false) nl in
+  let ok = Mc.Sym.signal_bit sym ok_signal 0 in
+  let constrain =
+    Option.map (fun c -> Mc.Sym.signal_bit sym c 0) constraint_signal
+  in
+  let check :
+      ?constrain:Bdd.t -> ?deadline:Mc.Deadline.t -> Mc.Sym.t -> ok:Bdd.t ->
+      Mc.Reach.result =
+    match engine with
+    | "forward" -> Mc.Reach.check_forward
+    | "backward" -> Mc.Reach.check_backward
+    | "combined" -> Mc.Reach.check_combined
+    | "pobdd" ->
+      Mc.Umc.check_forward_partitioned
+        ~num_split_vars:Mc.Engine.default_budget.Mc.Engine.pobdd_split_vars
+    | other -> invalid_arg other
+  in
+  (sym, fun () -> check ?constrain sym ~ok)
+
+(* The BDD engines' exact work, pinned: verdict, trace length, fixpoint
+   iterations, arena size, largest set and interrupt polls of two seeded
+   cones and one fuzz design under every BDD traversal. The arena is
+   hash-consed and never collected, so these move when the operations
+   build other nodes or build them in another order, and not when the same
+   nodes are built faster. *)
+let test_bdd_pinned_work () =
+  let pin label cone ~expected =
+    let got =
+      List.map
+        (fun engine ->
+          let sym, run = bdd_work cone engine in
+          let verdict, (s : Mc.Reach.stats) =
+            match run () with
+            | Mc.Reach.Proved s -> ("proved", s)
+            | Mc.Reach.Failed (trace, s) ->
+              (Printf.sprintf "failed in %d" (Mc.Trace.length trace), s)
+          in
+          Printf.sprintf "%s %s: %d iterations, %d nodes, set %d, %d polls"
+            engine verdict s.Mc.Reach.iterations s.Mc.Reach.bdd_nodes
+            s.Mc.Reach.peak_set_size
+            (Bdd.interrupt_polls (Mc.Sym.man sym)))
+        [ "forward"; "backward"; "combined"; "pobdd" ]
+    in
+    Alcotest.(check (list string)) label expected got
+  in
+  pin "E_leaf00.pNoError_1" (chip_cone "E_leaf00" "pNoError_1")
+    ~expected:
+      [ "forward proved: 7 iterations, 1843 nodes, set 33, 0 polls";
+        "backward proved: 0 iterations, 845 nodes, set 20, 0 polls";
+        "combined proved: 0 iterations, 1260 nodes, set 20, 0 polls";
+        "pobdd proved: 7 iterations, 1989 nodes, set 33, 0 polls" ];
+  pin "a_csr.pNoError_0" (chip_cone "a_csr" "pNoError_0")
+    ~expected:
+      [ "forward failed in 2: 1 iterations, 891 nodes, set 20, 0 polls";
+        "backward failed in 2: 1 iterations, 600 nodes, set 22, 0 polls";
+        "combined failed in 2: 1 iterations, 985 nodes, set 22, 0 polls";
+        "pobdd failed in 2: 1 iterations, 1022 nodes, set 20, 0 polls" ];
+  pin "fz42_6_fifo.pCheck_mem1_q"
+    (fuzz_cone ~seed:42 ~index:6 "pCheck_mem1_q")
+    ~expected:
+      [ "forward proved: 2 iterations, 18901 nodes, set 264, 2 polls";
+        "backward proved: 0 iterations, 515 nodes, set 18, 0 polls";
+        "combined proved: 0 iterations, 4842 nodes, set 19, 0 polls";
+        "pobdd proved: 2 iterations, 33685 nodes, set 171, 4 polls" ];
+  (* a POBDD run cut by the node limit stops at exactly that allocation *)
+  let limit = 1000 in
+  let sym, run =
+    bdd_work ~node_limit:limit (chip_cone "a_csr" "pNoError_0") "pobdd"
+  in
+  match run () with
+  | exception Bdd.Node_limit ->
+    Alcotest.(check int) "cut at the node limit" limit
+      (Bdd.node_count (Mc.Sym.man sym))
+  | Mc.Reach.Proved _ | Mc.Reach.Failed _ ->
+    Alcotest.fail "pobdd: expected the node limit"
 
 (* IC3 agrees with BDD reachability on the seeded-bug counter: same
    falsifications, and every IC3 trace replays in the simulator *)
@@ -830,7 +931,8 @@ let () =
            test_strategy_names_roundtrip;
          Alcotest.test_case "canonical resource-out causes" `Quick
            test_canonical_ro_causes;
-         Alcotest.test_case "problem size" `Quick test_problem_size ]);
+         Alcotest.test_case "problem size" `Quick test_problem_size;
+         Alcotest.test_case "BDD work counters" `Quick test_bdd_pinned_work ]);
       ("induction",
        [ Alcotest.test_case "k-induction basics" `Quick test_kinduction;
          Alcotest.test_case "agrees with BDD on bug modules" `Slow
