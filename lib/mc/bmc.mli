@@ -6,7 +6,20 @@
     solved as assumptions, so nothing needs retiring) and every learnt
     clause retained. [~incremental:false] rebuilds the encoding and solver
     from scratch at every depth — same queries, same verdicts, used as the
-    differential-testing oracle. *)
+    differential-testing oracle.
+
+    Each mode has its own frame encoder, and both produce the same CNF: the
+    same variables, numbered alike, and the same clauses in the same order.
+    Incremental mode flattens the obligation's one-step cone (the bad
+    signal, the constraint and every next-state function) into int arrays
+    once, when its context is created: the {e template}. Every frame is
+    stamped from it straight into the solver, folding constants and
+    aliases exactly as {!Rtl.Bexpr}'s smart constructors would, without
+    building an expression. Scratch mode keeps the reference encoder:
+    {!Rtl.Bexpr.substitute_many} of the frame's leaves into the cone, then
+    {!Tseitin}. The template pays for itself over many frames; a scratch
+    context encodes each frame once per depth and so keeps the reference,
+    against which the template is tested clause for clause. *)
 
 type stats = {
   depth : int;
@@ -49,7 +62,17 @@ val check :
 type inc
 
 val create_inc :
-  ?constraint_signal:string -> Rtl.Netlist.t -> ok_signal:string -> inc
+  ?incremental:bool ->
+  ?on_clause:(int list -> unit) ->
+  ?constraint_signal:string ->
+  Rtl.Netlist.t ->
+  ok_signal:string ->
+  inc
+(** A context with no frame encoded yet. [incremental] (default [true])
+    picks the template encoder, built here; [false] picks the reference
+    encoder, for a context that one scratch solve uses. [on_clause] sees
+    every clause the encoder emits, in order, in DIMACS literals, as it
+    enters the solver. *)
 
 val solve_depth :
   ?max_conflicts:int ->

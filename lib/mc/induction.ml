@@ -111,7 +111,9 @@ let check ?(incremental = true) ?(max_conflicts = max_int) ?(max_k = 20)
     invalid_arg "Induction.check: ok signal must be 1 bit";
   let ok0 = ok_bits.(0) in
   let mk_step () = create_step ?constraint_signal flat ~nstate ~ninputs ~ok0 in
-  let mk_base () = Bmc.create_inc ?constraint_signal nl ~ok_signal in
+  let mk_base () =
+    Bmc.create_inc ~incremental ?constraint_signal nl ~ok_signal
+  in
   (* in incremental mode one base-case unroller and one step-case solver
      live for the whole run; in scratch mode both are rebuilt per k *)
   let shared_base = if incremental then Some (mk_base ()) else None in

@@ -29,6 +29,17 @@
    literals ascending and learnt clauses keep analysis order for the same
    reason: both decide which literals are watched first.
 
+   Decision order. A decision takes the unassigned variable of highest
+   activity, the lowest index first among equals: a strict total order,
+   kept by a max-heap with lazy deletion. Because the order is strict,
+   the variables a decision pops (stale assigned ones, then the winner)
+   are fixed by the heap's contents alone, so any valid layout decides
+   alike and the heap may move its elements however is cheapest. Its
+   sifts carry a hole, and a pop sends the hole to a leaf along the
+   preceding children before the last element climbs into it. The one
+   event that reorders the keys, an activity rescale that underflows some
+   activities to 0, rebuilds the heap.
+
    The solver is persistent/incremental: a [t] keeps its clause database,
    learnt clauses, VSIDS activities and saved phases across
    [solve_assuming] calls, and solving under assumption literals answers
@@ -73,7 +84,7 @@ type t = {
   mutable cap : int;         (* allocated capacity of the per-var arrays *)
   mutable arena : int array;         (* every clause: header, then literals *)
   mutable arena_size : int;          (* used prefix of [arena] *)
-  mutable num_problem_clauses : int; (* clauses added through add_clause *)
+  mutable num_problem_clauses : int; (* clauses added by the intake *)
   mutable watch_head : int array;    (* per literal: first clause, or -1 *)
   mutable scratch : int array;       (* literals of the clause being built *)
   mutable assigns : int array;       (* -1 / 0 / 1 per var *)
@@ -136,55 +147,92 @@ let create () =
     n_solves = 0; n_decisions = 0; n_conflicts = 0; n_propagations = 0;
     n_restarts = 0; n_learned = 0 }
 
-let heap_lt t a b =
-  t.activity.(a) > t.activity.(b)
-  || (t.activity.(a) = t.activity.(b) && a < b)
-
-let heap_swap t i j =
-  let a = t.heap.(i) and b = t.heap.(j) in
-  t.heap.(i) <- b;
-  t.heap.(j) <- a;
-  t.heap_pos.(b) <- i;
-  t.heap_pos.(a) <- j
-
-let rec heap_sift_up t i =
-  if i > 0 then begin
-    let p = (i - 1) / 2 in
-    if heap_lt t t.heap.(i) t.heap.(p) then begin
-      heap_swap t i p;
-      heap_sift_up t p
+(* The order heap sifts a hole rather than swapping: the moving variable
+   and its activity are read once, each level it passes costs one write,
+   and the variable is written once where it stops. Variable [v] precedes
+   [u] when its activity is higher, or equal with a lower index. *)
+let heap_up t i v =
+  let h = t.heap and pos = t.heap_pos and act = t.activity in
+  let av = act.(v) in
+  let i = ref i and climbing = ref true in
+  while !climbing && !i > 0 do
+    let p = (!i - 1) / 2 in
+    let u = h.(p) in
+    let au = act.(u) in
+    if av > au || (av = au && v < u) then begin
+      h.(!i) <- u;
+      pos.(u) <- !i;
+      i := p
     end
-  end
+    else climbing := false
+  done;
+  h.(!i) <- v;
+  pos.(v) <- !i
 
-let rec heap_sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let m = ref i in
-  if l < t.heap_size && heap_lt t t.heap.(l) t.heap.(!m) then m := l;
-  if r < t.heap_size && heap_lt t t.heap.(r) t.heap.(!m) then m := r;
-  if !m <> i then begin
-    heap_swap t i !m;
-    heap_sift_down t !m
+(* Of slot i's children below size n (it has at least one), the one that
+   precedes. *)
+let[@inline] heap_child t n i =
+  let l = (2 * i) + 1 in
+  if l + 1 < n then begin
+    let x = t.heap.(l) and y = t.heap.(l + 1) in
+    let ax = t.activity.(x) and ay = t.activity.(y) in
+    if ay > ax || (ay = ax && y < x) then l + 1 else l
   end
+  else l
+
+let heap_down t i =
+  let h = t.heap and pos = t.heap_pos and act = t.activity in
+  let n = t.heap_size in
+  let v = h.(i) in
+  let av = act.(v) in
+  let i = ref i and sinking = ref true in
+  while !sinking && (2 * !i) + 1 < n do
+    let c = heap_child t n !i in
+    let u = h.(c) in
+    let au = act.(u) in
+    if au > av || (au = av && u < v) then begin
+      h.(!i) <- u;
+      pos.(u) <- !i;
+      i := c
+    end
+    else sinking := false
+  done;
+  h.(!i) <- v;
+  pos.(v) <- !i
 
 let heap_insert t v =
   if t.heap_pos.(v) < 0 then begin
-    t.heap.(t.heap_size) <- v;
-    t.heap_pos.(v) <- t.heap_size;
     t.heap_size <- t.heap_size + 1;
-    heap_sift_up t (t.heap_size - 1)
+    heap_up t (t.heap_size - 1) v
   end
 
+(* Bottom-up pop: the hole left at the root descends along the preceding
+   child to a leaf, one comparison a level, and the last element fills it
+   and climbs. Coming from the bottom, that element rarely climbs far,
+   where sifting it down from the root compares it at every level. *)
 let heap_pop t =
-  let v = t.heap.(0) in
-  t.heap_size <- t.heap_size - 1;
-  t.heap_pos.(v) <- -1;
-  if t.heap_size > 0 then begin
-    let last = t.heap.(t.heap_size) in
-    t.heap.(0) <- last;
-    t.heap_pos.(last) <- 0;
-    heap_sift_down t 0
+  let h = t.heap and pos = t.heap_pos in
+  let v = h.(0) in
+  pos.(v) <- -1;
+  let n = t.heap_size - 1 in
+  t.heap_size <- n;
+  if n > 0 then begin
+    let i = ref 0 in
+    while (2 * !i) + 1 < n do
+      let c = heap_child t n !i in
+      let u = h.(c) in
+      h.(!i) <- u;
+      pos.(u) <- !i;
+      i := c
+    done;
+    heap_up t !i h.(n)
   end;
   v
+
+let heap_rebuild t =
+  for i = (t.heap_size / 2) - 1 downto 0 do
+    heap_down t i
+  done
 
 let grow_to t want =
   let cap = ref t.cap in
@@ -239,7 +287,7 @@ let reserve_scratch t n =
 let num_vars t = t.nvars
 let num_clauses t = t.num_problem_clauses
 
-let value t l =
+let[@inline] value t l =
   let a = t.assigns.(var_of l) in
   if a < 0 then -1 else a lxor (l land 1)
 
@@ -257,7 +305,7 @@ let push_level t =
   t.n_levels <- t.n_levels + 1
 
 (* Put clause [c] at the head of literal [l]'s chain through link cell [s]. *)
-let push_watch t l c s =
+let[@inline] push_watch t l c s =
   t.arena.(s) <- t.watch_head.(l);
   t.watch_head.(l) <- c
 
@@ -271,8 +319,13 @@ let store t n =
     Array.blit t.arena 0 bigger 0 c;
     t.arena <- bigger
   end;
-  t.arena.(c) <- n;
-  Array.blit t.scratch 0 t.arena (c + header) n;
+  (* a loop, not Array.blit: the arena lives in the major heap, where a
+     blit pays a write barrier per element *)
+  let a = t.arena and s = t.scratch in
+  a.(c) <- n;
+  for i = 0 to n - 1 do
+    a.(c + header + i) <- s.(i)
+  done;
   t.arena_size <- size;
   push_watch t t.scratch.(0) c (c + 1);
   push_watch t t.scratch.(1) c (c + 2);
@@ -331,39 +384,60 @@ let sort_uniq (s : int array) n =
   done;
   !m
 
-(* Add a problem clause (DIMACS literals). Must be called at decision level
-   0, i.e. between solves. Root-level simplification: literals already false
-   at the root are dropped (root assignments are permanent), clauses already
-   true at the root are discarded, the empty clause flips the solver into
-   [unsat] forever, units are enqueued at the root. The stored clause keeps
-   its literals in ascending order. *)
+(* The intake core behind both entry points, for the clause in
+   scratch.(0 .. n-1). Must be called at decision level 0, i.e. between
+   solves. Root-level simplification: literals already false at the root
+   are dropped (root assignments are permanent), clauses already true at
+   the root are discarded, the empty clause flips the solver into [unsat]
+   forever, units are enqueued at the root. The stored clause keeps its
+   literals in ascending order. *)
+let intake t n =
+  let s = t.scratch in
+  let n = sort_uniq s n in
+  if n > 0 then ensure_vars t (var_of s.(n - 1) + 1);
+  (* sorted, a literal and its negation are neighbours *)
+  let tautology = ref false and satisfied = ref false in
+  for i = 0 to n - 1 do
+    if i + 1 < n && neg s.(i) = s.(i + 1) then tautology := true;
+    if value t s.(i) = 1 then satisfied := true
+  done;
+  if not (!tautology || !satisfied) then begin
+    let kept = ref 0 in
+    for i = 0 to n - 1 do
+      if value t s.(i) <> 0 then begin
+        s.(!kept) <- s.(i);
+        incr kept
+      end
+    done;
+    match !kept with
+    | 0 -> t.unsat <- true
+    | 1 -> if not (enqueue t s.(0) (-1)) then t.unsat <- true
+    | len -> ignore (store t len)
+  end
+
 let add_clause t clause =
   check_dimacs "Solver.add_clause" clause;
   t.num_problem_clauses <- t.num_problem_clauses + 1;
   if not t.unsat then begin
     reserve_scratch t (List.length clause);
+    intake t (fill t.scratch 0 clause)
+  end
+
+let add_clause_slice t buf off len =
+  if off < 0 || len < 0 || off > Array.length buf - len then
+    invalid_arg "Solver.add_clause_slice: not a slice of the buffer";
+  for i = off to off + len - 1 do
+    if buf.(i) = 0 then
+      invalid_arg "Solver.add_clause_slice: 0 is not a DIMACS literal"
+  done;
+  t.num_problem_clauses <- t.num_problem_clauses + 1;
+  if not t.unsat then begin
+    reserve_scratch t len;
     let s = t.scratch in
-    let n = sort_uniq s (fill s 0 clause) in
-    if n > 0 then ensure_vars t (var_of s.(n - 1) + 1);
-    (* sorted, a literal and its negation are neighbours *)
-    let tautology = ref false and satisfied = ref false in
-    for i = 0 to n - 1 do
-      if i + 1 < n && neg s.(i) = s.(i + 1) then tautology := true;
-      if value t s.(i) = 1 then satisfied := true
+    for i = 0 to len - 1 do
+      s.(i) <- lit_of_dimacs buf.(off + i)
     done;
-    if not (!tautology || !satisfied) then begin
-      let kept = ref 0 in
-      for i = 0 to n - 1 do
-        if value t s.(i) <> 0 then begin
-          s.(!kept) <- s.(i);
-          incr kept
-        end
-      done;
-      match !kept with
-      | 0 -> t.unsat <- true
-      | 1 -> if not (enqueue t s.(0) (-1)) then t.unsat <- true
-      | len -> ignore (store t len)
-    end
+    intake t len
   end
 
 (* Returns the offset of a conflicting clause, or -1. *)
@@ -425,14 +499,18 @@ let propagate t =
 let bump t v =
   t.activity.(v) <- t.activity.(v) +. t.var_inc;
   if t.activity.(v) > 1e100 then begin
-    (* uniform rescale: relative (activity, index) order is unchanged, so
-       the heap invariant survives without a rebuild *)
+    (* Uniform rescale. It keeps the (activity, index) order except where
+       an activity underflows to 0: about four rescales after its last
+       bump a variable ties with the never-bumped ones, and the index
+       then decides. The heap is rebuilt under the new order, so it stays
+       valid and the decisions stay those of the order alone. *)
     for i = 0 to t.nvars - 1 do
       t.activity.(i) <- t.activity.(i) *. 1e-100
     done;
-    t.var_inc <- t.var_inc *. 1e-100
-  end;
-  if t.heap_pos.(v) >= 0 then heap_sift_up t t.heap_pos.(v)
+    t.var_inc <- t.var_inc *. 1e-100;
+    heap_rebuild t
+  end
+  else if t.heap_pos.(v) >= 0 then heap_up t t.heap_pos.(v) v
 
 (* First-UIP analysis of the conflict clause at [confl]. Leaves the learnt
    clause in scratch.(0 .. n-1) and returns n: the negated UIP first, then

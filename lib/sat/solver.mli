@@ -23,7 +23,18 @@
     clause propagates first, hence every reason, learnt clause and later
     decision), so it is kept; as are the ascending literal order of stored
     problem clauses and the literal order of learnt clauses, which analysis
-    and the choice of watches read. *)
+    and the choice of watches read.
+
+    Decisions. The next decision variable is the unassigned one of highest
+    activity, the lowest index breaking ties. A binary max-heap under that
+    order holds the candidates, assigned ones lingering until a decision
+    pops them. Its sifts move a hole instead of swapping, and a pop walks
+    the hole from the root to a leaf before the last element climbs into
+    it. The order is strict and total, so which variables a decision pops
+    depends only on which variables the heap holds, never on where they
+    sit: any valid layout makes the same decisions. An activity rescale
+    can reorder variables whose activity underflows to 0, so the heap is
+    rebuilt after each one. *)
 
 type result =
   | Sat of bool array  (** [model.(v-1)] is the value of DIMACS variable [v] *)
@@ -64,6 +75,14 @@ val add_clause : t -> int list -> unit
     empty clause makes the solver permanently unsatisfiable.
     @raise Invalid_argument on a literal [0], before any state changes. *)
 
+val add_clause_slice : t -> int array -> int -> int -> unit
+(** [add_clause_slice t buf off len] adds the clause of DIMACS literals
+    [buf.(off) .. buf.(off+len-1)] exactly as {!add_clause} adds the same
+    literals as a list, without building one: an encoder can stream
+    clauses from one reusable buffer.
+    @raise Invalid_argument on a literal [0] or a range outside [buf],
+    before any state changes. *)
+
 val solve_assuming :
   ?max_conflicts:int -> ?should_stop:(unit -> bool) -> t -> int list -> result
 (** [solve_assuming t assumptions] decides satisfiability of the clause
@@ -95,7 +114,8 @@ val num_vars : t -> int
 (** Highest DIMACS variable seen so far. Models index [0 .. num_vars-1]. *)
 
 val num_clauses : t -> int
-(** Problem clauses added via {!add_clause} (learnt clauses excluded). *)
+(** Problem clauses added via {!add_clause} or {!add_clause_slice} (learnt
+    clauses excluded). *)
 
 val solves : t -> int
 (** Number of [solve_assuming] calls made on this solver so far. *)

@@ -66,28 +66,12 @@ let test_pp () =
   Alcotest.(check string) "pp slice" "a[3:1]"
     (E.to_string (E.slice (E.var "a") ~hi:3 ~lo:1))
 
-(* random expression generator over two 4-bit signals and one 1-bit signal *)
+(* random expression generator over two 4-bit signals and 4-bit constants *)
 let gen_expr =
   let open QCheck.Gen in
   let leaf4 = oneof [ return (E.var "a"); return (E.var "b");
                       map (fun n -> E.of_int ~width:4 (n land 15)) small_nat ] in
-  fix
-    (fun self depth ->
-      if depth = 0 then leaf4
-      else
-        frequency
-          [ (2, leaf4);
-            (2, map2 (fun a b -> E.(a &: b)) (self (depth - 1)) (self (depth - 1)));
-            (2, map2 (fun a b -> E.(a |: b)) (self (depth - 1)) (self (depth - 1)));
-            (2, map2 (fun a b -> E.(a ^: b)) (self (depth - 1)) (self (depth - 1)));
-            (2, map2 (fun a b -> E.(a +: b)) (self (depth - 1)) (self (depth - 1)));
-            (2, map2 (fun a b -> E.(a -: b)) (self (depth - 1)) (self (depth - 1)));
-            (1, map (fun a -> E.(!:a)) (self (depth - 1)));
-            (1,
-             map3
-               (fun c a b -> E.mux (E.bit c 0) a b)
-               (self (depth - 1)) (self (depth - 1)) (self (depth - 1))) ])
-    3
+  Rtl_gen.expr leaf4 3
 
 let arb_expr = QCheck.make ~print:E.to_string gen_expr
 

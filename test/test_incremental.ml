@@ -4,7 +4,9 @@
    rebuild-from-scratch oracles: same verdicts, same final depths/k, same
    trace lengths — on every structurally distinct seeded-chip obligation and
    on a Qa.Gen fuzz stream. Every IC3 proof met on the way, in either mode,
-   is checked with BDDs. The solver itself is pinned by a QCheck
+   is checked with BDDs. On the same obligations, and on random small
+   netlists, BMC's template frame encoder must emit the reference encoder's
+   clauses in the reference's order. The solver itself is pinned by a QCheck
    equivalence (solve_assuming A = fresh solve of CNF ∧ A) and a
    determinism/retention regression. The arena BDD is pinned against
    exhaustive truth tables across slab growth and unique-table rehashes. *)
@@ -82,7 +84,49 @@ let report_ic3_proofs () =
   ic3_proofs_checked := 0;
   ic3_proofs_over_limit := 0
 
+(* The template frame encoder against the reference, clause for clause:
+   frames 0..[depth] of one obligation through each, each into a fresh
+   context solved depth by depth. The clause streams (each clause a sorted
+   literal set), the variable and clause counts, and every depth's answer,
+   trace and search counters must be equal. *)
+let encoder_run ~depth (nl, ok_signal, constraint_signal) incremental =
+  let clauses = ref [] in
+  let inc =
+    Mc.Bmc.create_inc ~incremental
+      ~on_clause:(fun c -> clauses := List.sort_uniq compare c :: !clauses)
+      ?constraint_signal nl ~ok_signal
+  in
+  let answers = ref [] in
+  for d = 0 to depth do
+    let outcome, (st : Solver.stats) =
+      Mc.Bmc.solve_depth ~max_conflicts:50_000 inc ~depth:d
+    in
+    let verdict =
+      match outcome with
+      | `No_violation -> "no-violation"
+      | `Unknown -> "unknown"
+      | `Violation trace -> "violation\n" ^ Mc.Trace.to_string trace
+    in
+    answers :=
+      Printf.sprintf "depth %d: %s\n%d/%d/%d/%d/%d" d verdict st.decisions
+        st.conflicts st.propagations st.restarts st.learned
+      :: !answers
+  done;
+  ( List.rev !clauses, Mc.Bmc.inc_cnf_vars inc, Mc.Bmc.inc_cnf_clauses inc,
+    List.rev !answers )
+
+let check_encoders ~label ~depth prep =
+  let clauses, vars, nclauses, answers = encoder_run ~depth prep true
+  and clauses', vars', nclauses', answers' = encoder_run ~depth prep false in
+  Alcotest.(check int) (label ^ ": template cnf_vars") vars' vars;
+  Alcotest.(check int) (label ^ ": template cnf_clauses") nclauses' nclauses;
+  Alcotest.(check bool) (label ^ ": template clause stream") true
+    (clauses = clauses');
+  Alcotest.(check (list string)) (label ^ ": template answers") answers'
+    answers
+
 let check_netlist_both ~label ((nl, ok_signal, constraint_signal) as prep) =
+  check_encoders ~label ~depth:20 prep;
   let bmc inc =
     bmc_sig
       (Mc.Bmc.check ~incremental:inc ~max_conflicts:50_000 ?constraint_signal
@@ -174,6 +218,68 @@ let test_fuzz_stream_differential () =
       (Verifiable.Propgen.all case.Qa.Gen.info case.Qa.Gen.spec)
   done;
   report_ic3_proofs ()
+
+(* ---- the template on random small netlists ---- *)
+
+module W = Rtl.Expr
+
+(* 1-4 four-bit registers over inputs a and b, with random resets; the
+   next-state functions and the ok bit come from the expression generator
+   over the inputs, the registers and constants, 0000 and 1111 among them.
+   Registers that reset to or hold constants fold frames; a register that
+   copies an input or another register makes frames carry aliases; an xor
+   with a register that folds to 1111 is a Not that another Not undoes;
+   and muxes whose arms fold to constants, or to one leaf, reach every ite
+   rewrite. *)
+let gen_netlist =
+  let open QCheck.Gen in
+  int_range 1 4 >>= fun nregs ->
+  let names = List.init nregs (Printf.sprintf "r%d") in
+  let const n = W.of_int ~width:4 n in
+  let leaf =
+    oneof
+      ([ return (W.var "a"); return (W.var "b"); return (const 0);
+         return (const 15); map (fun n -> const (n land 15)) small_nat ]
+      @ List.map (fun r -> return (W.var r)) names)
+  in
+  let word = Rtl_gen.expr leaf 2 in
+  let next =
+    frequency
+      [ (4, word);
+        (2, leaf);
+        (1, map2 (fun r e -> W.(!:(!:(r ^: e)))) leaf word);
+        (2, map3 (fun c a b -> W.mux (W.bit c 0) a b) word leaf leaf) ]
+  in
+  list_repeat nregs (pair (int_bound 15) next) >>= fun regs ->
+  next >>= fun w ->
+  oneofl [ W.red_or w; W.bit w 0; W.(w <>: of_int ~width:4 15); W.red_and w ]
+  >|= fun ok ->
+  let regs =
+    List.map2
+      (fun name (reset, next) ->
+        { Rtl.Netlist.name; width = 4;
+          reset_value = Bitvec.of_int ~width:4 reset; next;
+          cls = Rtl.Mdl.Plain; parity_protected = false })
+      names regs
+  in
+  { Rtl.Netlist.top = "rand"; inputs = [ ("a", 4); ("b", 4) ];
+    outputs = [ ("ok", 1) ]; wires = []; assigns = [ ("ok", ok) ]; regs }
+
+let print_netlist (nl : Rtl.Netlist.t) =
+  String.concat "; "
+    (List.map
+       (fun (r : Rtl.Netlist.flat_reg) ->
+         Printf.sprintf "%s <= %s (reset %s)" r.Rtl.Netlist.name
+           (W.to_string r.Rtl.Netlist.next)
+           (Bitvec.to_string r.Rtl.Netlist.reset_value))
+       nl.Rtl.Netlist.regs
+    @ List.map (fun (n, e) -> n ^ " = " ^ W.to_string e) nl.Rtl.Netlist.assigns)
+
+let prop_template_equals_reference =
+  QCheck.Test.make ~name:"template frames == reference frames" ~count:300
+    (QCheck.make ~print:print_netlist gen_netlist) (fun nl ->
+      check_encoders ~label:"random netlist" ~depth:6 (nl, "ok", None);
+      true)
 
 (* ---- solve_assuming A == fresh solve of (CNF ∧ A), sequenced ---- *)
 
@@ -530,6 +636,8 @@ let () =
          Alcotest.test_case "determinism" `Quick test_solver_determinism;
          Alcotest.test_case "learnt retention across restarts" `Quick
            test_learnt_retention ]);
+      ("encoder",
+       [ QCheck_alcotest.to_alcotest prop_template_equals_reference ]);
       ("preparation",
        [ Alcotest.test_case "prepare_module == instrumented_netlist" `Quick
            test_prepare_module_identity ]);

@@ -2,7 +2,7 @@
    incremental interface, the failed-assumption core, instances large
    enough to grow every buffer, random CNFs checked against brute force,
    equisatisfiability of the encoding, and the exact search counters of two
-   BMC runs. *)
+   BMC runs and of the activity-rescale path. *)
 
 module X = Rtl.Bexpr
 
@@ -88,9 +88,16 @@ let test_literal_zero_rejected () =
   Alcotest.check_raises "clause literal 0"
     (Invalid_argument "Solver.add_clause: 0 is not a DIMACS literal")
     (fun () -> Solver.add_clause t [ 0 ]);
-  Alcotest.(check int) "rejected clause not counted" 1 (Solver.num_clauses t);
-  (* nothing of the rejected calls is left behind: [-1] is a root unit *)
-  Solver.add_clause t [ -1 ];
+  Alcotest.check_raises "slice literal 0"
+    (Invalid_argument "Solver.add_clause_slice: 0 is not a DIMACS literal")
+    (fun () -> Solver.add_clause_slice t [| 3; 0; 4 |] 0 3);
+  Alcotest.check_raises "slice past the buffer"
+    (Invalid_argument "Solver.add_clause_slice: not a slice of the buffer")
+    (fun () -> Solver.add_clause_slice t [| 3; 4 |] 1 2);
+  Alcotest.(check int) "rejected clauses not counted" 1 (Solver.num_clauses t);
+  (* nothing of the rejected calls is left behind: [-1], taken from the
+     middle of a buffer, is a root unit *)
+  Solver.add_clause_slice t [| 0; -1; 0 |] 1 1;
   match Solver.solve_assuming t [] with
   | Solver.Sat m ->
     Alcotest.(check bool) "same model as a fresh solver" true
@@ -258,26 +265,30 @@ let test_planted_3sat () =
     | Solver.Unsat | Solver.Unknown -> Alcotest.fail "planted 3-SAT is sat"
   done
 
+(* php(pigeons, holes) over variables base+1 .. base+pigeons*holes: every
+   pigeon in a hole, no two pigeons in one hole *)
+let php_clauses ?(base = 0) pigeons holes =
+  let var p h = base + (p * holes) + h + 1 in
+  List.init pigeons (fun p -> List.init holes (var p))
+  @ List.concat_map
+      (fun h ->
+        List.concat_map
+          (fun p1 ->
+            List.filter_map
+              (fun p2 ->
+                if p2 > p1 then Some [ -var p1 h; -var p2 h ] else None)
+              (List.init pigeons Fun.id))
+          (List.init pigeons Fun.id))
+      (List.init holes Fun.id)
+
 let test_pigeonhole_8_7 () =
-  let pigeons = 8 and holes = 7 in
-  let var p h = (p * holes) + h + 1 in
-  let clauses =
-    List.init pigeons (fun p -> List.init holes (var p))
-    @ List.concat_map
-        (fun h ->
-          List.concat_map
-            (fun p1 ->
-              List.filter_map
-                (fun p2 ->
-                  if p2 > p1 then Some [ -var p1 h; -var p2 h ] else None)
-                (List.init pigeons Fun.id))
-            (List.init pigeons Fun.id))
-        (List.init holes Fun.id)
-  in
   Alcotest.(check bool) "php(8,7) unsat" true
-    (is_unsat (Solver.solve (cnf (pigeons * holes) clauses)))
+    (is_unsat (Solver.solve (cnf 56 (php_clauses 8 7))))
 
 (* --- the search itself, pinned --- *)
+
+let row (st : Solver.stats) =
+  [ st.decisions; st.conflicts; st.propagations; st.restarts; st.learned ]
 
 (* Two seeded-chip cones through incremental BMC to depth 20, each a
    sequence of solves on one live solver: one proved to the bound (with
@@ -307,9 +318,6 @@ let test_pinned_bmc_search () =
     in
     let label = mname ^ "." ^ prop in
     Alcotest.(check bool) (label ^ " verdict") violation found;
-    let row (st : Solver.stats) =
-      [ st.decisions; st.conflicts; st.propagations; st.restarts; st.learned ]
-    in
     Alcotest.(check (list int)) (label ^ " sat stats") (row expected)
       (row s.Mc.Bmc.sat)
   in
@@ -319,6 +327,35 @@ let test_pinned_bmc_search () =
   check "e_dec0" "pNoError_0" ~violation:true
     { decisions = 317; conflicts = 201; propagations = 9234; restarts = 1;
       learned = 201 }
+
+(* The activity rescale: once an activity passes 1e100 every activity is
+   scaled by 1e-100, and the order heap is rebuilt. php(8,7) rescales once
+   in one solve. Five guarded copies of it on one persistent solver, solved
+   one after another, rescale four times, so an early copy's activities
+   shrink by up to 1e-400 and can underflow to 0. The decisions must be
+   those of the (activity, index) order throughout. *)
+let test_pinned_rescale () =
+  let _, st = Solver.solve_stats (cnf 56 (php_clauses 8 7)) in
+  Alcotest.(check (list int)) "php(8,7) sat stats"
+    [ 5413; 4656; 61648; 7; 4655 ] (row st);
+  (* copy c on variables (4-c)*57+1 .. +56, each clause guarded by -a_c,
+     a_c = (4-c)*57+57; every clause first, then one solve per copy *)
+  let t = Solver.create () in
+  let guard c = ((4 - c) * 57) + 57 in
+  for c = 0 to 4 do
+    List.iter
+      (fun clause -> Solver.add_clause t (clause @ [ -guard c ]))
+      (php_clauses ~base:((4 - c) * 57) 8 7)
+  done;
+  let total = ref Solver.zero_stats in
+  for c = 0 to 4 do
+    let r, st = Solver.solve_assuming_stats t [ guard c ] in
+    Alcotest.(check bool) (Printf.sprintf "copy %d unsat" c) true (is_unsat r);
+    total := Solver.add_stats !total st
+  done;
+  Alcotest.(check (list int)) "five copies: decisions to restarts"
+    [ 25100; 20585; 267046; 34 ]
+    (List.filteri (fun i _ -> i < 4) (row !total))
 
 (* --- random CNFs vs brute force --- *)
 
@@ -453,7 +490,8 @@ let () =
          Alcotest.test_case "pigeonhole 8/7" `Quick test_pigeonhole_8_7 ]);
       ("pinned",
        [ Alcotest.test_case "BMC search counters" `Quick
-           test_pinned_bmc_search ]);
+           test_pinned_bmc_search;
+         Alcotest.test_case "activity rescale" `Quick test_pinned_rescale ]);
       ("dimacs",
        [ Alcotest.test_case "roundtrip" `Quick test_dimacs_roundtrip;
          Alcotest.test_case "errors" `Quick test_dimacs_errors;
