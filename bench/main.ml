@@ -86,7 +86,6 @@ let write_bench_json path =
          ("resource_out", J.Int g.Core.Campaign.resource_out);
          ("errors", J.Int g.Core.Campaign.errors);
          ("cache_hits", J.Int c.Core.Campaign.cache_hits);
-         ("replayed", J.Int c.Core.Campaign.replayed);
          ("retries", J.Int c.Core.Campaign.retries) ]
       @ Core.Campaign.perf_json c
       @ [ ("strategy_wins",

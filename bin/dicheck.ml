@@ -139,14 +139,13 @@ let write_diagnosis_dir dir (ds : Diag.Diagnosis.diagnosed list) =
 
 let campaign_cmd =
   let run with_bugs jobs csv cache_path no_cache deadline node_limit
-      no_incremental max_retries journal_path resume trace metrics
-      progress_interval diagnose portfolio_spec self_heal status_socket
-      flight_path no_flight =
+      no_incremental max_retries trace metrics progress_interval diagnose
+      portfolio_spec self_heal status_socket flight_path =
     try
       (* the flight recorder is always on: bounded memory, allocation-light
          writes, and it is exactly the runs that do NOT exit cleanly that
          need their recent history *)
-      if not no_flight then Obs.Flight.enable ();
+      Obs.Flight.enable ();
       Sys.set_signal Sys.sigusr1
         (Sys.Signal_handle
            (fun _ ->
@@ -156,7 +155,7 @@ let campaign_cmd =
       let chip = Chip.Generator.generate ~with_bugs () in
       let cache =
         if no_cache then Mc.Cache.create ()
-        else Mc.Cache.load_or_create cache_path
+        else Mc.Cache.open_file cache_path
       in
       (* record spans/counters only when an artifact actually wants them *)
       let recording = trace <> None || metrics <> None in
@@ -200,21 +199,6 @@ let campaign_cmd =
               Printf.eprintf "invalid --portfolio %s: %s\n" spec msg;
               exit 2)
       in
-      let journal =
-        match journal_path with
-        | None ->
-          if resume then begin
-            Printf.eprintf "error: --resume requires --journal FILE\n";
-            exit 3
-          end;
-          None
-        | Some path -> Some (Core.Journal.create ~resume path)
-      in
-      (match journal with
-       | Some j when Core.Journal.replay_count j > 0 ->
-         Printf.eprintf "resuming: %d obligations replayed from %s\n%!"
-           (Core.Journal.replay_count j) (Core.Journal.path j)
-       | _ -> ());
       let warm = Mc.Cache.length cache in
       (* the status model always backs the stderr heartbeat; --status-socket
          additionally serves it to `dicheck top` *)
@@ -232,12 +216,11 @@ let campaign_cmd =
         if now -. !last > progress_interval then begin
           last := now;
           Printf.eprintf
-            "... %d/%d (%.0fs; %d cache hits, %d replayed, %d retries, %d \
-             healed, %d raced%s)\n%!"
+            "... %d/%d (%.0fs; %d cache hits, %d retries, %d healed, %d \
+             raced%s)\n%!"
             s.Core.Status.s_done s.Core.Status.s_total s.Core.Status.s_elapsed_s
-            s.Core.Status.s_cache_hits s.Core.Status.s_replayed
-            s.Core.Status.s_retries s.Core.Status.s_healed
-            s.Core.Status.s_raced
+            s.Core.Status.s_cache_hits s.Core.Status.s_retries
+            s.Core.Status.s_healed s.Core.Status.s_raced
             (match s.Core.Status.s_eta_s with
              | Some e -> Printf.sprintf "; ETA %.0fs" e
              | None -> "")
@@ -245,14 +228,14 @@ let campaign_cmd =
       in
       let c =
         try
-          Core.Campaign.run ?budget ?strategy ~progress ~jobs ~cache ?journal
+          Core.Campaign.run ?budget ?strategy ~progress ~jobs ~cache
             ~max_retries ?self_heal ~status chip
         with e ->
           Option.iter Core.Status.shutdown server;
           raise e
       in
       Option.iter Core.Status.shutdown server;
-      Option.iter Core.Journal.close journal;
+      Mc.Cache.close cache;
       (* diagnose before stopping telemetry so the diag spans/counters land
          in the --trace and --metrics artifacts *)
       (match diagnose with
@@ -286,12 +269,10 @@ let campaign_cmd =
         "wall time %.1fs, %d jobs; cache: %d hits, %d proved fresh (%d warm \
          entries loaded)\n"
         c.Core.Campaign.wall_time_s (max 1 jobs) c.Core.Campaign.cache_hits
-        (List.length c.Core.Campaign.results
-        - c.Core.Campaign.cache_hits - c.Core.Campaign.replayed)
+        (List.length c.Core.Campaign.results - c.Core.Campaign.cache_hits)
         warm;
-      if c.Core.Campaign.replayed > 0 || c.Core.Campaign.retries > 0 then
-        Printf.printf "robustness: %d replayed from journal, %d crash retries\n"
-          c.Core.Campaign.replayed c.Core.Campaign.retries;
+      if c.Core.Campaign.retries > 0 then
+        Printf.printf "robustness: %d crash retries\n" c.Core.Campaign.retries;
       if Option.is_some strategy then
         Printf.printf "strategy wins:%s\n"
           (String.concat ""
@@ -321,14 +302,6 @@ let campaign_cmd =
          Core.Campaign.write_csv c path;
          Printf.eprintf "per-property results written to %s\n" path
        | None -> ());
-      if not no_cache then begin
-        match Mc.Cache.save cache cache_path with
-        | () ->
-          Printf.eprintf "result cache saved to %s (%d entries)\n" cache_path
-            (Mc.Cache.length cache)
-        | exception Sys_error msg ->
-          Printf.eprintf "warning: could not save result cache: %s\n" msg
-      end;
       (* 0 all proved; 1 property failures; 2 no failures but unresolved
          (resource-out or error) verdicts remain; 3 internal error *)
       let g = c.Core.Campaign.grand_total in
@@ -376,14 +349,15 @@ let campaign_cmd =
   let cache_path =
     Arg.(value & opt string ".dicheck.cache"
          & info [ "cache" ] ~docv:"PATH"
-             ~doc:"Persistent structural result cache; loaded before and \
-                   saved after the run, so a repeated campaign reuses every \
-                   verdict.")
+             ~doc:"Persistent structural result cache. Every verdict is \
+                   appended to it (fsync'd) as it is recorded, so a repeated \
+                   campaign reuses every verdict, and a killed one resumes \
+                   where it stopped when run again with the same cache.")
   in
   let no_cache =
     Arg.(value & flag
          & info [ "no-cache" ]
-             ~doc:"Do not load or save the persistent cache (verdicts are \
+             ~doc:"Do not read or write the persistent cache (verdicts are \
                    still deduplicated within the run).")
   in
   let deadline =
@@ -408,27 +382,15 @@ let campaign_cmd =
                    rebuild their CNF encodings from scratch at every depth \
                    instead of keeping one live solver per obligation. \
                    Verdicts are identical either way (the differential suite \
-                   enforces it); this is the slow oracle mode. Cache and \
-                   journal keys carry a distinct salt, so scratch runs never \
-                   answer incremental ones.")
+                   enforces it); this is the slow oracle mode. Cache keys \
+                   carry a distinct salt, so scratch runs never answer \
+                   incremental ones.")
   in
   let max_retries =
     Arg.(value & opt int 2
          & info [ "max-retries" ] ~docv:"N"
              ~doc:"Re-run a crashed obligation up to N times with a halved \
                    budget before recording an error verdict.")
-  in
-  let journal_path =
-    Arg.(value & opt (some string) None
-         & info [ "journal" ] ~docv:"FILE"
-             ~doc:"Append every completed obligation to FILE (fsync'd), so \
-                   a killed campaign can be resumed.")
-  in
-  let resume =
-    Arg.(value & flag
-         & info [ "resume" ]
-             ~doc:"Replay verdicts already in the --journal file instead of \
-                   re-running their engines.")
   in
   let trace =
     Arg.(value & opt (some string) None
@@ -493,13 +455,6 @@ let campaign_cmd =
                    observational; verdicts are identical with or without \
                    it.")
   in
-  let no_flight =
-    Arg.(value & flag
-         & info [ "no-flight" ]
-             ~doc:"Disable the flight recorder (it is on by default; \
-                   records are then free no-ops). Exists mainly to measure \
-                   the recorder's overhead.")
-  in
   let flight_path =
     Arg.(value & opt string "dicheck-flight.json"
          & info [ "flight" ] ~docv:"PATH"
@@ -511,10 +466,9 @@ let campaign_cmd =
   in
   Cmd.v (Cmd.info "campaign" ~doc:"Run the full formal campaign (Table 2).")
     Term.(const run $ with_bugs $ jobs $ csv $ cache_path $ no_cache
-          $ deadline $ node_limit $ no_incremental $ max_retries
-          $ journal_path $ resume $ trace $ metrics $ progress_interval
-          $ diagnose $ portfolio $ self_heal $ status_socket $ flight_path
-          $ no_flight)
+          $ deadline $ node_limit $ no_incremental $ max_retries $ trace
+          $ metrics $ progress_interval $ diagnose $ portfolio $ self_heal
+          $ status_socket $ flight_path)
 
 (* ---- explain ---- *)
 
@@ -1073,9 +1027,9 @@ let render_status j =
     (int "done") (int "total") (int "proved") (int "failed")
     (int "resource_out") (int "errors");
   Printf.printf
-    "%d cache hits, %d replayed, %d retries, %d healed, %d raced; %.1f ob/s%s\n"
-    (int "cache_hits") (int "replayed") (int "retries") (int "healed")
-    (int "raced") (flt "rate_per_s")
+    "%d cache hits, %d retries, %d healed, %d raced; %.1f ob/s%s\n"
+    (int "cache_hits") (int "retries") (int "healed") (int "raced")
+    (flt "rate_per_s")
     (match Option.bind (J.member "eta_s" j) J.to_float with
      | Some e -> Printf.sprintf ", ETA %.0fs" e
      | None -> "");

@@ -10,7 +10,6 @@ type prop_result = {
   outcome : Mc.Engine.outcome;
   bug : Chip.Bugs.id option;
   cache_hit : bool;
-  replayed : bool;
   attempts : int;
   healed : bool;
 }
@@ -53,7 +52,6 @@ type t = {
   wall_time_s : float;
   cache_hits : int;
   retries : int;
-  replayed : int;
   healing : heal_totals option;
 }
 
@@ -128,7 +126,7 @@ type cell = {
 }
 
 let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
-    ?jobs ?cache ?journal ?(max_retries = 2) ?fault_hook ?self_heal ?status
+    ?jobs ?cache ?(max_retries = 2) ?fault_hook ?self_heal ?status
     (chip : G.t) =
   let t0 = Unix.gettimeofday () in
   let cache = match cache with Some c -> c | None -> Mc.Cache.create () in
@@ -137,7 +135,7 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
   let exec = Executor.of_jobs jobs in
   (* a portfolio races its members on a pool and ladders them on one job;
      [Auto] always ladders. The fingerprint salt covers the members and
-     their budgets, so the cache/journal key is the same either way *)
+     their budgets, so the cache key is the same either way *)
   let race_members =
     match strategy with
     | Some (Mc.Engine.Portfolio p) when Executor.jobs exec > 1 ->
@@ -255,32 +253,16 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
         ~fingerprint ~attempt
     | None -> ()
   in
-  (* Every obligation — plain, raced or a healing piece — is answered here
-     first: a journal replay, else a cache hit, else a miss for the caller
-     to run. Cache hits are re-journaled: after a kill the in-memory cache
-     is gone, so resume must be able to replay them from disk. *)
-  let lookup ~key =
-    match Option.bind journal (fun j -> Journal.replay j ~key) with
-    | Some outcome -> `Replayed outcome
-    | None -> (
-      match Mc.Cache.find cache ~key with
-      | Some outcome ->
-        Option.iter (fun j -> Journal.append j ~key outcome) journal;
-        `Cached outcome
-      | None -> `Miss)
-  in
   let record ~key outcome =
-    (* checkpoint + cache under the ORIGINAL fingerprint even when a retry
-       ran with a degraded budget: the obligation answered is the same one.
-       Error verdicts are recorded in neither, so a transient crash can
-       poison neither structurally identical siblings nor a resumed run. *)
+    (* cache under the ORIGINAL fingerprint even when a retry ran with a
+       degraded budget: the obligation answered is the same one. Error
+       verdicts are not cached, so a transient crash can poison neither
+       structurally identical siblings nor a resumed run. *)
     match outcome.Mc.Engine.verdict with
     | Mc.Engine.Error _ -> ()
-    | _ ->
-      Mc.Cache.add cache ~key outcome;
-      Option.iter (fun j -> Journal.append j ~key outcome) journal
+    | _ -> Mc.Cache.add cache ~key outcome
   in
-  let finish (w : work) ~cache_hit ~replayed ~attempts outcome =
+  let finish (w : work) ~cache_hit ~attempts outcome =
     let healed =
       String.equal outcome.Mc.Engine.engine_used Heal.engine_name
       && Mc.Engine.conclusive outcome
@@ -295,20 +277,19 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
     Mutex.lock progress_lock;
     Fun.protect ~finally:(fun () -> Mutex.unlock progress_lock) (fun () ->
         Status.finish status ~verdict:(verdict_class outcome) ~cache_hit
-          ~replayed ~healed
-          ~raced:(Option.is_some race_members && attempts > 0);
+          ~healed ~raced:(Option.is_some race_members && attempts > 0);
         progress (Status.snapshot status));
     { category = w.w_category; module_name = w.w_mdl.Rtl.Mdl.name;
       vunit_name = w.w_vunit_name; prop_name = w.w_prop_name; cls = w.w_cls;
-      outcome; bug = w.w_bug; cache_hit; replayed; attempts;
-      (* a resumed run replays a previously healed verdict straight from the
-         journal; the attribution marks it *)
+      outcome; bug = w.w_bug; cache_hit; attempts;
+      (* a previously healed verdict can come straight from the cache; the
+         attribution marks it *)
       healed }
   in
   (* Opening item [i] prepares it inside the worker, so instrumentation,
      elaboration and COI reduction parallelize along with the engine runs
      (the preparation is shared across every module of one structure, see
-     [slots]), and answers it through [lookup]. Only a miss differs between
+     [slots]), and answers it from the cache. Only a miss differs between
      the two schedulers: [settled] wraps an answered row, [miss] runs the
      retry ladder or opens the raced members. *)
   let open_item ~settled ~miss i =
@@ -322,12 +303,9 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
     Status.begin_work status ~obligation:(ob_name w) ~engine:strat_name
       ~attempt:1;
     let ob, key = obligation i in
-    match lookup ~key with
-    | `Replayed outcome ->
-      settled (finish w ~cache_hit:false ~replayed:true ~attempts:0 outcome)
-    | `Cached outcome ->
-      settled (finish w ~cache_hit:true ~replayed:false ~attempts:0 outcome)
-    | `Miss -> miss w ob key
+    match Mc.Cache.find cache ~key with
+    | Some outcome -> settled (finish w ~cache_hit:true ~attempts:0 outcome)
+    | None -> miss w ob key
   in
   (* retry ladder: a crash gets capped re-runs with a halved budget after a
      short pause; a crash on the last rung becomes an [Error] verdict
@@ -359,7 +337,7 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
     in
     let outcome, attempts = attempt ob 1 in
     record ~key outcome;
-    finish w ~cache_hit:false ~replayed:false ~attempts outcome
+    finish w ~cache_hit:false ~attempts outcome
   in
   (* The racing miss: the portfolio members become the group's attempts,
      each a full engine run under its own member budget and under the
@@ -418,7 +396,7 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
               Obs.Telemetry.count ~n:(List.length outs - 1) "race.losers"
             end;
             record ~key outcome;
-            finish w ~cache_hit:false ~replayed:false ~attempts:1 outcome) }
+            finish w ~cache_hit:false ~attempts:1 outcome) }
   in
   let results =
     (* the executor's per-item isolation is the outer safety net: anything
@@ -439,19 +417,19 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
            { category = w.w_category; module_name = w.w_mdl.Rtl.Mdl.name;
              vunit_name = w.w_vunit_name; prop_name = w.w_prop_name;
              cls = w.w_cls; outcome = crash_outcome exn; bug = w.w_bug;
-             cache_hit = false; replayed = false; attempts = 0;
+             cache_hit = false; attempts = 0;
              healed = false })
     |> Array.to_list
   in
   (* Self-healing recovery pass: every obligation whose retry ladder ended
      in [Resource_out] gets one shot at the automatic Figure 7 loop
-     ({!Heal.heal_one}). Pieces go through the same cache/journal machinery
-     as first-class obligations under cut-salted fingerprints, and a healed
-     verdict is checkpointed under the monolithic key — appended after the
-     original resource-out record, so the journal's later-duplicate-wins
-     replay hands a resumed run the healed outcome without re-proving
-     anything. Healing an obligation is deterministic (pieces run
-     sequentially inside its worker), so seq ≡ pool ≡ raced. *)
+     ({!Heal.heal_one}). Pieces go through the same cache as first-class
+     obligations under cut-salted fingerprints, and a healed verdict is
+     cached under the monolithic key — on a file, appended after the
+     original resource-out record, so the store's later-record-wins load
+     hands a resumed run the healed outcome without re-proving anything.
+     Healing an obligation is deterministic (pieces run sequentially inside
+     its worker), so seq ≡ pool ≡ raced. *)
   let results, healing =
     match self_heal with
     | None -> (results, None)
@@ -476,14 +454,11 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
             ~assert_:p.Heal.p_assert ~assumes:p.Heal.p_assumes ~meta:()
         in
         let key = Mc.Obligation.fingerprint ~salt:p.Heal.p_salt ob in
-        match lookup ~key with
-        | `Replayed outcome ->
-          Obs.Telemetry.count "heal.piece.replayed";
-          outcome
-        | `Cached outcome ->
+        match Mc.Cache.find cache ~key with
+        | Some outcome ->
           Obs.Telemetry.count "heal.piece.cached";
           outcome
-        | `Miss ->
+        | None ->
           let outcome = Mc.Obligation.run ob in
           record ~key outcome;
           Obs.Telemetry.count "heal.piece.solved";
@@ -503,7 +478,7 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
         (match hr.Heal.h_outcome with
         | None -> ()
         | Some out ->
-          (* checkpoint under the monolithic key — the shared prep cell is
+          (* cache under the monolithic key — the shared prep cell is
              already warm from the main pass *)
           record ~key:(snd (obligation i)) out;
           if Mc.Engine.conclusive out then
@@ -609,13 +584,13 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
   { results; rows; grand_total; wall_time_s = Unix.gettimeofday () -. t0;
     cache_hits = count (fun r -> r.cache_hit);
     retries = List.fold_left (fun a r -> a + max 0 (r.attempts - 1)) 0 results;
-    replayed = count (fun r -> r.replayed); healing }
+    healing }
 
 let failed_results t =
   List.filter (fun r -> verdict_class r.outcome = `Failed) t.results
 
-(* Work totals over every result row — cached and replayed rows carry the
-   perf of the run that produced them, so these totals do not depend on how
+(* Work totals over every result row — cached rows carry the perf of the
+   run that produced them, so these totals do not depend on how
    the executor scheduled the campaign (unlike live sink counters, where a
    pool can run two structurally identical obligations concurrently and
    miss the cache twice). *)
@@ -660,8 +635,8 @@ let aggregate_perf t =
     t.results
 
 (* Results answered per winning engine, counted off the verdict-attributed
-   [engine_used] of every row — cached and replayed rows carry the engine of
-   the run that produced them, so like {!aggregate_perf} this is
+   [engine_used] of every row — cached rows carry the engine of the run
+   that produced them, so like {!aggregate_perf} this is
    schedule-independent. *)
 let wins_by_engine t =
   let tbl = Hashtbl.create 7 in
@@ -751,8 +726,7 @@ let to_metrics_json ?report ?jobs t =
          J.Obj
            (row_fields t.grand_total
            @ [ ("cache_hits", J.Int t.cache_hits);
-               ("retries", J.Int t.retries);
-               ("replayed", J.Int t.replayed) ]));
+               ("retries", J.Int t.retries) ]));
         ("resource_out_causes",
          J.Obj
            (List.map (fun (c, n) -> (c, J.Int n)) (resource_out_causes t)));
@@ -811,8 +785,7 @@ let to_csv t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     "category,module,vunit,property,class,verdict,cause,engine,wall_ms,\
-     iterations,bdd_peak,sat_conflicts,cache_hit,replayed,attempts,bug,\
-     healed\n";
+     iterations,bdd_peak,sat_conflicts,cache_hit,attempts,bug,healed\n";
   List.iter
     (fun r ->
       let verdict, cause =
@@ -829,13 +802,13 @@ let to_csv t =
       let p = r.outcome.Mc.Engine.perf in
       Buffer.add_string buf
         (Printf.sprintf
-           "%s,%s,%s,%s,%s,%s,%s,%s,%.1f,%d,%d,%d,%b,%b,%d,%s,%b\n"
+           "%s,%s,%s,%s,%s,%s,%s,%s,%.1f,%d,%d,%d,%b,%d,%s,%b\n"
            r.category r.module_name r.vunit_name r.prop_name
            (Verifiable.Propgen.class_name r.cls)
            verdict cause r.outcome.Mc.Engine.engine_used
            (1000.0 *. r.outcome.Mc.Engine.time_s)
            r.outcome.Mc.Engine.iterations p.Mc.Engine.bdd_peak
-           p.Mc.Engine.sat_conflicts r.cache_hit r.replayed r.attempts
+           p.Mc.Engine.sat_conflicts r.cache_hit r.attempts
            (match r.bug with Some b -> Chip.Bugs.name b | None -> "")
            r.healed))
     t.results;

@@ -22,11 +22,12 @@
       per-item isolation catches anything that escapes (e.g. a crash in
       preparation), so one poisoned obligation can never lose the rest of
       the campaign;
-    - {b checkpoint/resume} — pass a {!Journal} and every completed
-      obligation is fsync'd to disk as it finishes; reopening the journal
-      with [~resume:true] replays those verdicts without re-running engines.
-      [Error] verdicts are neither cached nor journaled, so transient
-      crashes are re-attempted on resume. *)
+    - {b checkpoint/resume} — pass a cache opened on a file
+      ({!Mc.Cache.open_file}) and every verdict is fsync'd to it as it is
+      recorded; running the campaign again on the same file answers those
+      obligations from the cache without re-running engines. [Error]
+      verdicts are never cached, so transient crashes are re-attempted on
+      the next run. *)
 
 type prop_result = {
   category : string;
@@ -36,16 +37,17 @@ type prop_result = {
   cls : Verifiable.Propgen.prop_class;
   outcome : Mc.Engine.outcome;
   bug : Chip.Bugs.id option;  (** bug seeded in the module, if any *)
-  cache_hit : bool;  (** verdict reused from the structural cache *)
-  replayed : bool;  (** verdict replayed from the resume journal *)
+  cache_hit : bool;
+      (** verdict reused from the structural cache — in this run, or from
+          the file of an earlier or killed one *)
   attempts : int;
       (** engine runs performed for this result: 1 for a clean fresh run,
-          [> 1] after crash retries, 0 for cache hits and replays *)
+          [> 1] after crash retries, 0 for cache hits *)
   healed : bool;
       (** the verdict is conclusive {e because} the self-healing layer
           recovered it from a [Resource_out] (engine attribution
           {!Heal.engine_name}) — set both when healed in this run and when a
-          healed verdict is replayed from the journal or cache *)
+          healed verdict comes from the cache *)
 }
 
 type row = {
@@ -99,9 +101,10 @@ type heal_totals = {
   heal_pieces : int;  (** derived obligations consulted, incl. cache hits *)
   heal_wall_s : float;
 }
-(** Recovery-pass totals of one run. A resumed run that replays already
-    healed verdicts reports those under {!prop_result.healed} (and the
-    metrics' [healed_rows]), not here — these count this run's own work. *)
+(** Recovery-pass totals of one run. A run that finds already healed
+    verdicts in its cache reports those under {!prop_result.healed} (and
+    the metrics' [healed_rows]), not here — these count this run's own
+    work. *)
 
 type t = {
   results : prop_result list;
@@ -110,7 +113,6 @@ type t = {
   wall_time_s : float;
   cache_hits : int;  (** result rows flagged [cache_hit] *)
   retries : int;  (** crash re-runs behind the result rows' [attempts] *)
-  replayed : int;  (** result rows flagged [replayed] *)
   healing : heal_totals option;  (** present iff [run] got [?self_heal] *)
 }
 
@@ -120,7 +122,6 @@ val run :
   ?progress:(Status.snapshot -> unit) ->
   ?jobs:int ->
   ?cache:Mc.Cache.t ->
-  ?journal:Journal.t ->
   ?max_retries:int ->
   ?fault_hook:
     (module_name:string ->
@@ -136,7 +137,9 @@ val run :
     [n] runs on a pool of [n] domains. [cache] is the structural result
     cache; a private one is created per run when absent (deduplicating
     within the run), while passing a shared cache additionally reuses
-    verdicts across runs — e.g. the post-fix re-campaign.
+    verdicts across runs — e.g. the post-fix re-campaign. A cache opened
+    on a file ({!Mc.Cache.open_file}) is the run's checkpoint: each
+    recorded verdict is on disk before the obligation counts as done.
 
     [strategy] (default [Auto]) picks the engines. A [Portfolio p] on a
     pool switches the campaign to the racing scheduler
@@ -146,28 +149,26 @@ val run :
     {!Mc.Engine.combine_portfolio} folds the attributed prefix. On one job
     the same portfolio runs as the engine's sequential short-circuiting
     ladder, and [Auto] runs its members one at a time whatever the job
-    count, so verdicts, attributed perf and cache/journal keys are
+    count, so verdicts, attributed perf and cache keys are
     identical between the two modes — racing changes wall time, not
     answers. Under racing, member crashes become non-conclusive [Error]
     member outcomes (no retry ladder) and [fault_hook] runs once per member
     with [attempt] = member index + 1.
 
     Every obligation, including each healing piece, is answered the same
-    way: a [journal] replay, else a cache hit (re-journaled), else an
-    engine run. [journal] checkpoints every completed obligation and
-    replays the records it was opened with (see {!Journal.create}
-    [~resume]). [max_retries] (default 2) caps crash re-runs per
+    way: a cache hit, else an engine run whose verdict is cached (unless
+    it is an [Error]). [max_retries] (default 2) caps crash re-runs per
     obligation; each retry degrades the budget via
     {!Mc.Engine.degrade_budget} after a constant 50 ms pause. [fault_hook],
     intended for tests, runs in the worker just before each real engine
-    attempt (never for cache hits or replays) — it can count engine
+    attempt (never for cache hits) — it can count engine
     invocations or inject crashes.
 
     [status] is the run's live {!Status} model; a private one is kept when
     it is absent. The runtime keeps it current: totals and phase on entry,
     per-lane in-flight obligations around preparation and every engine
     attempt (including racing members and retry rungs), verdict tallies and
-    cache/replay/race/heal attribution as obligations finish, and
+    cache/race/heal attribution as obligations finish, and
     reclassification as the healing pass recovers resource-outs. It is
     purely observational — it never affects scheduling, verdicts or keys,
     so seq ≡ pool determinism holds with or without it. [progress]
@@ -181,11 +182,12 @@ val run :
     ({!Heal.heal_one}) over every [Resource_out] result, with at most
     [self_heal] freed-cut final checks per obligation. Healing pieces are
     looked up and run like first-class obligations under cut-salted
-    fingerprints, and a healed verdict is journaled under the monolithic
-    key after the original resource-out record — so [~resume] replays
-    healing without re-proving any piece. The pass is parallelized across
-    obligations on the same executor and is deterministic: sequential,
-    pooled and raced campaigns heal to identical verdicts. *)
+    fingerprints, and a healed verdict is cached under the monolithic
+    key after the original resource-out record — so a rerun on the same
+    cache file gets the healed verdict without re-proving any piece. The
+    pass is parallelized across obligations on the same executor and is
+    deterministic: sequential, pooled and raced campaigns heal to
+    identical verdicts. *)
 
 val failed_results : t -> prop_result list
 
@@ -210,8 +212,8 @@ type perf_totals = {
   max_final_k : int;  (** [-1] if k-induction never ran *)
   max_ic3_frames : int;  (** [-1] if IC3 never ran *)
 }
-(** Engine-work totals summed (or maxed) over every result row. Cached and
-    replayed rows carry the perf of the run that originally produced them,
+(** Engine-work totals summed (or maxed) over every result row. Cached
+    rows carry the perf of the run that originally produced them,
     so these totals are schedule-independent: a sequential run and a domain
     pool over the same chip agree exactly. *)
 
@@ -225,8 +227,8 @@ val resource_out_causes : t -> (string * int) list
 val wins_by_engine : t -> (string * int) list
 (** Results per winning engine ([outcome.engine_used]), sorted by engine
     name. Under a portfolio this is the per-strategy win count — which
-    member's verdict each obligation was attributed to. Cached and replayed
-    rows count the engine of the producing run, so the tally is
+    member's verdict each obligation was attributed to. Cached rows count
+    the engine of the producing run, so the tally is
     schedule-independent (seq ≡ race). *)
 
 val perf_json : t -> (string * Obs.Json.t) list
@@ -251,7 +253,7 @@ val write_metrics_json :
 val to_csv : t -> string
 (** One row per property: category, module, vunit, property, class, verdict,
     resource cause, engine, wall ms, iterations, BDD peak, SAT conflicts,
-    cache hit, replayed, attempts, bug. Suitable for spreadsheet import or
+    cache hit, attempts, bug, healed. Suitable for spreadsheet import or
     regression diffing. *)
 
 val write_csv : t -> string -> unit

@@ -28,7 +28,7 @@ val map_result : t -> ('a -> 'b) -> 'a array -> ('b, exn) result array
     poisoned obligation cannot lose the rest of a campaign. *)
 
 type ('b, 'c) group =
-  | Done of 'c  (** settled at open time (cache hit, journal replay) *)
+  | Done of 'c  (** settled at open time (a cache hit) *)
   | Race of {
       attempts : int;
       run : int -> cancel:(unit -> bool) -> 'b;
@@ -42,14 +42,14 @@ type ('b, 'c) group =
           (** fold the attributed prefix (attempts [0..w], where [w] is the
               first conclusive attempt, or all attempts when none conclude)
               into the group value. Runs once per group, outside the
-              scheduler lock, so it may do I/O (journal, progress). *)
+              scheduler lock, so it may do I/O (cache appends, progress). *)
     }  (** a speculative group: N alternative attempts at one item *)
 
 val race_map_result :
   t -> ('a -> ('b, 'c) group) -> 'a array -> ('c, exn) result array
 (** Order-preserving map over speculative task groups — the portfolio-racing
     generalization of {!map_result}. [open_ x] prepares item [x] (outside
-    the scheduler lock; cache and journal lookups belong here) and either
+    the scheduler lock; cache lookups belong here) and either
     settles it immediately ([Done]) or fans it out into [attempts]
     alternative runs ([Race]).
 

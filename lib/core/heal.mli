@@ -29,7 +29,7 @@
 val engine_name : string
 (** ["self-heal"] — the [engine_used] attribution of every outcome this
     layer produces; it is how healed rows are recognized in summaries,
-    metrics and a resumed journal. *)
+    metrics and a rerun that finds them in its cache. *)
 
 type piece = {
   p_mdl : Rtl.Mdl.t;  (** original module (sub-proofs) or freed-cut module *)
@@ -41,15 +41,16 @@ type piece = {
   p_label : string;  (** telemetry span label *)
 }
 (** One derived proof obligation. The campaign runs pieces through its
-    normal prepare / cache / journal path, so structurally identical pieces
-    dedupe across obligations and a resumed run replays them from disk. *)
+    normal prepare / cache path, so structurally identical pieces dedupe
+    across obligations and a rerun on the same cache file finds them on
+    disk. *)
 
 type result = {
   h_outcome : Mc.Engine.outcome option;
       (** [None]: the cone holds no usable cuts — the obligation keeps its
           original verdict and cause. [Some o]: the healed conclusive
           outcome, or [Resource_out "heal-exhausted"]. *)
-  h_pieces : int;  (** pieces consulted (cache hits and replays included) *)
+  h_pieces : int;  (** pieces consulted (cache hits included) *)
   h_subs_proved : int;  (** cuts whose parity sub-proof succeeded *)
   h_finals : int;  (** freed-cut final checks run (CEGAR iterations) *)
   h_spurious : int;  (** counterexamples refuted by concrete replay *)
@@ -67,7 +68,7 @@ val heal_one :
   unit ->
   result
 (** Heal one resource-starved obligation. [run_piece] executes a derived
-    obligation (the campaign supplies its cache/journal-aware runner);
+    obligation (the campaign supplies its cache-aware runner);
     [max_iters] bounds the number of freed-cut final checks. [mine]
     overrides the checkpoint miner (tests inject bad candidates through
     it); a candidate that {!Verifiable.Partition.free_cuts} rejects with

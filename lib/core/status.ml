@@ -27,7 +27,6 @@ type snapshot = {
   s_resource_out : int;
   s_errors : int;
   s_cache_hits : int;
-  s_replayed : int;
   s_retries : int;
   s_healed : int;
   s_raced : int;
@@ -48,7 +47,6 @@ type t = {
   mutable resource_out : int;
   mutable errors : int;
   mutable cache_hits : int;
-  mutable replayed : int;
   mutable retries : int;
   mutable healed : int;
   mutable raced : int;
@@ -58,7 +56,7 @@ type t = {
 let create ?(jobs = 1) () =
   { lock = Mutex.create (); t0 = Unix.gettimeofday (); jobs;
     phase = "starting"; total = 0; done_ = 0; proved = 0; failed = 0;
-    resource_out = 0; errors = 0; cache_hits = 0; replayed = 0; retries = 0;
+    resource_out = 0; errors = 0; cache_hits = 0; retries = 0;
     healed = 0; raced = 0; flying = Hashtbl.create 16 }
 
 let locked t f =
@@ -88,13 +86,12 @@ let tally t (v : verdict_class) =
   | `Resource_out -> t.resource_out <- t.resource_out + 1
   | `Error -> t.errors <- t.errors + 1
 
-let finish t ~verdict ~cache_hit ~replayed ~raced ~healed =
+let finish t ~verdict ~cache_hit ~raced ~healed =
   locked t (fun () ->
       Hashtbl.remove t.flying (lane ());
       t.done_ <- t.done_ + 1;
       tally t verdict;
       if cache_hit then t.cache_hits <- t.cache_hits + 1;
-      if replayed then t.replayed <- t.replayed + 1;
       if raced then t.raced <- t.raced + 1;
       if healed then t.healed <- t.healed + 1)
 
@@ -111,11 +108,11 @@ let snapshot t =
   let now = Unix.gettimeofday () in
   locked t (fun () ->
       let elapsed = now -. t.t0 in
-      let fresh = t.done_ - t.cache_hits - t.replayed in
+      let fresh = t.done_ - t.cache_hits in
       let rate =
         if elapsed > 0.0 then float_of_int t.done_ /. elapsed else 0.0
       in
-      (* ETA from fresh-solve throughput: cached/replayed verdicts return in
+      (* ETA from fresh-solve throughput: cached verdicts return in
          microseconds and would make the naive done/elapsed estimate wildly
          optimistic for the engine-bound remainder *)
       let eta =
@@ -142,7 +139,7 @@ let snapshot t =
         s_total = t.total; s_done = t.done_; s_proved = t.proved;
         s_failed = t.failed; s_resource_out = t.resource_out;
         s_errors = t.errors; s_cache_hits = t.cache_hits;
-        s_replayed = t.replayed; s_retries = t.retries; s_healed = t.healed;
+        s_retries = t.retries; s_healed = t.healed;
         s_raced = t.raced; s_rate_per_s = rate; s_eta_s = eta;
         s_in_flight = in_flight })
 
@@ -179,7 +176,6 @@ let snapshot_json t =
       ("resource_out", J.Int s.s_resource_out);
       ("errors", J.Int s.s_errors);
       ("cache_hits", J.Int s.s_cache_hits);
-      ("replayed", J.Int s.s_replayed);
       ("retries", J.Int s.s_retries);
       ("healed", J.Int s.s_healed);
       ("raced", J.Int s.s_raced);

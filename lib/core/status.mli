@@ -10,9 +10,9 @@
     ic3 at frame 9 with 412 clauses {e right now}".
 
     The ETA divides elapsed wall time by {e fresh} completions (cache hits
-    and journal replays return in microseconds and would skew a naive
-    done/elapsed rate), scaled to the remaining obligation count — crude,
-    but self-correcting as the campaign progresses.
+    return in microseconds and would skew a naive done/elapsed rate),
+    scaled to the remaining obligation count — crude, but self-correcting
+    as the campaign progresses.
 
     {!serve} exposes snapshots over a Unix domain socket with a
     one-snapshot-per-connection protocol: connect, read JSON until EOF,
@@ -43,7 +43,6 @@ type snapshot = {
   s_resource_out : int;
   s_errors : int;
   s_cache_hits : int;
-  s_replayed : int;
   s_retries : int;
   s_healed : int;  (** conclusive verdicts owed to the self-healing layer *)
   s_raced : int;  (** obligations decided by the racing scheduler *)
@@ -70,10 +69,10 @@ val end_work : t -> unit
 (** Clear the calling domain's lane (idempotent). *)
 
 val finish :
-  t -> verdict:verdict_class -> cache_hit:bool -> replayed:bool ->
-  raced:bool -> healed:bool -> unit
+  t -> verdict:verdict_class -> cache_hit:bool -> raced:bool -> healed:bool ->
+  unit
 (** One obligation completed: clears the lane, bumps [done] and the verdict
-    tally, and attributes cache/replay/race/heal flags. *)
+    tally, and attributes cache/race/heal flags. *)
 
 val retry : t -> unit
 

@@ -184,19 +184,6 @@ let to_vcd a = Mc.Trace.to_vcd ~replay:a.replay_snapshots a.minimized_trace
 
 (* ---- JSON ---- *)
 
-let stimulus_to_json stim =
-  Json.List
-    (List.map
-       (fun cycle ->
-         Json.List
-           (List.map
-              (fun (name, v) ->
-                Json.Obj
-                  [ ("signal", Json.String name);
-                    ("value", Json.String (Bitvec.to_string v)) ])
-              cycle))
-       stim)
-
 let to_json d =
   let opt_string = function None -> Json.Null | Some s -> Json.String s in
   Json.Obj
@@ -247,55 +234,11 @@ let to_json d =
                  ])
              d.cone) );
       ("explanation", Json.String d.explanation);
-      ("minimized_stimulus", stimulus_to_json d.minimized_stimulus) ]
+      ( "minimized_stimulus",
+        Json.List (List.map Mc.Trace.bindings_to_json d.minimized_stimulus) )
+    ]
 
-(* parsing helpers threading first-error *)
-let ( let* ) r f = Result.bind r f
-
-let field name j =
-  match Json.member name j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let as_str name j =
-  let* v = field name j in
-  match Json.to_str v with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "field %S is not a string" name)
-
-let as_int name j =
-  let* v = field name j in
-  match Json.to_int v with
-  | Some n -> Ok n
-  | None -> Error (Printf.sprintf "field %S is not an integer" name)
-
-let as_bool name j =
-  let* v = field name j in
-  match Json.to_bool v with
-  | Some b -> Ok b
-  | None -> Error (Printf.sprintf "field %S is not a boolean" name)
-
-let as_opt_str name j =
-  let* v = field name j in
-  match v with
-  | Json.Null -> Ok None
-  | _ ->
-    (match Json.to_str v with
-     | Some s -> Ok (Some s)
-     | None -> Error (Printf.sprintf "field %S is not a string or null" name))
-
-let as_list name j =
-  let* v = field name j in
-  match Json.to_list v with
-  | Some l -> Ok l
-  | None -> Error (Printf.sprintf "field %S is not a list" name)
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-    let* y = f x in
-    let* ys = map_result f rest in
-    Ok (y :: ys)
+let ( let* ) = Result.bind
 
 let bug_of_name name =
   match
@@ -304,37 +247,19 @@ let bug_of_name name =
   | Some b -> Ok b
   | None -> Error (Printf.sprintf "unknown bug id %S" name)
 
-let stimulus_of_json j =
-  let* cycles = as_list "minimized_stimulus" j in
-  map_result
-    (fun cycle ->
-      match Json.to_list cycle with
-      | None -> Error "stimulus cycle is not a list"
-      | Some words ->
-        map_result
-          (fun w ->
-            let* name = as_str "signal" w in
-            let* value = as_str "value" w in
-            match Bitvec.of_string value with
-            | v -> Ok (name, v)
-            | exception _ ->
-              Error (Printf.sprintf "bad bitvector literal %S" value))
-          words)
-    cycles
-
 let of_json j =
-  let* s = as_str "schema" j in
+  let* s = Json.as_str "schema" j in
   if s <> schema then
     Error (Printf.sprintf "expected schema %S, got %S" schema s)
   else
-    let* ob = field "obligation" j in
-    let* category = as_str "category" ob in
-    let* module_name = as_str "module" ob in
-    let* vunit_name = as_str "vunit" ob in
-    let* prop_name = as_str "property" ob in
-    let* cls_s = as_str "class" ob in
+    let* ob = Json.field "obligation" j in
+    let* category = Json.as_str "category" ob in
+    let* module_name = Json.as_str "module" ob in
+    let* vunit_name = Json.as_str "vunit" ob in
+    let* prop_name = Json.as_str "property" ob in
+    let* cls_s = Json.as_str "class" ob in
     let* cls = cls_of_tag cls_s in
-    let* bug_s = as_opt_str "bug" ob in
+    let* bug_s = Json.as_opt_str "bug" ob in
     let* bug =
       match bug_s with
       | None -> Ok None
@@ -342,14 +267,14 @@ let of_json j =
         let* b = bug_of_name n in
         Ok (Some b)
     in
-    let* tr = field "trace" j in
-    let* original_cycles = as_int "original_cycles" tr in
-    let* minimized_cycles = as_int "minimized_cycles" tr in
-    let* original_care_bits = as_int "original_care_bits" tr in
-    let* minimized_care_bits = as_int "minimized_care_bits" tr in
-    let* va = field "validation" j in
-    let* status_s = as_str "status" va in
-    let* reason = as_opt_str "reason" va in
+    let* tr = Json.field "trace" j in
+    let* original_cycles = Json.as_int "original_cycles" tr in
+    let* minimized_cycles = Json.as_int "minimized_cycles" tr in
+    let* original_care_bits = Json.as_int "original_care_bits" tr in
+    let* minimized_care_bits = Json.as_int "minimized_care_bits" tr in
+    let* va = Json.field "validation" j in
+    let* status_s = Json.as_str "status" va in
+    let* reason = Json.as_opt_str "reason" va in
     let* status =
       match (status_s, reason) with
       | "confirmed", _ -> Ok `Confirmed
@@ -357,37 +282,24 @@ let of_json j =
       | "not-confirmed", None -> Ok (`Not_confirmed "unspecified")
       | other, _ -> Error (Printf.sprintf "unknown validation status %S" other)
     in
-    let* fail_cycle =
-      let* v = field "fail_cycle" va in
-      match v with
-      | Json.Null -> Ok None
-      | _ ->
-        (match Json.to_int v with
-         | Some n -> Ok (Some n)
-         | None -> Error "field \"fail_cycle\" is not an integer or null")
-    in
-    let* minimized_reproduces = as_bool "minimized_reproduces" va in
-    let* he_signal = as_opt_str "he_signal" j in
-    let* golden_failed = as_bool "golden_failed" j in
-    let* cone_l = as_list "cone" j in
+    let* fail_cycle = Json.as_opt_int "fail_cycle" va in
+    let* minimized_reproduces = Json.as_bool "minimized_reproduces" va in
+    let* he_signal = Json.as_opt_str "he_signal" j in
+    let* golden_failed = Json.as_bool "golden_failed" j in
+    let* cone_l = Json.as_list "cone" j in
     let* cone =
-      map_result
+      Json.map_result
         (fun c ->
-          let* cycle = as_int "cycle" c in
-          let* corrupted = as_list "corrupted" c in
-          let* names =
-            map_result
-              (fun s ->
-                match Json.to_str s with
-                | Some s -> Ok s
-                | None -> Error "corrupted signal name is not a string")
-              corrupted
-          in
-          Ok { Cone.cone_step = cycle; corrupted = names })
+          let* cycle = Json.as_int "cycle" c in
+          let* corrupted = Json.as_str_list "corrupted" c in
+          Ok { Cone.cone_step = cycle; corrupted })
         cone_l
     in
-    let* explanation = as_str "explanation" j in
-    let* minimized_stimulus = stimulus_of_json j in
+    let* explanation = Json.as_str "explanation" j in
+    let* stimulus = Json.as_list "minimized_stimulus" j in
+    let* minimized_stimulus =
+      Json.map_result Mc.Trace.bindings_of_json stimulus
+    in
     Ok
       { category; module_name; vunit_name; prop_name; cls; bug; he_signal;
         original_cycles; minimized_cycles; original_care_bits;

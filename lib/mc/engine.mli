@@ -106,8 +106,8 @@ type perf = {
   attempts : string list;  (** engines tried, in escalation order *)
 }
 (** Per-check work measures, captured whether the check concluded or ran out
-    of resources. Attached to every {!outcome}, so cached and replayed
-    outcomes carry the perf of the run that produced them — summing over a
+    of resources. Attached to every {!outcome}, so cached outcomes carry
+    the perf of the run that produced them — summing over a
     campaign's results is therefore schedule-independent. *)
 
 val empty_perf : perf

@@ -47,7 +47,7 @@ let budget_salt (b : Engine.budget) =
 (* A portfolio's key must cover its members and their budgets — two
    portfolios under one name but different member caps answer different
    questions. The salt is the same whether the portfolio is then raced or
-   run sequentially, so racing never changes a cache or journal key. *)
+   run sequentially, so racing never changes a cache key. *)
 let rec strategy_salt = function
   | Engine.Portfolio p ->
     Printf.sprintf "portfolio:%s[%s]" p.Engine.p_name

@@ -29,6 +29,57 @@ let to_string t = Format.asprintf "%a" pp t
 
 let replay_stimulus t = List.map (fun c -> c.inputs) t
 
+(* ---- JSON ---- *)
+
+module J = Obs.Json
+
+let ( let* ) = Result.bind
+
+let bindings_to_json bs =
+  J.List
+    (List.map
+       (fun (name, v) ->
+         J.Obj
+           [ ("signal", J.String name);
+             ("value", J.String (Bitvec.to_string v)) ])
+       bs)
+
+let bindings_of_json j =
+  match J.to_list j with
+  | None -> Error "signal bindings are not a list"
+  | Some bs ->
+    J.map_result
+      (fun b ->
+        let* name = J.as_str "signal" b in
+        let* value = J.as_str "value" b in
+        match Bitvec.of_string value with
+        | v -> Ok (name, v)
+        | exception Invalid_argument _ ->
+          Error (Printf.sprintf "bad bitvector literal %S" value))
+      bs
+
+let to_json t =
+  J.List
+    (List.map
+       (fun c ->
+         J.Obj
+           [ ("step", J.Int c.step);
+             ("inputs", bindings_to_json c.inputs);
+             ("state", bindings_to_json c.state) ])
+       t)
+
+let of_json j =
+  match J.to_list j with
+  | None -> Error "trace is not a list"
+  | Some cycles ->
+    J.map_result
+      (fun c ->
+        let* step = J.as_int "step" c in
+        let* inputs = J.decode "inputs" bindings_of_json c in
+        let* state = J.decode "state" bindings_of_json c in
+        Ok { step; inputs; state })
+      cycles
+
 (* Bijective base-94 identifier codes over printable ASCII 33..126:
    0..93 -> "!".."~", 94 -> "!!", 8929 -> "~~", 8930 -> "!!!", … Injective
    for any index (the test suite checks thousands of ids), so dumps with

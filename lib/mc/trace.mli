@@ -17,6 +17,20 @@ val replay_stimulus : t -> (string * Bitvec.t) list list
 (** Per-cycle input vectors, ready to feed to the simulator to confirm the
     counterexample. *)
 
+val bindings_to_json : (string * Bitvec.t) list -> Obs.Json.t
+(** [[{"signal": name, "value": bits}, …]], the value in binary, most
+    significant bit first (so the width is the string's length). The one
+    encoding of signal values in every artifact: cached counterexamples
+    and diagnosis stimuli. *)
+
+val bindings_of_json : Obs.Json.t -> ((string * Bitvec.t) list, string) result
+
+val to_json : t -> Obs.Json.t
+(** One [{"step", "inputs", "state"}] object per cycle. *)
+
+val of_json : Obs.Json.t -> (t, string) result
+(** [of_json (to_json t) = Ok t]. *)
+
 val vcd_id : int -> string
 (** Bijective base-94 VCD identifier code of a signal index (printable
     ASCII [!]..[~]; two characters from index 94, three from 8930, …).

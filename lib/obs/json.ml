@@ -33,7 +33,11 @@ let float_repr f =
   else if f = Float.neg_infinity then "-1e308"
   else if Float.is_integer f && Float.abs f < 1e15 then
     Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.9g" f
+  else
+    (* the shorter of the two that reads back as the same float; 17
+       significant digits always do *)
+    let s = Printf.sprintf "%.15g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
 
 let rec print ~indent level buf v =
   let nl pad =
@@ -290,3 +294,50 @@ let to_list = function
 let to_str = function
   | String s -> Some s
   | Null | Bool _ | Int _ | Float _ | List _ | Obj _ -> None
+
+(* ---- decoding with errors ---- *)
+
+let ( let* ) = Result.bind
+
+let field name j =
+  match member name j with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "missing field %S" name)
+
+let decode name f j =
+  let* v = field name j in
+  f v
+
+let typed what conv name j =
+  let* v = field name j in
+  match conv v with
+  | Some x -> Ok x
+  | None -> Error (Printf.sprintf "field %S is not %s" name what)
+
+let as_str = typed "a string" to_str
+let as_int = typed "an integer" to_int
+let as_float = typed "a number" to_float
+let as_bool = typed "a boolean" to_bool
+let as_list = typed "a list" to_list
+
+let nullable conv = function
+  | Null -> Some None
+  | v -> Option.map Option.some (conv v)
+
+let as_opt_str = typed "a string or null" (nullable to_str)
+let as_opt_int = typed "an integer or null" (nullable to_int)
+
+let rec map_result f = function
+  | [] -> Ok []
+  | x :: rest ->
+    let* y = f x in
+    let* ys = map_result f rest in
+    Ok (y :: ys)
+
+let as_str_list name j =
+  let* l = as_list name j in
+  map_result
+    (fun v ->
+      Option.to_result ~none:(Printf.sprintf "field %S holds a non-string" name)
+        (to_str v))
+    l

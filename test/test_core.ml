@@ -202,15 +202,70 @@ let own_keys chip =
         (Mc.Engine.prepare_module (List.hd ws).Core.Campaign.w_mdl ~props))
     (by_module (Core.Campaign.work_items chip))
 
-(* a sequential campaign's results and the keys it journaled, in order *)
-let journaled_run chip =
-  let path = Filename.temp_file "dicheck-cells" ".journal" in
-  let journal = Core.Journal.create ~fsync:false path in
-  let result = Core.Campaign.run ~journal chip in
-  Core.Journal.close journal;
-  let keys = List.map fst (Core.Journal.load path) in
+(* A sequential campaign on a cache file: its results, checked against
+   the work-order own keys [expected]. The store holds the first occurrence
+   of every key, in order, and a row is a cache hit exactly when its key
+   occurred before it. *)
+let stored_run chip expected =
+  let path = Filename.temp_file "dicheck-cells" ".cache" in
+  let cache = Mc.Cache.open_file path in
+  let result = Core.Campaign.run ~cache chip in
+  Mc.Cache.close cache;
+  let stored =
+    match
+      String.split_on_char '\n'
+        (In_channel.with_open_bin path In_channel.input_all)
+    with
+    | _header :: records ->
+      List.filter_map
+        (fun line ->
+          match Obs.Json.parse line with
+          | Ok j -> Option.bind (Obs.Json.member "key" j) Obs.Json.to_str
+          | Error _ -> None)
+        records
+    | [] -> []
+  in
   Sys.remove path;
-  (result, keys)
+  let seen = Hashtbl.create 64 in
+  let hits =
+    List.map
+      (fun key ->
+        let hit = Hashtbl.mem seen key in
+        Hashtbl.replace seen key ();
+        hit)
+      expected
+  in
+  Alcotest.(check (list string)) "the store holds each own key, in order"
+    (List.filter_map
+       (fun (key, hit) -> if hit then None else Some key)
+       (List.combine expected hits))
+    stored;
+  Alcotest.(check (list bool)) "a row hits exactly when its key came before"
+    hits
+    (List.map
+       (fun (r : Core.Campaign.prop_result) -> r.Core.Campaign.cache_hit)
+       result.Core.Campaign.results);
+  result
+
+(* Every row's lookup key, hits included: over a cache that answers each
+   expected key with a marker outcome naming that key, each row must read
+   back the marker of its own key. *)
+let check_row_keys chip expected =
+  let marked = Mc.Cache.create () in
+  List.iter
+    (fun key ->
+      Mc.Cache.add marked ~key
+        { Mc.Engine.verdict = Mc.Engine.Proved; engine_used = key;
+          time_s = 0.0; iterations = 0; work_nodes = 0;
+          perf = Mc.Engine.empty_perf })
+    expected;
+  let answered = Core.Campaign.run ~cache:marked chip in
+  Alcotest.(check (list string))
+    "each row's key is its own module's fingerprint" expected
+    (List.map
+       (fun (r : Core.Campaign.prop_result) ->
+         r.Core.Campaign.outcome.Mc.Engine.engine_used)
+       answered.Core.Campaign.results)
 
 (* every obligation, cache hits included, is keyed exactly as its own
    module's preparation keys it, and the chip's 95 modules are prepared
@@ -219,12 +274,11 @@ let test_shared_cells () =
   let t = Lazy.force chip in
   let expected = List.map snd (own_keys t) in
   Obs.Telemetry.start ();
-  let result, keys = journaled_run t in
+  let result = stored_run t expected in
   let report = Obs.Telemetry.stop () in
-  Alcotest.(check int) "every obligation journaled"
-    (List.length result.Core.Campaign.results) (List.length keys);
-  Alcotest.(check (list string)) "each key is its own module's fingerprint"
-    expected keys;
+  Alcotest.(check int) "every obligation keyed"
+    (List.length result.Core.Campaign.results) (List.length expected);
+  check_row_keys t expected;
   let structures =
     List.length
       (List.sort_uniq compare
@@ -286,9 +340,8 @@ let test_twin_cells () =
   in
   Alcotest.(check bool) "the flipped flag lies in a cone" true
     (keys_of "E_leaf00" <> keys_of "E_leaf01");
-  let seq, keys = journaled_run twins in
-  Alcotest.(check (list string)) "each key is its own module's fingerprint"
-    (List.map snd own) keys;
+  let seq = stored_run twins (List.map snd own) in
+  check_row_keys twins (List.map snd own);
   let par = Core.Campaign.run ~jobs:4 twins in
   Alcotest.(check (list string)) "pool matches sequential"
     (List.map result_key seq.Core.Campaign.results)

@@ -2,7 +2,7 @@
    assume-guarantee / CEGAR loop of Heal.heal_one, concrete replay
    confirmation of real failures, and the campaign-level recovery pass —
    recovery under the starving budget, determinism across backends, and
-   journal resume through healed verdicts. *)
+   resuming from a cache file through healed verdicts. *)
 
 module E = Rtl.Expr
 module M = Rtl.Mdl
@@ -252,9 +252,9 @@ let result_key (r : Core.Campaign.prop_result) =
     r.Core.Campaign.vunit_name r.Core.Campaign.prop_name verdict
     r.Core.Campaign.outcome.Mc.Engine.engine_used r.Core.Campaign.healed
 
-let run_heal_chip ?jobs ?cache ?journal ?self_heal () =
+let run_heal_chip ?jobs ?cache ?self_heal () =
   Core.Campaign.run ~budget:starved ~strategy:Mc.Engine.Bdd_forward ?jobs
-    ?cache ?journal ?self_heal (heal_chip ())
+    ?cache ?self_heal (heal_chip ())
 
 let test_campaign_recovers () =
   let plain = run_heal_chip () in
@@ -382,27 +382,24 @@ let test_campaign_counts_rows () =
   Alcotest.(check int) "cache_hits counts the cache_hit rows" flagged
     t.Core.Campaign.cache_hits;
   Alcotest.(check bool) "no negative fresh count" true
-    (List.length t.Core.Campaign.results - t.Core.Campaign.cache_hits
-     - t.Core.Campaign.replayed
-    >= 0)
+    (List.length t.Core.Campaign.results - t.Core.Campaign.cache_hits >= 0)
 
 let test_campaign_resume_replays_healing () =
-  (* a resumed campaign must replay healed verdicts from the journal —
-     healed flags intact — without one fresh engine run *)
-  let path = Filename.temp_file "dicheck_heal" ".jnl" in
-  let j1 = Core.Journal.create path in
-  let first = run_heal_chip ~self_heal:4 ~journal:j1 () in
-  Core.Journal.close j1;
-  let j2 = Core.Journal.create ~resume:true path in
-  let cache = Mc.Cache.create () in
-  let resumed = run_heal_chip ~self_heal:4 ~journal:j2 ~cache () in
-  Core.Journal.close j2;
+  (* a campaign rerun on the first one's cache file must get the healed
+     verdicts from it — healed flags intact — without one fresh engine run *)
+  let path = Filename.temp_file "dicheck_heal" ".cache" in
+  let c1 = Mc.Cache.open_file path in
+  let first = run_heal_chip ~self_heal:4 ~cache:c1 () in
+  Mc.Cache.close c1;
+  let cache = Mc.Cache.open_file path in
+  let resumed = run_heal_chip ~self_heal:4 ~cache () in
+  Mc.Cache.close cache;
   Sys.remove path;
   Alcotest.(check int) "no fresh engine work on resume" 0
     (Mc.Cache.misses cache);
-  Alcotest.(check int) "every row replayed"
+  Alcotest.(check int) "every row a cache hit"
     (List.length resumed.Core.Campaign.results)
-    resumed.Core.Campaign.replayed;
+    resumed.Core.Campaign.cache_hits;
   Alcotest.(check (list string)) "identical rows after resume"
     (List.map result_key first.Core.Campaign.results)
     (List.map result_key resumed.Core.Campaign.results);
@@ -416,7 +413,7 @@ let test_campaign_resume_replays_healing () =
   Alcotest.(check bool) "healed rows present" true (flags first > 0);
   Alcotest.(check int) "healed flags survive the resume" (flags first)
     (flags resumed);
-  (* residual exhausted rows are re-attempted from journaled pieces only *)
+  (* residual exhausted rows are re-attempted from cached pieces only *)
   match resumed.Core.Campaign.healing with
   | None -> Alcotest.fail "resumed run lacks the healing block"
   | Some h ->

@@ -326,6 +326,20 @@ let qcheck_json_string_roundtrip =
     QCheck.(string_gen (Gen.char_range '\000' '\255'))
     string_roundtrips
 
+(* every finite float prints in digits that parse back to the same float
+   (an integral one may come back as an [Int]) *)
+let qcheck_json_float_roundtrip =
+  QCheck.Test.make ~count:2000 ~name:"any finite float round-trips exactly"
+    QCheck.(
+      oneof
+        [ float; pos_float; float_range 0.0 10.0; float_range (-1e-300) 1e-300;
+          map Int64.float_of_bits int64 ])
+    (fun f ->
+      QCheck.assume (Float.is_finite f);
+      match J.parse (J.to_string (J.Float f)) with
+      | Ok v -> J.to_float v = Some f
+      | Error _ -> false)
+
 let test_json_all_bytes () =
   (* every byte value, including the control chars 0x00-0x1f whose escaping
      once only covered \n, \t etc. *)
@@ -660,10 +674,8 @@ let test_status_model () =
      Alcotest.(check int) "attempt" 1 f.S.f_attempt
    | l -> Alcotest.failf "expected 1 in-flight, got %d" (List.length l));
   S.retry s;
-  S.finish s ~verdict:`Proved ~cache_hit:false ~replayed:false ~raced:false
-    ~healed:false;
-  S.finish s ~verdict:`Resource_out ~cache_hit:false ~replayed:false
-    ~raced:true ~healed:false;
+  S.finish s ~verdict:`Proved ~cache_hit:false ~raced:false ~healed:false;
+  S.finish s ~verdict:`Resource_out ~cache_hit:false ~raced:true ~healed:false;
   S.reclassify s ~to_:`Proved;
   let snap = S.snapshot s in
   Alcotest.(check int) "done" 2 snap.S.s_done;
@@ -718,8 +730,7 @@ let test_status_socket () =
       in
       Alcotest.(check (option int)) "total served" (Some 7)
         (Option.bind (J.member "total" j1) J.to_int);
-      S.finish s ~verdict:`Failed ~cache_hit:false ~replayed:false
-        ~raced:false ~healed:false;
+      S.finish s ~verdict:`Failed ~cache_hit:false ~raced:false ~healed:false;
       let j2 =
         match J.parse (read_socket path) with
         | Ok j -> j
@@ -809,6 +820,7 @@ let () =
          Alcotest.test_case "parser rejects invalid input" `Quick
            test_json_parse_errors;
          QCheck_alcotest.to_alcotest qcheck_json_string_roundtrip;
+         QCheck_alcotest.to_alcotest qcheck_json_float_roundtrip;
          Alcotest.test_case "control chars and all bytes escape" `Quick
            test_json_all_bytes ]);
       ("telemetry",

@@ -1,7 +1,8 @@
 (* Fault-tolerant campaign runtime: wall-clock deadlines, crash isolation
-   with retry, and journal checkpoint/resume — including a chaos test that
-   SIGKILLs a campaign mid-run and proves the resumed run reaches the same
-   verdicts without re-proving the checkpointed prefix.
+   with retry, the result cache's on-disk format, and checkpoint/resume
+   through it — including a chaos test that SIGKILLs a campaign mid-run,
+   twice, and proves the resumed run reaches the same verdicts without
+   re-proving the checkpointed prefix.
 
    Process hygiene: the chaos test forks, so every test before it (and the
    fork's child itself) must stay single-domain; the domain-pool tests come
@@ -198,19 +199,46 @@ let test_solver_should_stop () =
 
 (* ---- cache robustness ---- *)
 
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> output_string oc s)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* entries the store at [path] loads *)
+let stored path =
+  match Mc.Cache.load path with Some c -> Mc.Cache.length c | None -> 0
+
+(* [f ()] with stderr sent to a file; its result and what it wrote there *)
+let capture_stderr f =
+  let tmp = Filename.temp_file "dicheck_stderr" ".txt" in
+  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let saved = Unix.dup Unix.stderr in
+  flush stderr;
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        flush stderr;
+        Unix.dup2 saved Unix.stderr;
+        Unix.close saved)
+      f
+  in
+  let text = read_file tmp in
+  Sys.remove tmp;
+  (r, text)
+
 let test_cache_tolerates_corruption () =
   let path = Filename.temp_file "dicheck_cache" ".bin" in
   (* garbage file: empty cache, no exception *)
-  let oc = open_out_bin path in
-  output_string oc "this is not a cache";
-  close_out oc;
-  Alcotest.(check int) "garbage loads as empty" 0
-    (Mc.Cache.length (Mc.Cache.load_or_create path));
+  write_file path "this is not a cache";
+  Alcotest.(check int) "garbage loads as empty" 0 (stored path);
   (* a valid save round-trips *)
   let c = Mc.Cache.create () in
   Mc.Cache.add c ~key:"k1" (outcome Mc.Engine.Proved);
   Mc.Cache.save c path;
-  let c2 = Mc.Cache.load_or_create path in
+  let c2 = Mc.Cache.open_file path in
+  Mc.Cache.close c2;
   Alcotest.(check int) "round trip" 1 (Mc.Cache.length c2);
   (match Mc.Cache.find c2 ~key:"k1" with
    | Some o ->
@@ -218,12 +246,16 @@ let test_cache_tolerates_corruption () =
        (o.Mc.Engine.verdict = Mc.Engine.Proved)
    | None -> Alcotest.fail "entry lost in round trip");
   (* truncation (a crash mid-write of a non-atomic writer): empty cache *)
-  let full = In_channel.with_open_bin path In_channel.input_all in
-  let oc = open_out_bin path in
-  output_string oc (String.sub full 0 (String.length full / 2));
-  close_out oc;
-  Alcotest.(check int) "truncated loads as empty" 0
-    (Mc.Cache.length (Mc.Cache.load_or_create path));
+  let full = read_file path in
+  write_file path (String.sub full 0 (String.length full / 2));
+  Alcotest.(check int) "truncated loads as empty" 0 (stored path);
+  (* opening garbage starts a fresh store in its place *)
+  write_file path "this is not a cache";
+  let c3 = Mc.Cache.open_file path in
+  Alcotest.(check int) "garbage opens empty" 0 (Mc.Cache.length c3);
+  Mc.Cache.add c3 ~key:"k2" (outcome Mc.Engine.Proved);
+  Mc.Cache.close c3;
+  Alcotest.(check int) "a fresh store replaced the garbage" 1 (stored path);
   Sys.remove path
 
 let test_cache_save_is_atomic () =
@@ -237,61 +269,276 @@ let test_cache_save_is_atomic () =
   (* temp-and-rename must leave exactly the target file behind *)
   Alcotest.(check (list string)) "no temp droppings" [ "results.cache" ]
     (List.sort compare (Array.to_list (Sys.readdir dir)));
-  Alcotest.(check int) "saved cache loads" 1
-    (Mc.Cache.length (Mc.Cache.load_or_create path));
+  Alcotest.(check int) "saved cache loads" 1 (stored path);
   Sys.remove path;
   Unix.rmdir dir
 
-(* ---- journal unit behavior ---- *)
+(* ---- the store's format ---- *)
+
+let trace =
+  [ { Mc.Trace.step = 0;
+      inputs =
+        [ ("din", Bitvec.of_string "10110011");
+          ("wide", Bitvec.of_string (String.make 70 '1')) ];
+      state = [ ("q", Bitvec.of_string "0") ] };
+    { Mc.Trace.step = 1;
+      inputs =
+        [ ("din", Bitvec.of_string "00000001");
+          ("wide", Bitvec.of_string ("1" ^ String.make 69 '0')) ];
+      state = [ ("q", Bitvec.of_string "1") ] } ]
+
+(* the outcomes the committed fixture in the current format decodes to:
+   all five verdicts, a multi-width trace, the -1 sentinels, floats that
+   need all 17 digits and error text with quotes, newlines and raw bytes *)
+let pinned =
+  let perf =
+    { Mc.Engine.bdd_peak = 812; bdd_polls = 9; fix_iterations = 3;
+      peak_set_size = 40; sat_decisions = 1234; sat_conflicts = 56;
+      sat_propagations = 78901; sat_restarts = 2; incremental_reuse = 4;
+      unroll_depth = 20; final_k = -1; ic3_frames = -1;
+      attempts = [ "bdd-combined"; "pobdd"; "bmc" ] }
+  in
+  let o verdict engine_used time_s =
+    { Mc.Engine.verdict; engine_used; time_s; iterations = 3;
+      work_nodes = 812; perf }
+  in
+  [ ("fp-proved", o Mc.Engine.Proved "bdd-combined" 0.1);
+    ("fp-bounded", o (Mc.Engine.Proved_bounded 20) "bmc" (0.1 +. 0.2));
+    ("fp-failed", o (Mc.Engine.Failed trace) "bdd-combined" 1e-7);
+    ("fp-ro", o (Mc.Engine.Resource_out "bdd-nodes") "pobdd" 12.5);
+    ( "fp-error",
+      o (Mc.Engine.Error "Failure(\"boom\")\nat \xff") "crash" 0.0 );
+    ("fp-empty-perf",
+     { (o Mc.Engine.Proved "self-heal" 2.0) with
+       Mc.Engine.perf = Mc.Engine.empty_perf }) ]
+
+let fixture name = Filename.concat "fixtures" name
+
+(* the cache and journal files a build before this format wrote: each loads
+   as no verdict, with a warning; opening one starts a fresh store *)
+let test_old_formats_rejected () =
+  List.iter
+    (fun name ->
+      let loaded, warning =
+        capture_stderr (fun () -> Mc.Cache.load (fixture name))
+      in
+      (match loaded with
+       | Some c ->
+         Alcotest.(check int) (name ^ ": no verdict") 0 (Mc.Cache.length c)
+       | None -> Alcotest.failf "fixture %s is missing" name);
+      Alcotest.(check bool) (name ^ ": warns") true
+        (String.starts_with ~prefix:"warning: result cache" warning);
+      let path = Filename.temp_file "dicheck_old" ".cache" in
+      write_file path (read_file (fixture name));
+      let c, _ = capture_stderr (fun () -> Mc.Cache.open_file path) in
+      Mc.Cache.add c ~key:"k" (outcome Mc.Engine.Proved);
+      Mc.Cache.close c;
+      Alcotest.(check int) (name ^ ": replaced by a fresh store") 1
+        (stored path);
+      Sys.remove path)
+    [ "dicheck-cache-v3.cache"; "dicheck-journal-v2.journal" ]
+
+(* The fixture is named after the current schema. A field added to an
+   outcome or its perf makes the decoder reject it until the schema is
+   bumped and a fixture in the new format is committed. *)
+let test_current_format_pinned () =
+  match Mc.Cache.load (fixture (Mc.Cache.schema ^ ".cache")) with
+  | None -> Alcotest.failf "no fixture for %s" Mc.Cache.schema
+  | Some c ->
+    Alcotest.(check int) "every record decodes" (List.length pinned)
+      (Mc.Cache.length c);
+    List.iter
+      (fun (key, o) ->
+        Alcotest.(check bool) (key ^ " decodes to its pinned outcome") true
+          (Mc.Cache.find c ~key = Some o))
+      pinned
+
+let gen_outcome =
+  let open QCheck.Gen in
+  let bytes = string_size ~gen:char (int_range 0 12) in
+  let bitvec =
+    int_range 1 70 >>= fun w ->
+    string_size ~gen:(oneofl [ '0'; '1' ]) (return w) >|= Bitvec.of_string
+  in
+  let bindings = list_size (int_range 0 4) (pair bytes bitvec) in
+  let cycle =
+    map3
+      (fun step inputs state -> { Mc.Trace.step; inputs; state })
+      small_nat bindings bindings
+  in
+  let verdict =
+    oneof
+      [ return Mc.Engine.Proved;
+        map (fun d -> Mc.Engine.Proved_bounded d) small_nat;
+        map (fun t -> Mc.Engine.Failed t) (list_size (int_range 0 4) cycle);
+        map (fun c -> Mc.Engine.Resource_out c) bytes;
+        map (fun m -> Mc.Engine.Error m) bytes ]
+  in
+  let count = oneof [ return (-1); small_nat; int ] in
+  let time = float >|= fun f -> if Float.is_finite f then f else 0.0 in
+  let* verdict and* engine_used = bytes and* time_s = time
+  and* counts = list_repeat 14 count
+  and* attempts = list_size (int_range 0 4) bytes in
+  match counts with
+  | [ iterations; work_nodes; bdd_peak; bdd_polls; fix_iterations;
+      peak_set_size; sat_decisions; sat_conflicts; sat_propagations;
+      sat_restarts; incremental_reuse; unroll_depth; final_k; ic3_frames ] ->
+    return
+      { Mc.Engine.verdict; engine_used; time_s; iterations; work_nodes;
+        perf =
+          { Mc.Engine.bdd_peak; bdd_polls; fix_iterations; peak_set_size;
+            sat_decisions; sat_conflicts; sat_propagations; sat_restarts;
+            incremental_reuse; unroll_depth; final_k; ic3_frames; attempts }
+      }
+  | _ -> assert false
+
+let qcheck_outcome_roundtrip =
+  QCheck.Test.make ~count:300 ~name:"outcomes round-trip through the codec"
+    (QCheck.make gen_outcome) (fun o ->
+      let text = Obs.Json.to_string (Mc.Cache.outcome_to_json o) in
+      match Obs.Json.parse text with
+      | Ok j -> Mc.Cache.outcome_of_json j = Ok o
+      | Error _ -> false)
+
+(* a store holding [pinned], written through the append path *)
+let valid_store =
+  lazy
+    (let path = Filename.temp_file "dicheck_valid" ".cache" in
+     let c = Mc.Cache.open_file path in
+     List.iter (fun (key, o) -> Mc.Cache.add c ~key o) pinned;
+     Mc.Cache.close c;
+     let text = read_file path in
+     Sys.remove path;
+     text)
+
+(* arbitrary bytes, truncations and byte flips of a valid store: loading
+   and opening never raise, and every entry they yield was written *)
+let qcheck_damaged_store =
+  let damaged =
+    let open QCheck.Gen in
+    let valid = Lazy.force valid_store in
+    let n = String.length valid in
+    oneof
+      [ string_size ~gen:char (int_range 0 200);
+        map (fun k -> String.sub valid 0 k) (int_bound n);
+        map
+          (fun flips ->
+            let b = Bytes.of_string valid in
+            List.iter
+              (fun (i, x) ->
+                Bytes.set b i
+                  (Char.chr (Char.code (Bytes.get b i) lxor (1 + x))))
+              flips;
+            Bytes.to_string b)
+          (list_size (int_range 1 3) (pair (int_bound (n - 1)) (int_bound 254)))
+      ]
+  in
+  QCheck.Test.make ~count:300 ~name:"damaged stores yield only written entries"
+    (QCheck.make ~print:String.escaped damaged) (fun text ->
+      let path = Filename.temp_file "dicheck_damaged" ".cache" in
+      let only_written c =
+        let found =
+          List.filter_map
+            (fun (key, o) -> Option.map (( = ) o) (Mc.Cache.find c ~key))
+            pinned
+        in
+        List.for_all Fun.id found && List.length found = Mc.Cache.length c
+      in
+      let ok, _ =
+        capture_stderr (fun () ->
+            write_file path text;
+            match Mc.Cache.load path with
+            | None -> false
+            | Some c ->
+              let c' = Mc.Cache.open_file path in
+              Mc.Cache.close c';
+              only_written c && only_written c'
+              && Mc.Cache.length c = Mc.Cache.length c'
+              && stored path = Mc.Cache.length c)
+      in
+      Sys.remove path;
+      ok)
+
+(* ---- the store as a checkpoint ---- *)
 
 let test_journal_round_trip () =
-  let path = Filename.temp_file "dicheck_journal" ".log" in
-  let j = Core.Journal.create path in
-  Alcotest.(check int) "fresh journal replays nothing" 0
-    (Core.Journal.replay_count j);
-  Core.Journal.append j ~key:"aaa" (outcome Mc.Engine.Proved);
-  Core.Journal.append j ~key:"bbb" (outcome (Mc.Engine.Proved_bounded 7));
-  Core.Journal.close j;
-  Alcotest.(check int) "two records on disk" 2
-    (List.length (Core.Journal.load path));
-  let j2 = Core.Journal.create ~resume:true path in
-  Alcotest.(check int) "resume loads both" 2 (Core.Journal.replay_count j2);
-  (match Core.Journal.replay j2 ~key:"bbb" with
+  let path = Filename.temp_file "dicheck_store" ".cache" in
+  Sys.remove path;
+  let c = Mc.Cache.open_file path in
+  Alcotest.(check int) "fresh store holds nothing" 0 (Mc.Cache.length c);
+  Mc.Cache.add c ~key:"aaa" (outcome Mc.Engine.Proved);
+  Mc.Cache.add c ~key:"bbb" (outcome (Mc.Engine.Proved_bounded 7));
+  Mc.Cache.close c;
+  Alcotest.(check int) "two records on disk" 2 (stored path);
+  let c2 = Mc.Cache.open_file path in
+  Alcotest.(check int) "reopening loads both" 2 (Mc.Cache.length c2);
+  (match Mc.Cache.find c2 ~key:"bbb" with
    | Some o ->
      Alcotest.(check bool) "outcome round-trips" true
        (o.Mc.Engine.verdict = Mc.Engine.Proved_bounded 7)
-   | None -> Alcotest.fail "bbb not replayed");
-  Core.Journal.append j2 ~key:"ccc" (outcome Mc.Engine.Proved);
-  Core.Journal.close j2;
-  Alcotest.(check int) "append after resume" 3
-    (List.length (Core.Journal.load path));
-  Sys.remove path
+   | None -> Alcotest.fail "bbb not loaded");
+  Mc.Cache.add c2 ~key:"ccc" (outcome Mc.Engine.Proved);
+  let size = (Unix.stat path).Unix.st_size in
+  Mc.Cache.add c2 ~key:"ccc" (outcome Mc.Engine.Proved);
+  Alcotest.(check int) "an unchanged entry is not appended again" size
+    (Unix.stat path).Unix.st_size;
+  (* a healed verdict recorded after its resource-out overrides it *)
+  Mc.Cache.add c2 ~key:"aaa" (outcome (Mc.Engine.Resource_out "bdd-nodes"));
+  Mc.Cache.add c2 ~key:"aaa" (outcome (Mc.Engine.Failed trace));
+  Mc.Cache.close c2;
+  match Mc.Cache.load path with
+  | None -> Alcotest.fail "store lost"
+  | Some c3 ->
+    Alcotest.(check int) "append after reopening" 3 (Mc.Cache.length c3);
+    Alcotest.(check bool) "the later record wins" true
+      (Option.map (fun o -> o.Mc.Engine.verdict) (Mc.Cache.find c3 ~key:"aaa")
+       = Some (Mc.Engine.Failed trace));
+    Sys.remove path
 
 let test_journal_tolerates_torn_tail () =
-  let path = Filename.temp_file "dicheck_journal" ".log" in
-  let j = Core.Journal.create path in
-  Core.Journal.append j ~key:"aaa" (outcome Mc.Engine.Proved);
-  Core.Journal.append j ~key:"bbb" (outcome Mc.Engine.Proved);
-  Core.Journal.close j;
-  (* simulate a SIGKILL mid-append: a partial, garbled last line *)
-  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
-  output_string oc "ccc deadbee";
-  close_out oc;
-  Alcotest.(check int) "torn tail dropped, prefix kept" 2
-    (List.length (Core.Journal.load path));
-  let j2 = Core.Journal.create ~resume:true path in
-  Alcotest.(check int) "resume over torn tail" 2
-    (Core.Journal.replay_count j2);
-  Core.Journal.close j2;
+  let path = Filename.temp_file "dicheck_store" ".cache" in
+  Sys.remove path;
+  let c = Mc.Cache.open_file path in
+  Mc.Cache.add c ~key:"aaa" (outcome Mc.Engine.Proved);
+  Mc.Cache.add c ~key:"bbb" (outcome Mc.Engine.Proved);
+  Mc.Cache.close c;
+  (* simulate a SIGKILL mid-append: a partial last line *)
+  write_file path (read_file path ^ "{\"key\":\"ccc\",\"outco");
+  Alcotest.(check int) "torn tail dropped, prefix kept" 2 (stored path);
+  let c2, _ = capture_stderr (fun () -> Mc.Cache.open_file path) in
+  Alcotest.(check int) "reopening over a torn tail" 2 (Mc.Cache.length c2);
+  Mc.Cache.close c2;
   (* a foreign format version is ignored wholesale *)
-  let oc = open_out_bin path in
-  output_string oc "some-other-format-v9\naaa 00\n";
-  close_out oc;
-  Alcotest.(check int) "foreign version ignored" 0
-    (List.length (Core.Journal.load path));
+  write_file path "some-other-format-v9\naaa 00\n";
+  Alcotest.(check int) "foreign version ignored" 0 (stored path);
   Sys.remove path
 
-(* ---- chaos: SIGKILL mid-campaign, then resume ---- *)
+(* records appended after a torn line must stay readable: opening the
+   store cuts the torn line off first *)
+let test_store_append_after_torn_tail () =
+  let path = Filename.temp_file "dicheck_store" ".cache" in
+  Sys.remove path;
+  let c = Mc.Cache.open_file path in
+  Mc.Cache.add c ~key:"aaa" (outcome Mc.Engine.Proved);
+  Mc.Cache.add c ~key:"bbb" (outcome Mc.Engine.Proved);
+  Mc.Cache.close c;
+  let full = read_file path in
+  write_file path (String.sub full 0 (String.length full - 40));
+  let c, _ = capture_stderr (fun () -> Mc.Cache.open_file path) in
+  Alcotest.(check int) "the torn record is dropped" 1 (Mc.Cache.length c);
+  Mc.Cache.add c ~key:"ccc" (outcome Mc.Engine.Proved);
+  Mc.Cache.add c ~key:"ddd" (outcome Mc.Engine.Proved);
+  Mc.Cache.close c;
+  let c = Mc.Cache.open_file path in
+  Mc.Cache.close c;
+  Alcotest.(check (list bool)) "records appended after the tear survive"
+    [ true; false; true; true ]
+    (List.map
+       (fun key -> Mc.Cache.find c ~key <> None)
+       [ "aaa"; "bbb"; "ccc"; "ddd" ]);
+  Sys.remove path
+
+(* ---- chaos: SIGKILL mid-campaign, twice, then resume ---- *)
 
 let count calls ~module_name:_ ~prop_name:_ ~fingerprint:_ ~attempt:_ =
   incr calls
@@ -300,46 +547,55 @@ let test_chaos_kill_resume () =
   let mini = mini_chip () in
   let clean_calls = ref 0 in
   let clean = Core.Campaign.run ~fault_hook:(count clean_calls) mini in
-  let jpath = Filename.temp_file "dicheck_chaos" ".journal" in
-  (match Unix.fork () with
-   | 0 ->
-     (* child: run with a fresh journal and kill ourselves — no unwinding,
-        no at_exit — after a handful of completions. Journal appends are
-        fsync'd before the progress callback sees the completion, so the
-        records for everything we saw complete must be on disk. *)
-     (try
-        let j = Core.Journal.create jpath in
-        let progress (s : Core.Status.snapshot) =
-          if s.Core.Status.s_done >= 5 then
-            Unix.kill (Unix.getpid ()) Sys.sigkill
-        in
-        ignore (Core.Campaign.run ~journal:j ~progress mini)
-      with _ -> ());
-     (* only reachable if the kill never fired *)
-     Unix._exit 99
-   | pid ->
-     let _, status = Unix.waitpid [] pid in
-     (match status with
-      | Unix.WSIGNALED s when s = Sys.sigkill -> ()
-      | _ -> Alcotest.fail "child should have died by SIGKILL");
-     let j = Core.Journal.create ~resume:true jpath in
-     let replayable = Core.Journal.replay_count j in
-     Alcotest.(check bool) "a checkpoint prefix survived the kill" true
-       (replayable > 0);
-     let resumed_calls = ref 0 in
-     let resumed =
-       Core.Campaign.run ~journal:j ~fault_hook:(count resumed_calls) mini
-     in
-     Core.Journal.close j;
-     (* nothing is proved twice: the resumed run executes exactly the
-        obligations the journal does not cover *)
-     Alcotest.(check int) "resume re-proves only the un-checkpointed rest"
-       (!clean_calls - replayable) !resumed_calls;
-     Alcotest.(check bool) "some verdicts were replayed" true
-       (resumed.Core.Campaign.replayed > 0);
-     Alcotest.(check (list string)) "resumed verdicts = undisturbed verdicts"
-       (keys clean) (keys resumed);
-     Sys.remove jpath)
+  let path = Filename.temp_file "dicheck_chaos" ".cache" in
+  Sys.remove path;
+  (* a child campaign on the store that kills itself — no unwinding, no
+     at_exit — as its third engine run starts: the two verdicts before it
+     were fsync'd when they were recorded *)
+  let run_and_kill () =
+    match Unix.fork () with
+    | 0 ->
+      (try
+         let cache = Mc.Cache.open_file path in
+         let engines = ref 0 in
+         let kill ~module_name:_ ~prop_name:_ ~fingerprint:_ ~attempt:_ =
+           incr engines;
+           if !engines = 3 then Unix.kill (Unix.getpid ()) Sys.sigkill
+         in
+         ignore (Core.Campaign.run ~cache ~fault_hook:kill mini)
+       with _ -> ());
+      (* only reachable if the kill never fired *)
+      Unix._exit 99
+    | pid ->
+      (match Unix.waitpid [] pid with
+       | _, Unix.WSIGNALED s when s = Sys.sigkill -> ()
+       | _ -> Alcotest.fail "child should have died by SIGKILL");
+      stored path
+  in
+  let first = run_and_kill () in
+  let second = run_and_kill () in
+  Alcotest.(check (list int)) "each kill left the verdicts before it" [ 2; 4 ]
+    [ first; second ];
+  let before = Option.get (Mc.Cache.load path) in
+  let cache = Mc.Cache.open_file path in
+  let resumed_calls = ref 0 and rerun = ref false in
+  let fresh ~module_name:_ ~prop_name:_ ~fingerprint ~attempt:_ =
+    incr resumed_calls;
+    if Mc.Cache.find before ~key:fingerprint <> None then rerun := true
+  in
+  let resumed = Core.Campaign.run ~cache ~fault_hook:fresh mini in
+  Mc.Cache.close cache;
+  (* nothing is proved twice: the resumed run executes exactly the
+     obligations the store does not cover *)
+  Alcotest.(check bool) "no engine for a checkpointed verdict" false !rerun;
+  Alcotest.(check int) "resume re-proves only the un-checkpointed rest"
+    (!clean_calls - second) !resumed_calls;
+  Alcotest.(check int) "the checkpointed verdicts are cache hits"
+    (clean.Core.Campaign.cache_hits + second)
+    resumed.Core.Campaign.cache_hits;
+  Alcotest.(check (list string)) "resumed verdicts = undisturbed verdicts"
+    (keys clean) (keys resumed);
+  Sys.remove path
 
 (* ---- crash isolation and the retry ladder ---- *)
 
@@ -427,37 +683,38 @@ let test_retry_recovers_transient_crash () =
        (fun (pr : Core.Campaign.prop_result) -> pr.Core.Campaign.attempts = 2)
        r.Core.Campaign.results)
 
-(* ---- journal-driven resume in the campaign ---- *)
+(* ---- resuming a campaign from its cache file ---- *)
 
 let test_journal_resume_proves_nothing_twice () =
   let mini = mini_chip () in
-  let jpath = Filename.temp_file "dicheck_resume" ".journal" in
-  let j = Core.Journal.create jpath in
+  let path = Filename.temp_file "dicheck_resume" ".cache" in
+  Sys.remove path;
+  let c = Mc.Cache.open_file path in
   let calls1 = ref 0 in
-  let first = Core.Campaign.run ~journal:j ~fault_hook:(count calls1) mini in
-  Core.Journal.close j;
+  let first = Core.Campaign.run ~cache:c ~fault_hook:(count calls1) mini in
+  Mc.Cache.close c;
   Alcotest.(check bool) "first run ran engines" true (!calls1 > 0);
-  let j2 = Core.Journal.create ~resume:true jpath in
-  Alcotest.(check int) "journal holds every distinct obligation" !calls1
-    (Core.Journal.replay_count j2);
+  let c2 = Mc.Cache.open_file path in
+  Alcotest.(check int) "the store holds every distinct obligation" !calls1
+    (Mc.Cache.length c2);
   let calls2 = ref 0 in
   let snapshots = ref [] in
   let progress (s : Core.Status.snapshot) = snapshots := s :: !snapshots in
   let second =
-    Core.Campaign.run ~journal:j2 ~fault_hook:(count calls2) ~progress mini
+    Core.Campaign.run ~cache:c2 ~fault_hook:(count calls2) ~progress mini
   in
-  Core.Journal.close j2;
+  Mc.Cache.close c2;
   Alcotest.(check int) "resume runs zero engines" 0 !calls2;
-  Alcotest.(check int) "every verdict replayed"
+  Alcotest.(check int) "every verdict a cache hit"
     (List.length second.Core.Campaign.results)
-    second.Core.Campaign.replayed;
-  Alcotest.(check bool) "results flag the replays" true
+    second.Core.Campaign.cache_hits;
+  Alcotest.(check bool) "results flag the hits" true
     (List.for_all
-       (fun (r : Core.Campaign.prop_result) -> r.Core.Campaign.replayed)
+       (fun (r : Core.Campaign.prop_result) -> r.Core.Campaign.cache_hit)
        second.Core.Campaign.results);
-  Alcotest.(check (list string)) "replayed verdicts identical" (keys first)
+  Alcotest.(check (list string)) "resumed verdicts identical" (keys first)
     (keys second);
-  (* progress stays sane under replay: done counts up to total, never past *)
+  (* progress stays sane on resume: done counts up to total, never past *)
   let total = List.length second.Core.Campaign.results in
   Alcotest.(check bool) "done <= total and monotone" true
     (List.for_all
@@ -469,40 +726,32 @@ let test_journal_resume_proves_nothing_twice () =
     (match !snapshots with
      | last :: _ -> last.Core.Status.s_done
      | [] -> -1);
-  Sys.remove jpath
+  Sys.remove path
 
 let test_journal_partial_resume () =
   let mini = mini_chip () in
-  let jpath = Filename.temp_file "dicheck_partial" ".journal" in
-  let j = Core.Journal.create jpath in
+  let path = Filename.temp_file "dicheck_partial" ".cache" in
+  Sys.remove path;
+  let c = Mc.Cache.open_file path in
   let calls1 = ref 0 in
-  let first = Core.Campaign.run ~journal:j ~fault_hook:(count calls1) mini in
-  Core.Journal.close j;
+  let first = Core.Campaign.run ~cache:c ~fault_hook:(count calls1) mini in
+  Mc.Cache.close c;
   (* keep the header and the first three records, then a torn tail — a
      hand-made crash prefix *)
-  let lines =
-    String.split_on_char '\n'
-      (In_channel.with_open_bin jpath In_channel.input_all)
-  in
-  let keep = List.filteri (fun i _ -> i < 4) lines in
-  let oc = open_out_bin jpath in
-  List.iter (fun l -> output_string oc (l ^ "\n")) keep;
-  output_string oc "torn";
-  close_out oc;
-  let j2 = Core.Journal.create ~resume:true jpath in
-  let replayable = Core.Journal.replay_count j2 in
-  Alcotest.(check bool) "partial prefix loaded" true
-    (replayable > 0 && replayable <= 3);
+  let lines = String.split_on_char '\n' (read_file path) in
+  write_file path
+    (String.concat "\n" (List.filteri (fun i _ -> i < 4) lines) ^ "\ntorn");
+  let c2, _ = capture_stderr (fun () -> Mc.Cache.open_file path) in
+  let loaded = Mc.Cache.length c2 in
+  Alcotest.(check int) "the prefix's three records loaded" 3 loaded;
   let calls2 = ref 0 in
-  let second =
-    Core.Campaign.run ~journal:j2 ~fault_hook:(count calls2) mini
-  in
-  Core.Journal.close j2;
+  let second = Core.Campaign.run ~cache:c2 ~fault_hook:(count calls2) mini in
+  Mc.Cache.close c2;
   Alcotest.(check int) "only the missing obligations re-run"
-    (!calls1 - replayable) !calls2;
+    (!calls1 - loaded) !calls2;
   Alcotest.(check (list string)) "verdicts identical after partial resume"
     (keys first) (keys second);
-  Sys.remove jpath
+  Sys.remove path
 
 (* ---- executor crash isolation ---- *)
 
@@ -567,11 +816,20 @@ let () =
            test_cache_tolerates_corruption;
          Alcotest.test_case "save is atomic" `Quick
            test_cache_save_is_atomic ]);
+      ("cache-format",
+       [ Alcotest.test_case "older formats load as no verdict" `Quick
+           test_old_formats_rejected;
+         Alcotest.test_case "the current format decodes to pinned outcomes"
+           `Quick test_current_format_pinned;
+         QCheck_alcotest.to_alcotest qcheck_outcome_roundtrip;
+         QCheck_alcotest.to_alcotest qcheck_damaged_store ]);
       ("journal",
        [ Alcotest.test_case "round trip and resume-append" `Quick
            test_journal_round_trip;
          Alcotest.test_case "torn tail and foreign versions" `Quick
-           test_journal_tolerates_torn_tail ]);
+           test_journal_tolerates_torn_tail;
+         Alcotest.test_case "appends after a torn tail survive" `Quick
+           test_store_append_after_torn_tail ]);
       (* forks: must precede anything that spawns domains *)
       ("chaos",
        [ Alcotest.test_case "SIGKILL mid-run, resume, same verdicts" `Quick
