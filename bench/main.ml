@@ -475,64 +475,10 @@ let artifacts =
     ("table4", table4); ("timing", timing); ("fig7", fig7); ("fuzz", fuzz);
     ("micro", micro) ]
 
-(* [bench diff BASE CUR [--threshold=X]]: compare two BENCH json files and
-   exit 1 on a regression verdict — the CI trend gate. Handled before the
-   artifact dispatch so it neither runs campaigns nor rewrites
-   BENCH_campaign.json. *)
-let run_diff base_path cur_path threshold =
-  let load path =
-    match In_channel.with_open_text path In_channel.input_all with
-    | exception Sys_error e ->
-      Printf.eprintf "bench diff: %s\n" e;
-      exit 2
-    | s ->
-      (match Obs.Json.parse s with
-       | Ok j -> j
-       | Error e ->
-         Printf.eprintf "bench diff: %s: %s\n" path e;
-         exit 2)
-  in
-  let baseline = load base_path and current = load cur_path in
-  match Obs.Bench_diff.diff ~threshold ~baseline ~current () with
-  | Error e ->
-    Printf.eprintf "bench diff: %s\n" e;
-    exit 2
-  | Ok d ->
-    Format.printf "%a%!" Obs.Bench_diff.pp d;
-    exit (if d.Obs.Bench_diff.ok then 0 else 1)
-
 let () =
   let args =
     match Array.to_list Sys.argv with _ :: rest -> rest | [] -> []
   in
-  (match args with
-   | "diff" :: rest ->
-     let threshold = ref 0.2 in
-     let files =
-       List.filter
-         (fun a ->
-           match String.length a >= 12 && String.sub a 0 12 = "--threshold=" with
-           | true ->
-             (match
-                float_of_string_opt
-                  (String.sub a 12 (String.length a - 12))
-              with
-              | Some t when t > 0.0 ->
-                threshold := t;
-                false
-              | Some _ | None ->
-                Printf.eprintf "bench diff: bad %s\n" a;
-                exit 2)
-           | false -> true)
-         rest
-     in
-     (match files with
-      | [ base; cur ] -> run_diff base cur !threshold
-      | _ ->
-        Printf.eprintf
-          "usage: bench diff BASELINE.json CURRENT.json [--threshold=0.2]\n";
-        exit 2)
-   | _ -> ());
   (match args with
    | [] -> List.iter (fun (_, f) -> f ()) artifacts
    | names ->

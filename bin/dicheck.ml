@@ -145,11 +145,11 @@ let campaign_cmd =
       (* the flight recorder is always on: bounded memory, allocation-light
          writes, and it is exactly the runs that do NOT exit cleanly that
          need their recent history *)
-      Obs.Flight.enable ();
+      Obs.Telemetry.recorder_start ();
       Sys.set_signal Sys.sigusr1
         (Sys.Signal_handle
            (fun _ ->
-             Obs.Flight.dump ~reason:"sigusr1" flight_path;
+             Obs.Telemetry.dump_flight ~reason:"sigusr1" flight_path;
              Printf.eprintf "flight recording written to %s (SIGUSR1)\n%!"
                flight_path));
       let chip = Chip.Generator.generate ~with_bugs () in
@@ -203,7 +203,6 @@ let campaign_cmd =
       (* the status model always backs the stderr heartbeat; --status-socket
          additionally serves it to `dicheck top` *)
       let status = Core.Status.create ~jobs:(max 1 jobs) () in
-      Mc.Beacon.enable ();
       let server =
         Option.map (fun p -> Core.Status.serve status ~path:p) status_socket
       in
@@ -305,7 +304,7 @@ let campaign_cmd =
       (* 0 all proved; 1 property failures; 2 no failures but unresolved
          (resource-out or error) verdicts remain; 3 internal error *)
       let g = c.Core.Campaign.grand_total in
-      if Obs.Flight.active ()
+      if Obs.Telemetry.recording ()
          && g.Core.Campaign.resource_out + g.Core.Campaign.errors > 0
       then begin
         (* unresolved verdicts: dump the recent event history alongside so
@@ -314,7 +313,7 @@ let campaign_cmd =
           if g.Core.Campaign.errors > 0 then "error-verdicts"
           else "resource-out"
         in
-        Obs.Flight.dump ~reason flight_path;
+        Obs.Telemetry.dump_flight ~reason flight_path;
         Printf.eprintf "flight recording written to %s (%s)\n" flight_path
           reason
       end;
@@ -323,8 +322,8 @@ let campaign_cmd =
         exit 2
       else exit 0
     with e ->
-      if Obs.Flight.active () then begin
-        (try Obs.Flight.dump ~reason:"crash" flight_path
+      if Obs.Telemetry.recording () then begin
+        (try Obs.Telemetry.dump_flight ~reason:"crash" flight_path
          with _ -> ());
         Printf.eprintf "flight recording written to %s (crash)\n" flight_path
       end;
@@ -459,7 +458,7 @@ let campaign_cmd =
     Arg.(value & opt string "dicheck-flight.json"
          & info [ "flight" ] ~docv:"PATH"
              ~doc:"Destination of flight-recorder dumps (schema \
-                   dicheck-flight-v1). The recorder is always on; a dump is \
+                   dicheck-flight-v2). The recorder is always on; a dump is \
                    written on SIGUSR1, on an internal error, and when the \
                    campaign ends with unresolved (resource-out or error) \
                    verdicts.")

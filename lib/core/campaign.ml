@@ -267,11 +267,9 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
       String.equal outcome.Mc.Engine.engine_used Heal.engine_name
       && Mc.Engine.conclusive outcome
     in
-    Obs.Flight.record "ob.done"
-      ~detail:
-        (ob_name w ^ " " ^ verdict_str outcome ^ " "
-        ^ outcome.Mc.Engine.engine_used);
-    Mc.Beacon.idle ();
+    Obs.Telemetry.event "ob.done"
+      ~detail:(verdict_str outcome ^ " " ^ outcome.Mc.Engine.engine_used);
+    Obs.Telemetry.end_obligation ();
     (* the callback runs under the lock, so snapshots arrive in completion
        order and user printf output stays whole *)
     Mutex.lock progress_lock;
@@ -285,6 +283,11 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
       (* a previously healed verdict can come straight from the cache; the
          attribution marks it *)
       healed }
+  in
+  (* the calling domain's lane takes up item [w] under cache key [key];
+     [finish] idles it, as does the executor when a unit of work ends *)
+  let hold w key ~engine ~attempt =
+    Obs.Telemetry.begin_obligation ~ob:(ob_name w) ~key ~engine ~attempt
   in
   (* Opening item [i] prepares it inside the worker, so instrumentation,
      elaboration and COI reduction parallelize along with the engine runs
@@ -300,9 +303,8 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
           ("property", w.w_prop_name) ]
       (ob_name w)
     @@ fun () ->
-    Status.begin_work status ~obligation:(ob_name w) ~engine:strat_name
-      ~attempt:1;
     let ob, key = obligation i in
+    hold w key ~engine:strat_name ~attempt:1;
     match Mc.Cache.find cache ~key with
     | Some outcome -> settled (finish w ~cache_hit:true ~attempts:0 outcome)
     | None -> miss w ob key
@@ -312,9 +314,7 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
      instead of taking the campaign down *)
   let ladder w ob key =
     let rec attempt ob n =
-      if n > 1 then
-        Status.begin_work status ~obligation:(ob_name w) ~engine:strat_name
-          ~attempt:n;
+      if n > 1 then hold w key ~engine:strat_name ~attempt:n;
       (* the hook runs inside the match scrutinee: a fault it injects is
          indistinguishable from the engine itself crashing *)
       match
@@ -326,7 +326,7 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
         if n > max_retries then (crash_outcome exn, n)
         else begin
           Status.retry status;
-          Obs.Flight.record "ob.retry" ~detail:(ob_name w);
+          Obs.Telemetry.event "ob.retry" ~detail:(Printexc.to_string exn);
           Unix.sleepf retry_backoff_s;
           attempt
             { ob with
@@ -351,8 +351,6 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
      the race continues and the sibling verdicts still decide the
      obligation. *)
   let race members w ob key =
-    (* the members take over the lanes from here *)
-    Status.end_work status;
     let outer =
       Mc.Deadline.of_budget ob.Mc.Obligation.budget.Mc.Engine.wall_deadline_s
     in
@@ -362,8 +360,7 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
           (fun k ~cancel ->
             let m = members.(k) in
             let mname = Mc.Engine.strategy_name m.Mc.Engine.m_strategy in
-            Status.begin_work status ~obligation:(ob_name w) ~engine:mname
-              ~attempt:(k + 1);
+            hold w key ~engine:mname ~attempt:(k + 1);
             let out =
               Obs.Telemetry.span ~cat:"race"
                 ~args:
@@ -382,14 +379,15 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
               | outcome -> outcome
               | exception exn -> crash_outcome exn
             in
-            Mc.Beacon.idle ();
-            Status.end_work status;
-            Obs.Flight.record "race.member"
-              ~detail:(ob_name w ^ "#" ^ mname ^ " " ^ verdict_str out);
+            Obs.Telemetry.event "race.member"
+              ~detail:(mname ^ " " ^ verdict_str out);
             out);
         conclusive = Mc.Engine.settles;
         combine =
           (fun outs ->
+            (* the group settles on whichever lane ran its deciding
+               member *)
+            hold w key ~engine:strat_name ~attempt:1;
             let outcome = Mc.Engine.combine_portfolio outs in
             if Obs.Telemetry.active () then begin
               Obs.Telemetry.count ("race.win." ^ outcome.Mc.Engine.engine_used);
@@ -464,35 +462,58 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
           Obs.Telemetry.count "heal.piece.solved";
           outcome
       in
+      (* the shared prep cell is already warm from the main pass *)
+      let key_of i = snd (obligation i) in
       let heal_i i =
-        let w = items.(i) in
+        let w = items.(i) and key = key_of i in
         Obs.Telemetry.span ~cat:"heal"
           ~args:[ ("module", w.w_mdl.Rtl.Mdl.name);
                   ("property", w.w_prop_name) ]
           ("heal:" ^ ob_name w)
         @@ fun () ->
+        hold w key ~engine:Heal.engine_name ~attempt:1;
         let hr =
           Heal.heal_one ~max_iters ~run_piece ~mdl:w.w_mdl
             ~assert_:w.w_assert ~assumes:w.w_assumes ()
         in
         (match hr.Heal.h_outcome with
-        | None -> ()
+        | None -> Obs.Telemetry.event "heal.unhealable"
         | Some out ->
-          (* cache under the monolithic key — the shared prep cell is
-             already warm from the main pass *)
-          record ~key:(snd (obligation i)) out;
-          if Mc.Engine.conclusive out then
-            Obs.Telemetry.count "heal.recovered");
+          (* cache under the monolithic key *)
+          record ~key out;
+          let recovered = Mc.Engine.conclusive out in
+          if recovered then Obs.Telemetry.count "heal.recovered";
+          Obs.Telemetry.event
+            (if recovered then "heal.recovered" else "heal.exhausted")
+            ~detail:(verdict_str out));
         hr
       in
-      let heal_outs = Executor.map_result exec heal_i ro_idx in
+      (* Heal each distinct monolithic key once, on its first row; the
+         key's other rows take that result, as the main pass's cache
+         answers structural siblings, and each row still counts below *)
+      let seen = Hashtbl.create 64 in
+      let firsts =
+        List.filter
+          (fun i ->
+            let key = key_of i in
+            let first = not (Hashtbl.mem seen key) in
+            if first then Hashtbl.add seen key ();
+            first)
+          (Array.to_list ro_idx)
+        |> Array.of_list
+      in
+      let heal_outs = Executor.map_result exec heal_i firsts in
+      let by_key = Hashtbl.create 64 in
+      Array.iteri
+        (fun j i -> Hashtbl.add by_key (key_of i) heal_outs.(j))
+        firsts;
       let recovered = ref 0 and proved = ref 0 and failed = ref 0
       and exhausted = ref 0 and unhealable = ref 0 and spurious = ref 0
       and cegar = ref 0 and subs = ref 0 and bad = ref 0
       and pieces = ref 0 in
-      Array.iteri
-        (fun k res ->
-          match res with
+      Array.iter
+        (fun i ->
+          match Hashtbl.find by_key (key_of i) with
           | Error _ -> () (* a crash while healing keeps the original row *)
           | Ok hr ->
             spurious := !spurious + hr.Heal.h_spurious;
@@ -500,17 +521,10 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
             subs := !subs + hr.Heal.h_subs_proved;
             bad := !bad + hr.Heal.h_bad_cuts;
             pieces := !pieces + hr.Heal.h_pieces;
-            let i = ro_idx.(k) in
             (match hr.Heal.h_outcome with
-            | None ->
-              Obs.Flight.record "heal.unhealable" ~detail:(ob_name items.(i));
-              incr unhealable
+            | None -> incr unhealable
             | Some out ->
               Status.reclassify status ~to_:(verdict_class out);
-              Obs.Flight.record
-                (if Mc.Engine.conclusive out then "heal.recovered"
-                 else "heal.exhausted")
-                ~detail:(ob_name items.(i) ^ " " ^ verdict_str out);
               arr.(i) <-
                 { (arr.(i)) with
                   outcome = out;
@@ -526,7 +540,7 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
                 incr recovered
               | Mc.Engine.Resource_out _ | Mc.Engine.Error _ ->
                 incr exhausted)))
-        heal_outs;
+        ro_idx;
       ( Array.to_list arr,
         Some
           { heal_attempted = Array.length ro_idx;

@@ -166,21 +166,29 @@ val run :
 
     [status] is the run's live {!Status} model; a private one is kept when
     it is absent. The runtime keeps it current: totals and phase on entry,
-    per-lane in-flight obligations around preparation and every engine
-    attempt (including racing members and retry rungs), verdict tallies and
-    cache/race/heal attribution as obligations finish, and
-    reclassification as the healing pass recovers resource-outs. It is
+    verdict tallies and cache/race/heal attribution as obligations finish,
+    and reclassification as the healing pass recovers resource-outs. Each
+    worker's {!Obs.Telemetry} lane holds the obligation it works on, with
+    its cache key, from the cache lookup through every engine attempt
+    (including racing members, retry rungs and healing), and the model's
+    snapshots read their in-flight rows from the lanes. It is
     purely observational — it never affects scheduling, verdicts or keys,
     so seq ≡ pool determinism holds with or without it. [progress]
     receives the model's {!Status.snapshot} after every completed
     obligation, possibly from a worker domain but serialized under a lock,
     so [s_done] counts 1, 2, …, [s_total] in order. The runtime also
-    records flight-recorder events ({!Obs.Flight}: [ob.done], [ob.retry],
-    [race.member], [heal.*]) whenever a recorder is enabled.
+    records flight-recorder events ([ob.done], [ob.retry], [race.member],
+    [heal.*]), each naming its lane's obligation and key, whenever
+    {!Obs.Telemetry.recorder_start} has installed a recorder.
 
     [self_heal] turns on the automatic Figure 7 recovery pass
     ({!Heal.heal_one}) over every [Resource_out] result, with at most
-    [self_heal] freed-cut final checks per obligation. Healing pieces are
+    [self_heal] freed-cut final checks per obligation. Each distinct
+    monolithic key is healed once, on its first resource-out row, and its
+    other rows take that result, as the cache answers structural siblings
+    in the main pass; every row still counts in the [healing] totals, and
+    the [heal.*] telemetry counters count the work done per key. Healing
+    pieces are
     looked up and run like first-class obligations under cut-salted
     fingerprints, and a healed verdict is cached under the monolithic
     key after the original resource-out record — so a rerun on the same

@@ -5,18 +5,20 @@ module Telemetry = Obs.Telemetry
 (* Per-worker telemetry: one span covering the worker's whole drain (so each
    pool domain gets a lane in the trace) plus utilization counters. [run]
    executes one item and returns its wall time; item work itself shows up as
-   the obligation spans nested inside the worker span. *)
+   the obligation spans nested inside the worker span. The lane is idle
+   again once an item ends, however it ends. *)
 let with_worker_telemetry ~w body =
   let t0 = Unix.gettimeofday () in
   let busy = ref 0.0 in
   let items = ref 0 in
-  Obs.Flight.record "worker.start" ~detail:(string_of_int w);
+  Telemetry.event "worker.start" ~detail:(string_of_int w);
   let run f =
     let s = Unix.gettimeofday () in
     Fun.protect
       ~finally:(fun () ->
         busy := !busy +. (Unix.gettimeofday () -. s);
-        incr items)
+        incr items;
+        Telemetry.end_obligation ())
       f
   in
   Telemetry.span ~cat:"exec"
@@ -31,7 +33,7 @@ let with_worker_telemetry ~w body =
       ~n:(int_of_float (1e6 *. Float.max 0.0 (total -. !busy)))
       "exec.idle_us"
   end;
-  Obs.Flight.record "worker.done"
+  Telemetry.event "worker.done"
     ~detail:(Printf.sprintf "%d items=%d" w !items)
 
 let sequential = Sequential
@@ -219,8 +221,7 @@ let race_pool ~workers open_ xs =
   let unsettled = ref n in
   let cancel_latency dt =
     Telemetry.observe "exec.race_cancel_s" dt;
-    Obs.Flight.record "race.cancelled"
-      ~detail:(Printf.sprintf "%.4fs" dt)
+    Telemetry.event "race.cancelled" ~detail:(Printf.sprintf "%.4fs" dt)
   in
   let dispatchable g =
     (not g.g_settled)

@@ -1,21 +1,5 @@
 type verdict_class = [ `Proved | `Failed | `Resource_out | `Error ]
 
-type fly = {
-  fy_ob : string;
-  fy_engine : string;
-  fy_attempt : int;
-  fy_t0 : float;
-}
-
-type in_flight = {
-  f_lane : int;
-  f_obligation : string;
-  f_engine : string;
-  f_attempt : int;
-  f_elapsed_s : float;
-  f_beacon : Mc.Beacon.t option;
-}
-
 type snapshot = {
   s_phase : string;
   s_elapsed_s : float;
@@ -32,7 +16,7 @@ type snapshot = {
   s_raced : int;
   s_rate_per_s : float;
   s_eta_s : float option;
-  s_in_flight : in_flight list;
+  s_in_flight : Obs.Telemetry.in_flight list;
 }
 
 type t = {
@@ -50,14 +34,13 @@ type t = {
   mutable retries : int;
   mutable healed : int;
   mutable raced : int;
-  flying : (int, fly) Hashtbl.t;
 }
 
 let create ?(jobs = 1) () =
   { lock = Mutex.create (); t0 = Unix.gettimeofday (); jobs;
     phase = "starting"; total = 0; done_ = 0; proved = 0; failed = 0;
     resource_out = 0; errors = 0; cache_hits = 0; retries = 0;
-    healed = 0; raced = 0; flying = Hashtbl.create 16 }
+    healed = 0; raced = 0 }
 
 let locked t f =
   Mutex.lock t.lock;
@@ -65,17 +48,6 @@ let locked t f =
 
 let set_total t n = locked t (fun () -> t.total <- n)
 let set_phase t p = locked t (fun () -> t.phase <- p)
-
-let lane () = (Domain.self () :> int)
-
-let begin_work t ~obligation ~engine ~attempt =
-  let fy =
-    { fy_ob = obligation; fy_engine = engine; fy_attempt = attempt;
-      fy_t0 = Unix.gettimeofday () }
-  in
-  locked t (fun () -> Hashtbl.replace t.flying (lane ()) fy)
-
-let end_work t = locked t (fun () -> Hashtbl.remove t.flying (lane ()))
 
 let retry t = locked t (fun () -> t.retries <- t.retries + 1)
 
@@ -88,7 +60,6 @@ let tally t (v : verdict_class) =
 
 let finish t ~verdict ~cache_hit ~raced ~healed =
   locked t (fun () ->
-      Hashtbl.remove t.flying (lane ());
       t.done_ <- t.done_ + 1;
       tally t verdict;
       if cache_hit then t.cache_hits <- t.cache_hits + 1;
@@ -104,7 +75,7 @@ let reclassify t ~to_ =
       | `Resource_out | `Error -> ())
 
 let snapshot t =
-  let beacons = Mc.Beacon.snapshot () in
+  let in_flight = Obs.Telemetry.in_flight () in
   let now = Unix.gettimeofday () in
   locked t (fun () ->
       let elapsed = now -. t.t0 in
@@ -124,17 +95,6 @@ let snapshot t =
           Some (float_of_int (t.total - t.done_) /. rate)
         else None
       in
-      let in_flight =
-        Hashtbl.fold
-          (fun ln fy acc ->
-            { f_lane = ln; f_obligation = fy.fy_ob; f_engine = fy.fy_engine;
-              f_attempt = fy.fy_attempt; f_elapsed_s = now -. fy.fy_t0;
-              f_beacon =
-                List.find_opt (fun b -> b.Mc.Beacon.lane = ln) beacons }
-            :: acc)
-          t.flying []
-        |> List.sort (fun a b -> compare a.f_lane b.f_lane)
-      in
       { s_phase = t.phase; s_elapsed_s = elapsed; s_jobs = t.jobs;
         s_total = t.total; s_done = t.done_; s_proved = t.proved;
         s_failed = t.failed; s_resource_out = t.resource_out;
@@ -145,24 +105,25 @@ let snapshot t =
 
 let snapshot_json t =
   let module J = Obs.Json in
+  let module T = Obs.Telemetry in
   let s = snapshot t in
-  let fly f =
+  let fly (f : T.in_flight) =
     J.Obj
-      ([ ("lane", J.Int f.f_lane);
-         ("obligation", J.String f.f_obligation);
-         ("engine", J.String f.f_engine);
-         ("attempt", J.Int f.f_attempt);
-         ("elapsed_s", J.Float f.f_elapsed_s) ]
+      ([ ("lane", J.Int f.T.f_lane);
+         ("obligation", J.String f.T.f_obligation);
+         ("engine", J.String f.T.f_engine);
+         ("attempt", J.Int f.T.f_attempt);
+         ("elapsed_s", J.Float f.T.f_elapsed_s) ]
       @
-      match f.f_beacon with
+      match f.T.f_progress with
       | None -> []
-      | Some b ->
+      | Some p ->
         [ ("beacon",
            J.Obj
-             [ ("engine", J.String b.Mc.Beacon.engine);
-               ("step", J.Int b.Mc.Beacon.step);
-               ("work", J.Int b.Mc.Beacon.work);
-               ("age_s", J.Float b.Mc.Beacon.age_s) ]) ])
+             [ ("engine", J.String p.T.p_engine);
+               ("step", J.Int p.T.p_step);
+               ("work", J.Int p.T.p_work);
+               ("age_s", J.Float p.T.p_age_s) ]) ])
   in
   J.Obj
     [ ("schema", J.String "dicheck-status-v1");

@@ -1,13 +1,14 @@
 (** Live campaign status: a mutable model the campaign runtime updates as
-    obligations start, finish, retry, race and heal, snapshotted on demand
-    into the versioned ["dicheck-status-v1"] JSON the status socket serves.
+    obligations finish, retry, race and heal, snapshotted on demand into the
+    versioned ["dicheck-status-v1"] JSON the status socket serves.
 
-    The model is deliberately small: a dozen counters plus a per-lane
-    in-flight table, all under one mutex taken for a few field writes per
-    obligation — noise next to an engine run. Snapshots additionally join
-    each in-flight lane with its {!Mc.Beacon} cell, so a reader sees not
-    just "lane 3 is on [alu0.p2_parity], attempt 1, 12s in" but "… inside
-    ic3 at frame 9 with 412 clauses {e right now}".
+    The model is deliberately small: a dozen counters under one mutex,
+    taken for a few field writes per obligation — noise next to an engine
+    run. Its in-flight rows are not kept here: a snapshot reads them from
+    the workers' {!Obs.Telemetry} lanes, so a reader sees not just "lane 3
+    is on [alu0.p2_parity], attempt 1, 12s in" but "… inside ic3 at frame 9
+    with 412 clauses {e right now}", and lane 3 is the domain that trace
+    thread [domain-3] and the flight dump's lane 3 name.
 
     The ETA divides elapsed wall time by {e fresh} completions (cache hits
     return in microseconds and would skew a naive done/elapsed rate),
@@ -22,15 +23,6 @@
 type t
 
 type verdict_class = [ `Proved | `Failed | `Resource_out | `Error ]
-
-type in_flight = {
-  f_lane : int;
-  f_obligation : string;  (** ["module.property"] *)
-  f_engine : string;  (** strategy (or racing member) being attempted *)
-  f_attempt : int;  (** retry rung, or member index + 1 under racing *)
-  f_elapsed_s : float;
-  f_beacon : Mc.Beacon.t option;  (** live engine progress, when reporting *)
-}
 
 type snapshot = {
   s_phase : string;  (** ["starting"], ["campaign"], ["healing"], ["done"] *)
@@ -48,7 +40,8 @@ type snapshot = {
   s_raced : int;  (** obligations decided by the racing scheduler *)
   s_rate_per_s : float;  (** completions per wall second so far *)
   s_eta_s : float option;  (** [None] until a completion exists to project *)
-  s_in_flight : in_flight list;  (** sorted by lane *)
+  s_in_flight : Obs.Telemetry.in_flight list;
+      (** {!Obs.Telemetry.in_flight}, sorted by lane *)
 }
 
 val create : ?jobs:int -> unit -> t
@@ -60,19 +53,11 @@ val create : ?jobs:int -> unit -> t
 val set_total : t -> int -> unit
 val set_phase : t -> string -> unit
 
-val begin_work : t -> obligation:string -> engine:string -> attempt:int ->
-  unit
-(** Mark the calling domain's lane busy. A later call from the same lane
-    replaces the entry (retry rungs, racing members). *)
-
-val end_work : t -> unit
-(** Clear the calling domain's lane (idempotent). *)
-
 val finish :
   t -> verdict:verdict_class -> cache_hit:bool -> raced:bool -> healed:bool ->
   unit
-(** One obligation completed: clears the lane, bumps [done] and the verdict
-    tally, and attributes cache/race/heal flags. *)
+(** One obligation completed: bumps [done] and the verdict tally, and
+    attributes cache/race/heal flags. *)
 
 val retry : t -> unit
 

@@ -591,7 +591,7 @@ let check ?(incremental = true) ?(max_conflicts = max_int)
           inc
         | None -> create_inc ~incremental:false ?constraint_signal nl ~ok_signal
       in
-      Beacon.report ~engine:"bmc" ~step:d ~work:(inc_cnf_vars inc);
+      Obs.Telemetry.progress ~engine:"bmc" ~step:d ~work:(inc_cnf_vars inc);
       let outcome, st =
         solve_depth ~max_conflicts ~should_stop:(Deadline.checker deadline)
           inc ~depth:d

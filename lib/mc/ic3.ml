@@ -308,7 +308,7 @@ let check ?(incremental = true) ?(max_conflicts = max_int) ?(max_frames = 32)
       k := 1;
       while !proved = None && !k <= max_frames do
         Deadline.check deadline;
-        Beacon.report ~engine:"ic3" ~step:!k ~work:(!n_clauses);
+        Obs.Telemetry.progress ~engine:"ic3" ~step:!k ~work:(!n_clauses);
         (* block every bad state reachable within F_k *)
         let rec drain () =
           match solve_query ~level:!k ~block_cube:None ~target:`Bad with

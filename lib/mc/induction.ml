@@ -132,7 +132,8 @@ let check ?(incremental = true) ?(max_conflicts = max_int) ?(max_k = 20)
       Inconclusive (mk_stats ~k:max_k ~cnf_vars:0 ~cnf_clauses:0)
     else begin
       Deadline.check deadline;
-      Beacon.report ~engine:"k-induction" ~step:k ~work:!sat.Solver.conflicts;
+      Obs.Telemetry.progress ~engine:"k-induction" ~step:k
+        ~work:!sat.Solver.conflicts;
       (* base case: frames < k were proven clean by earlier iterations, so
          only the new depth k needs solving *)
       let base =

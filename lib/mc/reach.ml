@@ -120,7 +120,8 @@ let forward_rings_to_violation ?constrain ?(deadline = Deadline.none) sym ~bad =
   let parts = make_parts sym in
   let rec go rings reached frontier iter peak =
     Deadline.check deadline;
-    Beacon.report ~engine:"bdd-forward" ~step:iter ~work:(Bdd.node_count man);
+    Obs.Telemetry.progress ~engine:"bdd-forward" ~step:iter
+      ~work:(Bdd.node_count man);
     let peak = max peak (Bdd.size man reached) in
     if not (Bdd.is_zero (Bdd.and_ man frontier bad)) then
       `Violation (List.rev (frontier :: rings), iter, peak)
@@ -219,7 +220,8 @@ let backward_rings ?constrain ?(deadline = Deadline.none) sym ~bad ~stop_when =
   let man = Sym.man sym in
   let rec go rings covered frontier iter peak =
     Deadline.check deadline;
-    Beacon.report ~engine:"bdd-backward" ~step:iter ~work:(Bdd.node_count man);
+    Obs.Telemetry.progress ~engine:"bdd-backward" ~step:iter
+      ~work:(Bdd.node_count man);
     let peak = max peak (Bdd.size man covered) in
     match stop_when frontier covered with
     | Some v -> `Hit (List.rev (frontier :: rings), v, iter, peak)
@@ -290,7 +292,8 @@ let check_combined ?constrain ?(deadline = Deadline.none) sym ~ok =
   let init = Sym.init sym in
   let rec go f_rings f_reached f_frontier b_rings b_covered b_frontier iter peak =
     Deadline.check deadline;
-    Beacon.report ~engine:"bdd-combined" ~step:iter ~work:(Bdd.node_count man);
+    Obs.Telemetry.progress ~engine:"bdd-combined" ~step:iter
+      ~work:(Bdd.node_count man);
     let peak =
       max peak (max (Bdd.size man f_reached) (Bdd.size man b_covered))
     in

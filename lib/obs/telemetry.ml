@@ -31,10 +31,33 @@ type report = {
   spans : span list;
 }
 
-(* One buffer per (collector, domain): all recording is domain-local, so
-   concurrent obligations never contend. The generation stamp ties a DLS
-   buffer to the collector it belongs to — a stale buffer from a previous
-   collector is simply re-registered. *)
+type event = {
+  seq : int;
+  t_s : float;
+  lane : int;
+  kind : string;
+  ob : string;
+  key : string;
+  detail : string;
+}
+
+type progress = {
+  p_engine : string;
+  p_step : int;
+  p_work : int;
+  p_age_s : float;
+}
+
+type in_flight = {
+  f_lane : int;
+  f_obligation : string;
+  f_key : string;
+  f_engine : string;
+  f_attempt : int;
+  f_elapsed_s : float;
+  f_progress : progress option;
+}
+
 type hrec = {
   mutable hr_count : int;
   mutable hr_sum : float;
@@ -43,6 +66,9 @@ type hrec = {
   hr_buckets : int array;
 }
 
+(* A lane's collector buffer and recorder ring each carry the generation of
+   the collector or recorder they belong to: a stale one is replaced, and
+   the lane registers the new one with its owner. *)
 type buf = {
   b_gen : int;
   b_tid : int;
@@ -51,44 +77,95 @@ type buf = {
   b_hists : (string, hrec) Hashtbl.t;
 }
 
+(* event [n] of a ring sits at index [n mod capacity]; a write is five
+   array stores and a counter bump *)
+type ring = {
+  r_gen : int;
+  r_lane : int;
+  r_kind : string array;
+  r_ob : string array;
+  r_key : string array;
+  r_detail : string array;
+  r_time : float array;
+  mutable r_n : int;  (* events ever recorded in this ring *)
+}
+
+(* One lane per domain, numbered by its domain id. Only the owning domain
+   writes it, so records never contend; readers tolerate a torn cell. *)
+type lane = {
+  id : int;
+  mutable buf : buf option;
+  mutable ring : ring option;
+  (* the in-flight cell: [c_ob = ""] while the lane is idle *)
+  mutable c_ob : string;
+  mutable c_key : string;
+  mutable c_engine : string;
+  mutable c_attempt : int;
+  mutable c_t0 : float;
+  mutable c_reporter : string;  (* the engine last reporting, "" if none *)
+  mutable c_step : int;
+  mutable c_work : int;
+  mutable c_stamp : float;
+}
+
 type collector = {
   gen : int;
   t0 : float;
   lock : Mutex.t;
   mutable bufs : buf list;
-  mutable next_tid : int;
+}
+
+type recorder = {
+  rc_gen : int;
+  rc_cap : int;
+  rc_lock : Mutex.t;
+  mutable rc_rings : ring list;
 }
 
 let current : collector option Atomic.t = Atomic.make None
+let recorder : recorder option Atomic.t = Atomic.make None
 let generation = Atomic.make 0
 let probe = Atomic.make 0
 
 let calls_probe () = Atomic.get probe
 
-let dls : buf option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+(* the lanes of live domains, for {!in_flight}; a finished domain's buffer
+   and ring stay with the collector and recorder that hold them *)
+let live_lock = Mutex.create ()
+let live : lane list ref = ref []
+
+let lane_key =
+  Domain.DLS.new_key (fun () ->
+      let l =
+        { id = (Domain.self () :> int); buf = None; ring = None; c_ob = "";
+          c_key = ""; c_engine = ""; c_attempt = 0; c_t0 = 0.0;
+          c_reporter = ""; c_step = 0; c_work = 0; c_stamp = 0.0 }
+      in
+      Mutex.protect live_lock (fun () -> live := l :: !live);
+      Domain.at_exit (fun () ->
+          Mutex.protect live_lock (fun () ->
+              live := List.filter (fun l' -> l' != l) !live));
+      l)
+
+let lane () = Domain.DLS.get lane_key
 
 let buf_of c =
-  match Domain.DLS.get dls with
+  let l = lane () in
+  match l.buf with
   | Some b when b.b_gen = c.gen -> b
   | Some _ | None ->
-    Mutex.lock c.lock;
-    let tid = c.next_tid in
-    c.next_tid <- tid + 1;
     let b =
-      { b_gen = c.gen; b_tid = tid; b_spans = [];
+      { b_gen = c.gen; b_tid = l.id; b_spans = [];
         b_counters = Hashtbl.create 64; b_hists = Hashtbl.create 16 }
     in
-    c.bufs <- b :: c.bufs;
-    Mutex.unlock c.lock;
-    Domain.DLS.set dls (Some b);
+    Mutex.protect c.lock (fun () -> c.bufs <- b :: c.bufs);
+    l.buf <- Some b;
     b
 
 let start () =
   let gen = 1 + Atomic.fetch_and_add generation 1 in
   Atomic.set current
-    (Some
-       { gen; t0 = Unix.gettimeofday (); lock = Mutex.create (); bufs = [];
-         next_tid = 0 })
+    (Some { gen; t0 = Unix.gettimeofday (); lock = Mutex.create (); bufs = [] })
 
 let active () = Atomic.get current <> None
 
@@ -219,3 +296,150 @@ let counter r name =
   match List.assoc_opt name r.counters with Some v -> v | None -> 0
 
 let hist r name = List.assoc_opt name r.hists
+
+(* ---- the flight recorder ---- *)
+
+let ring_of rc l =
+  match l.ring with
+  | Some r when r.r_gen = rc.rc_gen -> r
+  | Some _ | None ->
+    let strings () = Array.make rc.rc_cap "" in
+    let r =
+      { r_gen = rc.rc_gen; r_lane = l.id; r_kind = strings ();
+        r_ob = strings (); r_key = strings (); r_detail = strings ();
+        r_time = Array.make rc.rc_cap 0.0; r_n = 0 }
+    in
+    Mutex.protect rc.rc_lock (fun () -> rc.rc_rings <- r :: rc.rc_rings);
+    l.ring <- Some r;
+    r
+
+let recorder_start ?(capacity = 512) () =
+  if capacity < 1 then
+    invalid_arg "Telemetry.recorder_start: capacity must be >= 1";
+  let rc_gen = 1 + Atomic.fetch_and_add generation 1 in
+  Atomic.set recorder
+    (Some { rc_gen; rc_cap = capacity; rc_lock = Mutex.create ();
+            rc_rings = [] })
+
+let recorder_stop () = Atomic.set recorder None
+let recording () = Atomic.get recorder <> None
+
+let event ?(detail = "") kind =
+  Atomic.incr probe;
+  match Atomic.get recorder with
+  | None -> ()
+  | Some rc ->
+    let l = lane () in
+    let r = ring_of rc l in
+    let i = r.r_n mod rc.rc_cap in
+    r.r_kind.(i) <- kind;
+    r.r_ob.(i) <- l.c_ob;
+    r.r_key.(i) <- l.c_key;
+    r.r_detail.(i) <- detail;
+    r.r_time.(i) <- Unix.gettimeofday ();
+    r.r_n <- r.r_n + 1
+
+let rings () =
+  match Atomic.get recorder with
+  | None -> []
+  | Some rc -> Mutex.protect rc.rc_lock (fun () -> rc.rc_rings)
+
+let events () =
+  (* Recording domains may still be writing; a torn event in a live ring
+     is tolerable for a crash dump, and quiesced rings (the common dump
+     situation) merge exactly. *)
+  let of_ring r =
+    let cap = Array.length r.r_kind in
+    let n = r.r_n in
+    let kept = min n cap in
+    List.init kept (fun j ->
+        let seq = n - kept + j in
+        let i = seq mod cap in
+        { seq; t_s = r.r_time.(i); lane = r.r_lane; kind = r.r_kind.(i);
+          ob = r.r_ob.(i); key = r.r_key.(i); detail = r.r_detail.(i) })
+  in
+  List.concat_map of_ring (rings ())
+  |> List.sort (fun a b ->
+         compare (a.t_s, a.lane, a.seq) (b.t_s, b.lane, b.seq))
+
+let dropped () =
+  List.fold_left
+    (fun acc r -> acc + max 0 (r.r_n - Array.length r.r_kind))
+    0 (rings ())
+
+let flight_json ~reason () =
+  let evs = events () in
+  let cap = match Atomic.get recorder with Some rc -> rc.rc_cap | None -> 0 in
+  let lanes =
+    List.sort_uniq compare (List.map (fun e -> e.lane) evs) |> List.length
+  in
+  Json.Obj
+    [ ("schema", Json.String "dicheck-flight-v2");
+      ("reason", Json.String reason);
+      ("dumped_at_unix", Json.Float (Unix.gettimeofday ()));
+      ("capacity", Json.Int cap);
+      ("lanes", Json.Int lanes);
+      ("dropped", Json.Int (dropped ()));
+      ("events",
+       Json.List
+         (List.map
+            (fun e ->
+              Json.Obj
+                [ ("seq", Json.Int e.seq);
+                  ("lane", Json.Int e.lane);
+                  ("t", Json.Float e.t_s);
+                  ("kind", Json.String e.kind);
+                  ("ob", Json.String e.ob);
+                  ("key", Json.String e.key);
+                  ("detail", Json.String e.detail) ])
+            evs)) ]
+
+let dump_flight ~reason path =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Json.to_string_pretty (flight_json ~reason ()));
+      output_char oc '\n')
+
+(* ---- the in-flight cell ---- *)
+
+let begin_obligation ~ob ~key ~engine ~attempt =
+  let l = lane () in
+  l.c_ob <- ob;
+  l.c_key <- key;
+  l.c_engine <- engine;
+  l.c_attempt <- attempt;
+  l.c_t0 <- Unix.gettimeofday ();
+  l.c_reporter <- "";
+  l.c_step <- 0;
+  l.c_work <- 0
+
+let progress ~engine ~step ~work =
+  let l = lane () in
+  l.c_reporter <- engine;
+  l.c_step <- step;
+  l.c_work <- work;
+  l.c_stamp <- Unix.gettimeofday ()
+
+let end_obligation () =
+  let l = lane () in
+  l.c_ob <- "";
+  l.c_key <- ""
+
+let in_flight () =
+  let lanes = Mutex.protect live_lock (fun () -> !live) in
+  let now = Unix.gettimeofday () in
+  List.filter_map
+    (fun l ->
+      if l.c_ob = "" then None
+      else
+        Some
+          { f_lane = l.id; f_obligation = l.c_ob; f_key = l.c_key;
+            f_engine = l.c_engine; f_attempt = l.c_attempt;
+            f_elapsed_s = now -. l.c_t0;
+            f_progress =
+              (if l.c_reporter = "" then None
+               else
+                 Some
+                   { p_engine = l.c_reporter; p_step = l.c_step;
+                     p_work = l.c_work; p_age_s = now -. l.c_stamp }) })
+    lanes
+  |> List.sort (fun a b -> compare a.f_lane b.f_lane)

@@ -420,6 +420,77 @@ let test_campaign_resume_replays_healing () =
     Alcotest.(check int) "resume recovers nothing new" 0
       h.Core.Campaign.heal_recovered
 
+(* each row's cache key, in row order *)
+let row_keys chip =
+  List.map
+    (fun (w : Core.Campaign.work) ->
+      Mc.Obligation.fingerprint
+        (Mc.Obligation.prepare ~budget:starved ~strategy:Mc.Engine.Bdd_forward
+           w.Core.Campaign.w_mdl ~assert_:w.Core.Campaign.w_assert
+           ~assumes:w.Core.Campaign.w_assumes ~meta:()))
+    (Core.Campaign.work_items chip)
+
+let test_campaign_heals_once_per_key () =
+  let chip = Twins.chip (Lazy.force chip) in
+  let keys = row_keys chip in
+  let plain =
+    Core.Campaign.run ~budget:starved ~strategy:Mc.Engine.Bdd_forward chip
+  in
+  let ro_keys =
+    List.filter_map
+      (fun ((r : Core.Campaign.prop_result), key) ->
+        match r.Core.Campaign.outcome.Mc.Engine.verdict with
+        | Mc.Engine.Resource_out _ -> Some key
+        | _ -> None)
+      (List.combine plain.Core.Campaign.results keys)
+  in
+  let distinct = List.length (List.sort_uniq compare ro_keys) in
+  Alcotest.(check bool)
+    (Printf.sprintf "fewer distinct keys (%d) than resource-out rows (%d)"
+       distinct (List.length ro_keys))
+    true
+    (distinct > 0 && distinct < List.length ro_keys);
+  Obs.Telemetry.start ();
+  let healed =
+    Core.Campaign.run ~budget:starved ~strategy:Mc.Engine.Bdd_forward ~jobs:2
+      ~self_heal:4 chip
+  in
+  let report = Obs.Telemetry.stop () in
+  let heals =
+    List.filter
+      (fun (s : Obs.Telemetry.span) ->
+        String.starts_with ~prefix:"heal:" s.Obs.Telemetry.name)
+      report.Obs.Telemetry.spans
+  in
+  Alcotest.(check int) "one heal per distinct resource-out key" distinct
+    (List.length heals);
+  (match healed.Core.Campaign.healing with
+   | Some h ->
+     Alcotest.(check int) "every resource-out row is attempted"
+       (List.length ro_keys) h.Core.Campaign.heal_attempted
+   | None -> Alcotest.fail "self_heal run lacks the healing block");
+  (* rows sharing a key share its verdict and healed flag *)
+  let by_key = Hashtbl.create 64 in
+  List.iter2
+    (fun (r : Core.Campaign.prop_result) key ->
+      let v =
+        ( (match r.Core.Campaign.outcome.Mc.Engine.verdict with
+           | Mc.Engine.Proved -> "proved"
+           | Mc.Engine.Proved_bounded d -> Printf.sprintf "bounded:%d" d
+           | Mc.Engine.Failed _ -> "failed"
+           | Mc.Engine.Resource_out m -> "resource:" ^ m
+           | Mc.Engine.Error m -> "error:" ^ m),
+          r.Core.Campaign.healed )
+      in
+      match Hashtbl.find_opt by_key key with
+      | Some v0 ->
+        Alcotest.(check (pair string bool))
+          (r.Core.Campaign.module_name ^ "." ^ r.Core.Campaign.prop_name
+          ^ " agrees with its twin")
+          v0 v
+      | None -> Hashtbl.add by_key key v)
+    healed.Core.Campaign.results keys
+
 let () =
   Alcotest.run "heal"
     [ ("heal_one",
@@ -441,4 +512,6 @@ let () =
          Alcotest.test_case "cache hits count rows, not lookups" `Slow
            test_campaign_counts_rows;
          Alcotest.test_case "resume replays healing" `Slow
-           test_campaign_resume_replays_healing ]) ]
+           test_campaign_resume_replays_healing;
+         Alcotest.test_case "heals once per resource-out key" `Slow
+           test_campaign_heals_once_per_key ]) ]

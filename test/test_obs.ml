@@ -356,73 +356,73 @@ let test_json_all_bytes () =
 
 (* ---- flight recorder ---- *)
 
-module F = Obs.Flight
-
 let test_flight_wraparound () =
-  F.enable ~capacity:8 ();
+  T.recorder_start ~capacity:8 ();
   for i = 0 to 19 do
-    F.record "tick" ~detail:(string_of_int i)
+    T.event "tick" ~detail:(string_of_int i)
   done;
-  let evs = F.events () in
-  let dropped = F.dropped () in
-  F.disable ();
+  let evs = T.events () in
+  let dropped = T.dropped () in
+  T.recorder_stop ();
   Alcotest.(check int) "ring keeps exactly capacity" 8 (List.length evs);
   Alcotest.(check int) "12 events overwritten" 12 dropped;
   Alcotest.(check (list int)) "survivors are the newest, in order"
     [ 12; 13; 14; 15; 16; 17; 18; 19 ]
-    (List.map (fun (e : F.event) -> e.F.seq) evs);
+    (List.map (fun (e : T.event) -> e.T.seq) evs);
   List.iter
-    (fun (e : F.event) ->
+    (fun (e : T.event) ->
       Alcotest.(check string) "detail matches seq"
-        (string_of_int e.F.seq) e.F.detail;
-      Alcotest.(check string) "kind preserved" "tick" e.F.kind)
+        (string_of_int e.T.seq) e.T.detail;
+      Alcotest.(check string) "kind preserved" "tick" e.T.kind)
     evs
 
 let test_flight_merge_ordering () =
-  F.enable ~capacity:64 ();
-  F.record "main" ~detail:"0";
+  T.recorder_start ~capacity:64 ();
+  T.event "main" ~detail:"0";
   let worker tag =
     Domain.spawn (fun () ->
         for i = 0 to 9 do
-          F.record tag ~detail:(string_of_int i)
-        done)
+          T.event tag ~detail:(string_of_int i)
+        done;
+        (Domain.self () :> int))
   in
   let d1 = worker "w1" and d2 = worker "w2" in
-  Domain.join d1;
-  Domain.join d2;
-  F.record "main" ~detail:"1";
-  let evs = F.events () in
-  F.disable ();
+  let ids = [ (Domain.self () :> int); Domain.join d1; Domain.join d2 ] in
+  T.event "main" ~detail:"1";
+  let evs = T.events () in
+  T.recorder_stop ();
   Alcotest.(check int) "all events survive" 22 (List.length evs);
-  Alcotest.(check int) "nothing dropped" 0 (F.dropped ());
+  Alcotest.(check int) "nothing dropped" 0 (T.dropped ());
   (* global order is (t_s, lane, seq): within each lane, recording order *)
   let lanes = Hashtbl.create 4 in
   List.iter
-    (fun (e : F.event) ->
+    (fun (e : T.event) ->
       let prev =
-        Option.value ~default:(-1) (Hashtbl.find_opt lanes e.F.lane)
+        Option.value ~default:(-1) (Hashtbl.find_opt lanes e.T.lane)
       in
       Alcotest.(check bool) "per-lane seqs strictly increase" true
-        (e.F.seq > prev);
-      Hashtbl.replace lanes e.F.lane e.F.seq)
+        (e.T.seq > prev);
+      Hashtbl.replace lanes e.T.lane e.T.seq)
     evs;
-  Alcotest.(check int) "three lanes recorded" 3 (Hashtbl.length lanes);
-  let sorted = List.sort compare (List.map (fun e -> e.F.t_s) evs) in
+  Alcotest.(check (list int)) "one lane per domain, named by its id"
+    (List.sort compare ids)
+    (List.sort compare (Hashtbl.fold (fun l _ acc -> l :: acc) lanes []));
+  let sorted = List.sort compare (List.map (fun e -> e.T.t_s) evs) in
   Alcotest.(check (list (float 0.))) "merged view is time-sorted"
-    sorted (List.map (fun e -> e.F.t_s) evs)
+    sorted (List.map (fun e -> e.T.t_s) evs)
 
 let test_flight_disabled_overhead () =
-  F.disable ();
-  Alcotest.(check bool) "no recorder installed" false (F.active ());
+  T.recorder_stop ();
+  Alcotest.(check bool) "no recorder installed" false (T.recording ());
   let iters = 100_000 in
-  F.record "warmup";
-  let p0 = F.calls_probe () in
+  T.event "warmup";
+  let p0 = T.calls_probe () in
   let w0 = Gc.minor_words () in
   for _ = 1 to iters do
-    F.record "disabled.event"
+    T.event "disabled.event"
   done;
   let words = Gc.minor_words () -. w0 in
-  let probed = F.calls_probe () - p0 in
+  let probed = T.calls_probe () - p0 in
   Alcotest.(check int) "probe proves the path ran" iters probed;
   Alcotest.(check bool)
     (Printf.sprintf "no per-call allocation (%.0f minor words)" words)
@@ -430,30 +430,38 @@ let test_flight_disabled_overhead () =
     (words < float_of_int iters /. 10.)
 
 let test_flight_dump_schema () =
-  F.enable ~capacity:4 ();
-  F.record "a" ~detail:"x";
-  F.record "b";
-  let j = F.to_json ~reason:"unit-test" () in
-  F.disable ();
+  T.recorder_start ~capacity:4 ();
+  T.begin_obligation ~ob:"alu0.p2_parity" ~key:"k0" ~engine:"auto"
+    ~attempt:1;
+  T.event "a" ~detail:"x";
+  T.end_obligation ();
+  T.event "b";
+  let j = T.flight_json ~reason:"unit-test" () in
+  T.recorder_stop ();
   let str k = Option.bind (J.member k j) J.to_str in
-  Alcotest.(check (option string)) "schema" (Some "dicheck-flight-v1")
+  Alcotest.(check (option string)) "schema" (Some "dicheck-flight-v2")
     (str "schema");
   Alcotest.(check (option string)) "reason" (Some "unit-test")
     (str "reason");
+  let field k e = Option.bind (J.member k e) J.to_str in
   (match Option.bind (J.member "events" j) J.to_list with
    | Some [ e1; e2 ] ->
-     Alcotest.(check (option string)) "kind" (Some "a")
-       (Option.bind (J.member "kind" e1) J.to_str);
-     Alcotest.(check (option string)) "detail" (Some "x")
-       (Option.bind (J.member "detail" e1) J.to_str);
+     Alcotest.(check (option string)) "kind" (Some "a") (field "kind" e1);
+     Alcotest.(check (option string)) "detail" (Some "x") (field "detail" e1);
+     Alcotest.(check (option string)) "ob from the lane's cell"
+       (Some "alu0.p2_parity") (field "ob" e1);
+     Alcotest.(check (option string)) "key from the lane's cell" (Some "k0")
+       (field "key" e1);
      Alcotest.(check (option string)) "detail defaults empty" (Some "")
-       (Option.bind (J.member "detail" e2) J.to_str)
+       (field "detail" e2);
+     Alcotest.(check (option string)) "an idle lane names no obligation"
+       (Some "") (field "ob" e2)
    | Some evs -> Alcotest.failf "expected 2 events, got %d" (List.length evs)
    | None -> Alcotest.fail "events missing");
   (* events after disable are free no-ops and the view is empty *)
-  F.record "after";
+  T.event "after";
   Alcotest.(check int) "inactive recorder yields no events" 0
-    (List.length (F.events ()))
+    (List.length (T.events ()))
 
 (* ---- histograms ---- *)
 
@@ -662,17 +670,21 @@ let test_status_model () =
   let s = S.create ~jobs:4 () in
   S.set_total s 10;
   S.set_phase s "campaign";
-  S.begin_work s ~obligation:"alu0.p2_parity" ~engine:"auto" ~attempt:1;
+  T.begin_obligation ~ob:"alu0.p2_parity" ~key:"k0" ~engine:"auto"
+    ~attempt:1;
   let snap = S.snapshot s in
   Alcotest.(check string) "phase" "campaign" snap.S.s_phase;
   Alcotest.(check int) "total" 10 snap.S.s_total;
   Alcotest.(check int) "jobs" 4 snap.S.s_jobs;
   (match snap.S.s_in_flight with
    | [ f ] ->
-     Alcotest.(check string) "obligation" "alu0.p2_parity" f.S.f_obligation;
-     Alcotest.(check string) "engine" "auto" f.S.f_engine;
-     Alcotest.(check int) "attempt" 1 f.S.f_attempt
+     Alcotest.(check string) "obligation" "alu0.p2_parity" f.T.f_obligation;
+     Alcotest.(check string) "engine" "auto" f.T.f_engine;
+     Alcotest.(check int) "attempt" 1 f.T.f_attempt;
+     Alcotest.(check int) "lane is the domain id" (Domain.self () :> int)
+       f.T.f_lane
    | l -> Alcotest.failf "expected 1 in-flight, got %d" (List.length l));
+  T.end_obligation ();
   S.retry s;
   S.finish s ~verdict:`Proved ~cache_hit:false ~raced:false ~healed:false;
   S.finish s ~verdict:`Resource_out ~cache_hit:false ~raced:true ~healed:false;
@@ -684,7 +696,7 @@ let test_status_model () =
   Alcotest.(check int) "healed" 1 snap.S.s_healed;
   Alcotest.(check int) "raced" 1 snap.S.s_raced;
   Alcotest.(check int) "retries" 1 snap.S.s_retries;
-  Alcotest.(check int) "lane cleared on finish" 0
+  Alcotest.(check int) "lane cleared when the obligation ends" 0
     (List.length snap.S.s_in_flight);
   Alcotest.(check bool) "eta projected from fresh completions" true
     (snap.S.s_eta_s <> None);
@@ -694,6 +706,132 @@ let test_status_model () =
     (Option.bind (J.member "schema" j) J.to_str);
   Alcotest.(check (option int)) "json done" (Some 2)
     (Option.bind (J.member "done" j) J.to_int)
+
+(* the calling domain's status row: begin resets progress, progress shows
+   in the row and its JSON beacon, and the end removes the row *)
+let test_lane_cell () =
+  let s = S.create () in
+  let me = (Domain.self () :> int) in
+  let row () =
+    List.find_opt
+      (fun (f : T.in_flight) -> f.T.f_lane = me)
+      (S.snapshot s).S.s_in_flight
+  in
+  let progress () = Option.bind (row ()) (fun f -> f.T.f_progress) in
+  T.progress ~engine:"bmc" ~step:3 ~work:99;
+  Alcotest.(check bool) "an idle lane has no row" true (row () = None);
+  T.begin_obligation ~ob:"m.p" ~key:"k1" ~engine:"auto" ~attempt:1;
+  Alcotest.(check bool) "begin clears earlier progress" true
+    (progress () = None);
+  T.progress ~engine:"ic3" ~step:7 ~work:42;
+  (match progress () with
+   | Some p ->
+     Alcotest.(check (triple string int int)) "progress shows in the row"
+       ("ic3", 7, 42) (p.T.p_engine, p.T.p_step, p.T.p_work)
+   | None -> Alcotest.fail "progress missing from the row");
+  (match Option.bind (J.member "in_flight" (S.snapshot_json s)) J.to_list with
+   | Some rows ->
+     let mine =
+       List.find
+         (fun r -> Option.bind (J.member "lane" r) J.to_int = Some me)
+         rows
+     in
+     Alcotest.(check (option int)) "beacon step in the status JSON" (Some 7)
+       (Option.bind (J.member "beacon" mine) (J.member "step")
+        |> Fun.flip Option.bind J.to_int)
+   | None -> Alcotest.fail "in_flight missing");
+  T.begin_obligation ~ob:"m.q" ~key:"k2" ~engine:"auto" ~attempt:2;
+  (match row () with
+   | Some f ->
+     Alcotest.(check (pair string string)) "the new obligation"
+       ("m.q", "k2") (f.T.f_obligation, f.T.f_key);
+     Alcotest.(check bool) "a new begin resets step and work" true
+       (f.T.f_progress = None)
+   | None -> Alcotest.fail "row missing after begin");
+  T.end_obligation ();
+  Alcotest.(check bool) "ending removes the row" true (row () = None);
+  (* however a unit of work ends, the executor idles its lane *)
+  ignore
+    (Core.Executor.map_result Core.Executor.sequential
+       (fun () ->
+         T.begin_obligation ~ob:"m.r" ~key:"k3" ~engine:"auto" ~attempt:1;
+         failwith "crash")
+       [| () |]);
+  Alcotest.(check bool) "a crashed unit leaves no row" true (row () = None)
+
+(* a pooled campaign under a collector and the recorder: the trace, the
+   flight events and the status rows all number a worker by its domain id *)
+let test_lanes_agree () =
+  let mini = mini_chip () in
+  let status = S.create ~jobs:4 () in
+  let lock = Mutex.create () and seen = ref [] and held = ref 0 in
+  let me () = (Domain.self () :> int) in
+  (* the hook runs on the worker, inside the attempt, just before the
+     engine: progress reported there must show in that lane's row *)
+  let fault_hook ~module_name ~prop_name ~fingerprint ~attempt =
+    T.progress ~engine:"probe" ~step:attempt ~work:1;
+    let row =
+      List.find_opt
+        (fun (f : T.in_flight) -> f.T.f_lane = me ())
+        (S.snapshot status).S.s_in_flight
+    in
+    Mutex.protect lock (fun () ->
+        seen := (module_name ^ "." ^ prop_name, fingerprint, row) :: !seen)
+  in
+  T.recorder_start ~capacity:4096 ();
+  T.start ();
+  (* a completed obligation's lane holds it no longer *)
+  let progress (s : S.snapshot) =
+    if List.exists (fun (f : T.in_flight) -> f.T.f_lane = me ())
+         s.S.s_in_flight
+    then incr held
+  in
+  let t = Core.Campaign.run ~jobs:4 ~status ~fault_hook ~progress mini in
+  let r = T.stop () in
+  let evs = T.events () in
+  T.recorder_stop ();
+  let workers =
+    List.filter_map
+      (fun (sp : T.span) ->
+        if sp.T.name = "exec.worker" then Some sp.T.tid else None)
+      r.T.spans
+  in
+  Alcotest.(check bool) "the calling domain is a worker" true
+    (List.mem (me ()) workers);
+  let span_lane = Hashtbl.create 64 in
+  List.iter
+    (fun (sp : T.span) ->
+      if sp.T.cat = "obligation" && List.mem_assoc "property" sp.T.args then
+        Hashtbl.replace span_lane sp.T.name sp.T.tid)
+    r.T.spans;
+  let dones = List.filter (fun (e : T.event) -> e.T.kind = "ob.done") evs in
+  Alcotest.(check int) "one ob.done per row"
+    (List.length t.Core.Campaign.results) (List.length dones);
+  List.iter
+    (fun (e : T.event) ->
+      Alcotest.(check bool) "ob.done names its obligation and key" true
+        (e.T.ob <> "" && e.T.key <> "");
+      Alcotest.(check (option int))
+        (e.T.ob ^ ": ob.done lane = obligation span tid")
+        (Some e.T.lane) (Hashtbl.find_opt span_lane e.T.ob);
+      Alcotest.(check bool) "the lane is a worker's domain id" true
+        (List.mem e.T.lane workers))
+    dones;
+  Alcotest.(check bool) "some engine ran" true (!seen <> []);
+  List.iter
+    (fun (ob, key, row) ->
+      match row with
+      | Some f ->
+        Alcotest.(check (pair string string)) "the row holds the obligation"
+          (ob, key) (f.T.f_obligation, f.T.f_key);
+        Alcotest.(check (option (pair string int))) "progress in the row"
+          (Some ("probe", f.T.f_attempt))
+          (Option.map (fun p -> (p.T.p_engine, p.T.p_step)) f.T.f_progress)
+      | None -> Alcotest.failf "%s: no status row during its engine run" ob)
+    !seen;
+  Alcotest.(check int) "no lane holds a finished obligation" 0 !held;
+  Alcotest.(check int) "every row ends with its obligation" 0
+    (List.length (S.snapshot status).S.s_in_flight)
 
 let read_socket path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -747,20 +885,20 @@ let test_status_socket () =
 
 let flight_done_events () =
   List.filter_map
-    (fun (e : F.event) ->
-      match e.F.kind with
-      | "ob.done" -> Some (e.F.kind, e.F.detail)
+    (fun (e : T.event) ->
+      match e.T.kind with
+      | "ob.done" -> Some (e.T.ob ^ " " ^ e.T.key, e.T.detail)
       | _ -> None)
-    (F.events ())
+    (T.events ())
 
 let test_campaign_status_seq_eq_pool () =
   let mini = mini_chip () in
   let observed jobs =
-    F.enable ~capacity:4096 ();
+    T.recorder_start ~capacity:4096 ();
     let status = S.create ~jobs () in
     let t = Core.Campaign.run ~jobs ~status mini in
     let evs = List.sort compare (flight_done_events ()) in
-    F.disable ();
+    T.recorder_stop ();
     (t, S.snapshot status, evs)
   in
   let t1, s1, f1 = observed 1 in
@@ -839,7 +977,7 @@ let () =
            test_flight_merge_ordering;
          Alcotest.test_case "disabled path allocates nothing" `Quick
            test_flight_disabled_overhead;
-         Alcotest.test_case "dump carries the v1 schema" `Quick
+         Alcotest.test_case "dump carries the v2 schema" `Quick
            test_flight_dump_schema ]);
       ("profile",
        [ Alcotest.test_case "self time and ranking on synthetic spans"
@@ -854,6 +992,10 @@ let () =
            test_status_model;
          Alcotest.test_case "socket serves live snapshots" `Quick
            test_status_socket;
+         Alcotest.test_case "lane cell: begin resets, end removes" `Quick
+           test_lane_cell;
+         Alcotest.test_case "pooled campaign: lanes agree" `Slow
+           test_lanes_agree;
          Alcotest.test_case "observed campaign: seq = pool" `Slow
            test_campaign_status_seq_eq_pool;
          Alcotest.test_case "progress under a pool counts in order" `Slow
