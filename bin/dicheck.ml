@@ -349,9 +349,11 @@ let campaign_cmd =
     Arg.(value & opt string ".dicheck.cache"
          & info [ "cache" ] ~docv:"PATH"
              ~doc:"Persistent structural result cache. Every verdict is \
-                   appended to it (fsync'd) as it is recorded, so a repeated \
-                   campaign reuses every verdict, and a killed one resumes \
-                   where it stopped when run again with the same cache.")
+                   appended to it (fsync'd) as it is recorded, and so are \
+                   the keys of each module structure once it is prepared, \
+                   so a repeated campaign neither re-proves nor re-prepares \
+                   what the cache holds, and a killed one resumes where it \
+                   stopped when run again with the same cache.")
   in
   let no_cache =
     Arg.(value & flag

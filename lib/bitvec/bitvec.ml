@@ -96,6 +96,16 @@ let to_string v =
 
 let pp ppf v = Format.fprintf ppf "%d'b%s" v.width (to_string v)
 
+(* the full record pattern: a field added to [t] fails to compile here *)
+let add_to_buffer b { width; limbs } =
+  Buffer.add_string b (string_of_int width);
+  Buffer.add_char b ' ';
+  Array.iter
+    (fun l ->
+      Buffer.add_string b (string_of_int l);
+      Buffer.add_char b ' ')
+    limbs
+
 let is_zero v = Array.for_all (fun l -> l = 0) v.limbs
 
 let equal a b = a.width = b.width && a.limbs = b.limbs

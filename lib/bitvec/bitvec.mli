@@ -53,6 +53,11 @@ val compare : t -> t -> int
 val hash : t -> int
 val pp : Format.formatter -> t -> unit
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** [add_to_buffer b v] appends an exact, self-delimiting text of [v]: its
+    width, then its limbs, each a decimal number followed by a space. Two
+    vectors print the same text iff they are {!equal}. *)
+
 (** {1 Bitwise operations} *)
 
 val lognot : t -> t

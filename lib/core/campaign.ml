@@ -116,12 +116,16 @@ let ob_name (w : work) = w.w_mdl.Rtl.Mdl.name ^ "." ^ w.w_prop_name
 (* the pause before each crash retry *)
 let retry_backoff_s = 0.05
 
-(* A shared-preparation cell of {!run}: one module structure's properties
-   and, once prepared, each property's obligation and fingerprint. *)
+(* A shared-preparation cell of {!run}: one module structure's properties,
+   its digest and keys once known, and, once prepared, each property's
+   obligation and fingerprint. *)
 type cell = {
   c_mdl : Rtl.Mdl.t;  (* the first module of this structure *)
   c_props : (string * Psl.Ast.fl * Psl.Ast.fl list) list;
   c_lock : Mutex.t;
+  c_digest : string Lazy.t;  (* forced under [c_lock] *)
+  mutable c_keys : string array option;
+      (* the store's cell record until preparation computes them *)
   mutable c_prepared : (unit Mc.Obligation.t * string) array option;
 }
 
@@ -156,7 +160,15 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
      it prepares for all its items, the others block briefly and reuse —
      whichever executor path (sequential, pool, racing) gets there first. A
      crash during preparation leaves the cell empty, so a retrying item
-     re-prepares instead of inheriting a poisoned table. *)
+     re-prepares instead of inheriting a poisoned table.
+
+     The store remembers each prepared cell: a cell record maps the cell's
+     digest ({!Mc.Obligation.cell_digest}) to its ordered keys. An item
+     whose cell has a record takes its key from it, and the cell is
+     prepared only when one of those keys misses; so a cell whose every key
+     hits is never prepared. A cell prepared anyway checks its fresh keys
+     against the record: a difference means preparation changed without a
+     {!Mc.Engine.prep_version} bump, and the record is rewritten. *)
   let slots =
     (* each module's item indices, in order *)
     let groups = Hashtbl.create 128 in
@@ -190,7 +202,11 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
             | None ->
               let c =
                 { c_mdl = w.w_mdl; c_props = props; c_lock = Mutex.create ();
-                  c_prepared = None }
+                  c_digest =
+                    lazy
+                      (Mc.Obligation.cell_digest ?budget ?strategy w.w_mdl
+                         ~props);
+                  c_keys = None; c_prepared = None }
               in
               Hashtbl.add cells key c;
               c
@@ -199,9 +215,12 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
       items;
     Array.map Option.get slots
   in
-  let prepare_cell c =
+  (* [prepared] and [keys] run under the cell's lock, taken by [locked] *)
+  let locked c f =
     Mutex.lock c.c_lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock c.c_lock) @@ fun () ->
+    Fun.protect ~finally:(fun () -> Mutex.unlock c.c_lock) (fun () -> f c)
+  in
+  let prepared c =
     match c.c_prepared with
     | Some p -> p
     | None ->
@@ -219,13 +238,49 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
                    (ob, Mc.Obligation.fingerprint ob))
             |> Array.of_list)
       in
+      let fresh = Array.map snd p in
+      if c.c_keys <> Some fresh then begin
+        if c.c_keys <> None then begin
+          Printf.eprintf
+            "warning: result cache: the cell record of %s names keys its \
+             preparation no longer computes (preparation changed without a \
+             prep_version bump); rewriting it\n%!"
+            mname;
+          Obs.Telemetry.count "cell.stale"
+        end;
+        Mc.Cache.add_cell cache ~digest:(Lazy.force c.c_digest)
+          (Array.to_list fresh)
+      end;
+      c.c_keys <- Some fresh;
       c.c_prepared <- Some p;
       p
   in
-  (* item [i]'s obligation and cache key *)
+  let keys c =
+    match c.c_keys with
+    | Some k -> k
+    | None -> (
+      let d = Lazy.force c.c_digest in
+      match Mc.Cache.find_cell cache ~digest:d with
+      | Some recorded when List.length recorded = List.length c.c_props ->
+        Obs.Telemetry.count "cell.hit";
+        Obs.Telemetry.event "cell.hit"
+          ~detail:(d ^ " " ^ c.c_mdl.Rtl.Mdl.name);
+        let k = Array.of_list recorded in
+        c.c_keys <- Some k;
+        k
+      | Some _ | None ->
+        Obs.Telemetry.count "cell.miss";
+        Array.map snd (prepared c))
+  in
+  (* item [i]'s cache key: its cell record's, when the store has one *)
+  let key_of i =
+    let cell, j = slots.(i) in
+    (locked cell keys).(j)
+  in
+  (* item [i]'s obligation and fresh cache key, preparing its cell *)
   let obligation i =
     let cell, j = slots.(i) in
-    let ob, key = (prepare_cell cell).(j) in
+    let ob, key = (locked cell prepared).(j) in
     let nl = ob.Mc.Obligation.nl in
     ( { ob with
         Mc.Obligation.nl =
@@ -289,12 +344,14 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
   let hold w key ~engine ~attempt =
     Obs.Telemetry.begin_obligation ~ob:(ob_name w) ~key ~engine ~attempt
   in
-  (* Opening item [i] prepares it inside the worker, so instrumentation,
-     elaboration and COI reduction parallelize along with the engine runs
-     (the preparation is shared across every module of one structure, see
-     [slots]), and answers it from the cache. Only a miss differs between
-     the two schedulers: [settled] wraps an answered row, [miss] runs the
-     retry ladder or opens the raced members. *)
+  (* Opening item [i] answers it from the cache, preparing it inside the
+     worker only when its key misses, so instrumentation, elaboration and
+     COI reduction parallelize along with the engine runs (the preparation
+     is shared across every module of one structure, see [slots]). A key
+     taken from a cell record that misses is asked again under the fresh
+     key when the record proves stale. Only a miss differs between the two
+     schedulers: [settled] wraps an answered row, [miss] runs the retry
+     ladder or opens the raced members. *)
   let open_item ~settled ~miss i =
     let w = items.(i) in
     Obs.Telemetry.span ~cat:"obligation"
@@ -303,11 +360,15 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
           ("property", w.w_prop_name) ]
       (ob_name w)
     @@ fun () ->
-    let ob, key = obligation i in
-    hold w key ~engine:strat_name ~attempt:1;
-    match Mc.Cache.find cache ~key with
-    | Some outcome -> settled (finish w ~cache_hit:true ~attempts:0 outcome)
-    | None -> miss w ob key
+    let rec answer key =
+      hold w key ~engine:strat_name ~attempt:1;
+      match Mc.Cache.find cache ~key with
+      | Some outcome -> settled (finish w ~cache_hit:true ~attempts:0 outcome)
+      | None ->
+        let ob, fresh = obligation i in
+        if String.equal fresh key then miss w ob key else answer fresh
+    in
+    answer (key_of i)
   in
   (* retry ladder: a crash gets capped re-runs with a halved budget after a
      short pause; a crash on the last rung becomes an [Error] verdict
@@ -462,8 +523,6 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
           Obs.Telemetry.count "heal.piece.solved";
           outcome
       in
-      (* the shared prep cell is already warm from the main pass *)
-      let key_of i = snd (obligation i) in
       let heal_i i =
         let w = items.(i) and key = key_of i in
         Obs.Telemetry.span ~cat:"heal"

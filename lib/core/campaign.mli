@@ -5,11 +5,26 @@
     The campaign is a scheduler over first-class proof obligations
     ({!Mc.Obligation}): enumeration produces one work item per assert,
     preparation + execution run on a pluggable {!Executor} (sequential or an
-    OCaml 5 domain pool via [?jobs]), and every prepared check is answered
-    through a structural result cache ({!Mc.Cache}) keyed on the reduced
-    netlist's canonical fingerprint — so the N structurally identical
-    subunits of a category are proved once. Results are index-ordered, so
-    verdicts are identical whatever the backend or job count.
+    OCaml 5 domain pool via [?jobs]), and every check is answered through a
+    structural result cache ({!Mc.Cache}) keyed on the reduced netlist's
+    canonical fingerprint — so the N structurally identical subunits of a
+    category are proved once. Results are index-ordered, so verdicts are
+    identical whatever the backend or job count.
+
+    Preparation is shared by every module of one structure (a cell: the
+    module with its name blanked plus its properties' formulas), and a cell
+    is prepared only when needed. The first time a run reaches a cell, it
+    looks the cell's digest ({!Mc.Obligation.cell_digest}) up in the cache.
+    With a cell record there, each item takes its key from the record, and
+    the cell is prepared only when one of those keys misses: a cell whose
+    every key hits is never inlined, monitored, elaborated, COI-reduced or
+    fingerprinted. Without one, the cell is prepared at once and its record
+    written. A cell prepared despite a record compares its fresh keys with
+    the record's; a difference warns on stderr, counts [cell.stale], and
+    rewrites the record, and the item's key is asked again in its fresh
+    form. The [cell.hit] and [cell.miss] telemetry counters count cells
+    found and not found, and each hit records a [cell.hit] flight event
+    whose detail is the digest and the module.
 
     The runtime is fault-tolerant in three layers:
     - {b deadlines} — set [wall_deadline_s] in the budget and any obligation

@@ -12,6 +12,7 @@ type file = {
 
 type t = {
   tbl : (string, Engine.outcome) Hashtbl.t;
+  cells : (string, string list) Hashtbl.t;  (* cell digest -> its keys *)
   lock : Mutex.t;
   mutable hits : int;
   mutable misses : int;
@@ -19,8 +20,8 @@ type t = {
 }
 
 let make file =
-  { tbl = Hashtbl.create 1024; lock = Mutex.create (); hits = 0; misses = 0;
-    file }
+  { tbl = Hashtbl.create 1024; cells = Hashtbl.create 64;
+    lock = Mutex.create (); hits = 0; misses = 0; file }
 
 let create () = make None
 
@@ -45,13 +46,17 @@ let find c ~key =
    | None -> Obs.Telemetry.count "cache.miss");
   r
 
+let find_cell c ~digest =
+  with_lock c.lock (fun () -> Hashtbl.find_opt c.cells digest)
+
 let length c = with_lock c.lock (fun () -> Hashtbl.length c.tbl)
+let cells c = with_lock c.lock (fun () -> Hashtbl.length c.cells)
 let hits c = c.hits
 let misses c = c.misses
 
 (* ---- the outcome codec ---- *)
 
-let schema = "dicheck-cache-v4"
+let schema = "dicheck-cache-v5"
 
 let verdict_to_json v =
   let kind k rest = J.Obj (("kind", J.String k) :: rest) in
@@ -143,10 +148,21 @@ let seal body =
 
 let seal_len = String.length (seal "")
 
-let record key o =
+(* the store's two record kinds *)
+type record =
+  | Verdict of string * Engine.outcome  (** a key and its outcome *)
+  | Cell of string * string list  (** a cell digest and the cell's keys *)
+
+let line_of record =
   let obj =
     J.to_string
-      (J.Obj [ ("key", J.String key); ("outcome", outcome_to_json o) ])
+      (J.Obj
+         (match record with
+          | Verdict (key, o) ->
+            [ ("key", J.String key); ("outcome", outcome_to_json o) ]
+          | Cell (digest, keys) ->
+            [ ("cell", J.String digest);
+              ("keys", J.List (List.map (fun k -> J.String k) keys)) ]))
   in
   let body = String.sub obj 0 (String.length obj - 1) in
   body ^ seal body ^ "\n"
@@ -157,9 +173,15 @@ let decode_record line =
   else
     Result.to_option
       (let* j = J.parse line in
-       let* key = J.as_str "key" j in
-       let* o = J.decode "outcome" outcome_of_json j in
-       Ok (key, o))
+       match J.member "cell" j with
+       | Some _ ->
+         let* digest = J.as_str "cell" j in
+         let* keys = J.as_str_list "keys" j in
+         Ok (Cell (digest, keys))
+       | None ->
+         let* key = J.as_str "key" j in
+         let* o = J.decode "outcome" outcome_of_json j in
+         Ok (Verdict (key, o)))
 
 let warn path fmt =
   Printf.eprintf ("warning: result cache %s " ^^ fmt ^^ "\n%!") path
@@ -190,10 +212,15 @@ let read path =
         (List.length records);
     Some (List.rev records, valid)
 
-(* later records win: a healed verdict overrides its resource-out *)
+(* later records win: a healed verdict overrides its resource-out, a
+   rewritten cell record its stale predecessor *)
 let filled file records =
   let c = make file in
-  List.iter (fun (k, v) -> Hashtbl.replace c.tbl k v) records;
+  List.iter
+    (function
+      | Verdict (k, v) -> Hashtbl.replace c.tbl k v
+      | Cell (d, keys) -> Hashtbl.replace c.cells d keys)
+    records;
   c
 
 let load path = Option.map (fun (records, _) -> filled None records) (read path)
@@ -244,22 +271,26 @@ let open_file path =
   in
   filled file records
 
-let add c ~key o =
+(* insert [v] at [k] in [tbl], appending [record] on a file; the table
+   update rides inside the file lock, so the file and the table agree on
+   which of two racing adds of one key came last, and an add that changes
+   nothing (a healed sibling's identical verdict) writes nothing *)
+let put c tbl k v record =
   match c.file with
-  | None -> with_lock c.lock (fun () -> Hashtbl.replace c.tbl key o)
+  | None -> with_lock c.lock (fun () -> Hashtbl.replace tbl k v)
   | Some f ->
-    (* the table update rides inside the file lock, so the file and the
-       table agree on which of two racing adds of one key came last; an add
-       that changes nothing (a healed sibling's identical verdict) writes
-       nothing *)
     with_lock f.file_lock (fun () ->
         let changed =
           with_lock c.lock (fun () ->
-              let changed = Hashtbl.find_opt c.tbl key <> Some o in
-              Hashtbl.replace c.tbl key o;
+              let changed = Hashtbl.find_opt tbl k <> Some v in
+              Hashtbl.replace tbl k v;
               changed)
         in
-        if changed then append f (record key o))
+        if changed then append f (line_of record))
+
+let add c ~key o = put c c.tbl key o (Verdict (key, o))
+
+let add_cell c ~digest keys = put c c.cells digest keys (Cell (digest, keys))
 
 let close c =
   Option.iter
@@ -272,13 +303,14 @@ let close c =
 (* atomic: a crash (or SIGKILL) mid-save leaves either the previous cache or
    the new one on disk, never a truncated file *)
 let save c path =
-  let entries =
+  let records =
     with_lock c.lock (fun () ->
-        Hashtbl.fold (fun k v acc -> (k, v) :: acc) c.tbl [])
+        Hashtbl.fold
+          (fun k v acc -> Verdict (k, v) :: acc)
+          c.tbl
+          (Hashtbl.fold (fun d keys acc -> Cell (d, keys) :: acc) c.cells []))
   in
-  let text =
-    String.concat "" (header :: List.map (fun (k, v) -> record k v) entries)
-  in
+  let text = String.concat "" (header :: List.map line_of records) in
   let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
   let fd =
     Unix.openfile tmp Unix.[ O_WRONLY; O_CREAT; O_TRUNC; O_CLOEXEC ] 0o644

@@ -14,16 +14,24 @@
     same file answers those from the cache. {!save} and {!load} write and
     read the same format as a whole.
 
-    File format ({!schema}): the header line [{"schema":"dicheck-cache-v4"}],
-    then one JSON object per line, [{"key":…,"outcome":…,"md5":…}]. The
-    outcome carries its verdict (a [Failed] one with its trace), engine,
-    time, work measures and {!Engine.perf} (positional: its twelve
-    counters, then the attempts); the decoder requires every field. The
-    [md5] member digests the line's text before it, so a record
-    that was torn or altered is dropped instead of read as a verdict
-    nobody wrote. Reading stops at the first such record; when one key
-    appears more than once, the later line wins, so a healed verdict
-    overrides the resource-out it replaced.
+    The store holds a second kind of entry, the cell record: it maps the
+    digest of a shared-preparation cell ({!Obligation.cell_digest}) to the
+    cell's ordered obligation keys, so that a warm campaign can look a
+    cell's verdicts up without preparing it. {!length}, {!hits} and
+    {!misses} count verdicts only; {!cells} counts cell records.
+
+    File format ({!schema}): the header line [{"schema":"dicheck-cache-v5"}],
+    then one JSON object per line, either a verdict
+    [{"key":…,"outcome":…,"md5":…}] or a cell record
+    [{"cell":DIGEST,"keys":[…],"md5":…}]. The outcome carries its verdict
+    (a [Failed] one with its trace), engine, time, work measures and
+    {!Engine.perf} (positional: its twelve counters, then the attempts);
+    the decoder requires every field. The [md5] member digests the line's
+    text before it, so a record that was torn or altered is dropped
+    instead of read as a verdict nobody wrote. Reading stops at the first
+    such record; when one key (or one digest) appears more than once, the
+    later line wins, so a healed verdict overrides the resource-out it
+    replaced and a rewritten cell record the stale one before it.
 
     A reused [Failed] verdict carries the counterexample trace of the
     obligation that first populated the entry; for a structurally identical
@@ -47,7 +55,20 @@ val add : t -> key:string -> Engine.outcome -> unit
     file cannot be written, [add] warns once on stderr and keeps later
     entries in memory only. *)
 
+val find_cell : t -> digest:string -> string list option
+(** The keys of the cell record at [digest], in the cell's property order.
+    Counts nothing: a cell lookup is not a verdict lookup. *)
+
+val add_cell : t -> digest:string -> string list -> unit
+(** Insert (or overwrite) a cell record, written to the file like {!add}:
+    appended and fsync'd when it differs from the record held. *)
+
 val length : t -> int
+(** Verdicts held. *)
+
+val cells : t -> int
+(** Cell records held. *)
+
 val hits : t -> int
 val misses : t -> int
 
@@ -65,7 +86,7 @@ val close : t -> unit
     cache held in memory). The entries stay usable in memory. *)
 
 val save : t -> string -> unit
-(** Write every entry to [path] in one piece. Atomic: the entries are
+(** Write every entry, cell records included, to [path] in one piece. Atomic: the entries are
     written to a temp file, fsync'd and renamed over [path], so a crash
     mid-save can never leave a truncated cache. Never save over the file
     a cache is open on: its later appends would go to the replaced file. *)
@@ -77,9 +98,9 @@ val load : string -> t option
     on bad file contents. Statistics start at zero. *)
 
 val schema : string
-(** ["dicheck-cache-v4"]. Bump it, and commit a fixture written in the new
-    format, whenever {!Engine.outcome} or anything it holds changes
-    shape. *)
+(** ["dicheck-cache-v5"]. Bump it, and commit a fixture written in the new
+    format, whenever a record kind, {!Engine.outcome} or anything it holds
+    changes shape. *)
 
 val outcome_to_json : Engine.outcome -> Obs.Json.t
 

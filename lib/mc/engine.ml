@@ -554,6 +554,8 @@ let replay_model mdl ~assert_ ~assumes =
    roots excludes every other property's monitor. Canonical fingerprints
    (name-independent) therefore agree between the shared and unshared
    paths. *)
+let prep_version = 1
+
 let prepare_module mdl ~props =
   let sp name f = Telemetry.span ~cat:"prepare" name f in
   let fronts =

@@ -257,6 +257,15 @@ val prepare_module :
     {!replay_model} — at roughly [1/n] of the preparation cost for an
     [n]-property module. *)
 
+val prep_version : int
+(** The version of the preparation behind every cache key: inlining,
+    assumption pruning, monitor synthesis, elaboration, COI reduction, the
+    monitor-prefix fold of {!prepare_module} and {!Rtl.Canon}'s
+    fingerprint. {!Obligation.cell_digest} covers it, so a store's cell
+    records name the keys this version computes. Bump it whenever a change
+    there can move a key: otherwise a warm run answers a cell from a record
+    of the keys the old preparation computed. *)
+
 val check_property :
   ?budget:budget ->
   ?strategy:strategy ->

@@ -60,10 +60,14 @@ let rec strategy_salt = function
             p.Engine.p_members))
   | s -> Engine.strategy_name s
 
+(* the strategy-and-budget part of every key *)
+let key_salt ~budget ~strategy =
+  strategy_salt strategy ^ "|" ^ budget_salt budget
+
 let fingerprint ?salt o =
   let salt =
-    Printf.sprintf "%s|%s%s" (strategy_salt o.strategy) (budget_salt o.budget)
-      (match salt with None -> "" | Some s -> "|" ^ s)
+    key_salt ~budget:o.budget ~strategy:o.strategy
+    ^ match salt with None -> "" | Some s -> "|" ^ s
   in
   let roots =
     o.ok_signal
@@ -71,6 +75,207 @@ let fingerprint ?salt o =
   in
   Obs.Telemetry.span ~cat:"key" "fingerprint" (fun () ->
       Rtl.Canon.fingerprint ~salt ~roots o.nl)
+
+(* An exact printer of everything a cell's keys depend on: every integer
+   is decimal and space-terminated, every string length-prefixed, every
+   constructor a one-character tag, so two inputs print the same text only
+   when they are equal. Full record patterns and exhaustive matches: a
+   field or constructor added to [Rtl.Mdl], [Rtl.Expr] or [Psl.Ast] fails
+   to compile here until the digest covers it. The names of the module and
+   of the properties are left out: no key depends on them. *)
+let cell_digest ?(budget = Engine.default_budget) ?(strategy = Engine.Auto)
+    mdl ~props =
+  Obs.Telemetry.span ~cat:"key" "cell" @@ fun () ->
+  let b = Buffer.create 4096 in
+  let tag c = Buffer.add_char b c in
+  (* decimal digits straight into the buffer: [string_of_int] allocated
+     half the digest's time *)
+  let rec digits n =
+    if n >= 10 then digits (n / 10);
+    tag (Char.unsafe_chr (48 + (n mod 10)))
+  in
+  let int n =
+    if n >= 0 then digits n else Buffer.add_string b (string_of_int n);
+    tag ' '
+  in
+  let str s =
+    int (String.length s);
+    Buffer.add_string b s
+  in
+  let list f l =
+    int (List.length l);
+    List.iter f l
+  in
+  let rec expr = function
+    | Rtl.Expr.Const v ->
+      tag 'k';
+      Bitvec.add_to_buffer b v
+    | Rtl.Expr.Var s ->
+      tag 'v';
+      str s
+    | Rtl.Expr.Unop (op, e) ->
+      tag
+        (match op with
+         | Rtl.Expr.Not -> '~'
+         | Rtl.Expr.Red_and -> '&'
+         | Rtl.Expr.Red_or -> '|'
+         | Rtl.Expr.Red_xor -> '^');
+      expr e
+    | Rtl.Expr.Binop (op, x, y) ->
+      tag
+        (match op with
+         | Rtl.Expr.And -> 'A'
+         | Rtl.Expr.Or -> 'O'
+         | Rtl.Expr.Xor -> 'X'
+         | Rtl.Expr.Xnor -> 'N'
+         | Rtl.Expr.Add -> '+'
+         | Rtl.Expr.Sub -> '-'
+         | Rtl.Expr.Eq -> '='
+         | Rtl.Expr.Ne -> '!'
+         | Rtl.Expr.Lt -> '<'
+         | Rtl.Expr.Concat -> ',');
+      expr x;
+      expr y
+    | Rtl.Expr.Mux (c, t, e) ->
+      tag '?';
+      expr c;
+      expr t;
+      expr e
+    | Rtl.Expr.Slice (e, hi, lo) ->
+      tag '[';
+      int hi;
+      int lo;
+      expr e
+  in
+  let rec sere = function
+    | Psl.Ast.Sbool e ->
+      tag 'b';
+      expr e
+    | Psl.Ast.Sconcat (r, r') ->
+      tag ';';
+      sere r;
+      sere r'
+    | Psl.Ast.Srepeat (r, n) ->
+      tag '*';
+      int n;
+      sere r
+  in
+  let rec fl = function
+    | Psl.Ast.Bool e ->
+      tag 'b';
+      expr e
+    | Psl.Ast.Not f ->
+      tag 'n';
+      fl f
+    | Psl.Ast.And (f, g) ->
+      tag 'a';
+      fl f;
+      fl g
+    | Psl.Ast.Or (f, g) ->
+      tag 'o';
+      fl f;
+      fl g
+    | Psl.Ast.Implies (f, g) ->
+      tag 'i';
+      fl f;
+      fl g
+    | Psl.Ast.Next f ->
+      tag 'x';
+      fl f
+    | Psl.Ast.Next_n (n, f) ->
+      tag 'X';
+      int n;
+      fl f
+    | Psl.Ast.Always f ->
+      tag 'G';
+      fl f
+    | Psl.Ast.Never f ->
+      tag 'N';
+      fl f
+    | Psl.Ast.Until (f, g) ->
+      tag 'U';
+      fl f;
+      fl g
+    | Psl.Ast.Seq_implies (r, overlap, f) ->
+      tag (if overlap then '>' else ')');
+      sere r;
+      fl f
+    | Psl.Ast.Eventually f ->
+      tag 'F';
+      fl f
+  in
+  let { Rtl.Mdl.name = _; ports; wires; assigns; regs; instances; attrs } =
+    mdl
+  in
+  int Engine.prep_version;
+  str (key_salt ~budget ~strategy);
+  list
+    (fun { Rtl.Mdl.port_name; dir; port_width } ->
+      str port_name;
+      tag (match dir with Rtl.Mdl.Input -> 'i' | Rtl.Mdl.Output -> 'o');
+      int port_width)
+    ports;
+  list
+    (fun (w, width) ->
+      str w;
+      int width)
+    wires;
+  list
+    (fun { Rtl.Mdl.lhs; rhs } ->
+      str lhs;
+      expr rhs)
+    assigns;
+  list
+    (fun { Rtl.Mdl.reg_name; reg_width; reset_value; next; reg_class;
+           parity_protected } ->
+      str reg_name;
+      int reg_width;
+      Bitvec.add_to_buffer b reset_value;
+      expr next;
+      tag
+        (match reg_class with
+         | Rtl.Mdl.Fsm -> 'f'
+         | Rtl.Mdl.Counter -> 'c'
+         | Rtl.Mdl.Datapath -> 'd'
+         | Rtl.Mdl.Plain -> 'p');
+      tag (if parity_protected then 'P' else '-'))
+    regs;
+  list
+    (fun { Rtl.Mdl.inst_name; of_module; connections } ->
+      str inst_name;
+      str of_module;
+      list
+        (fun (formal, actual) ->
+          str formal;
+          match actual with
+          | Rtl.Mdl.Expr e ->
+            tag 'e';
+            expr e
+          | Rtl.Mdl.Net n ->
+            tag 'n';
+            str n)
+        connections)
+    instances;
+  list
+    (fun (k, v) ->
+      str k;
+      str v)
+    attrs;
+  (* the properties of one vunit share one physical assumption list: a
+     property whose list is the one before it prints ['='] instead *)
+  int (List.length props);
+  ignore
+    (List.fold_left
+       (fun prev (_, assert_, assumes) ->
+         fl assert_;
+         if assumes == prev then tag '='
+         else begin
+           tag 'a';
+           list fl assumes
+         end;
+         assumes)
+       [] props);
+  Digest.to_hex (Digest.string (Buffer.contents b))
 
 let run o =
   Engine.check_netlist ~budget:o.budget ?constraint_signal:o.constraint_signal

@@ -71,6 +71,25 @@ val fingerprint : ?salt:string -> _ t -> string
     never collide with the monolithic obligation's. Runs in a
     [key/fingerprint] telemetry span. *)
 
+val cell_digest :
+  ?budget:Engine.budget ->
+  ?strategy:Engine.strategy ->
+  Rtl.Mdl.t ->
+  props:(string * Psl.Ast.fl * Psl.Ast.fl list) list ->
+  string
+(** The digest of a shared-preparation cell: the input of
+    {!Engine.prepare_module} followed by {!fingerprint} under [budget] and
+    [strategy] (defaults as in {!prepare}). It is the MD5 of an exact
+    printing of the module with its name left out, the properties' ordered
+    [(assert, assumes)] formulas (their names left out too), the
+    strategy-and-budget salt of {!fingerprint} and {!Engine.prep_version}.
+    Equal inputs under one preparation version therefore give equal keys,
+    which is what lets a store map the digest to the cell's keys
+    ({!Cache.find_cell}). Properties that share one physical assumption
+    list, as those of one vunit do, print it once; equal lists that are not
+    shared print in full, which can only split a digest, never merge two.
+    Runs in a [key/cell] telemetry span. *)
+
 val run : _ t -> Engine.outcome
 (** Execute the prepared check ({!Engine.check_netlist}). *)
 

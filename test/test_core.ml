@@ -249,7 +249,9 @@ let stored_run chip expected =
 
 (* Every row's lookup key, hits included: over a cache that answers each
    expected key with a marker outcome naming that key, each row must read
-   back the marker of its own key. *)
+   back the marker of its own key. The first run prepares every cell and
+   leaves its cell record in the cache; the second takes every key from
+   those records and must read the same markers without elaborating. *)
 let check_row_keys chip expected =
   let marked = Mc.Cache.create () in
   List.iter
@@ -259,13 +261,45 @@ let check_row_keys chip expected =
           time_s = 0.0; iterations = 0; work_nodes = 0;
           perf = Mc.Engine.empty_perf })
     expected;
-  let answered = Core.Campaign.run ~cache:marked chip in
+  let markers (t : Core.Campaign.t) =
+    List.map
+      (fun (r : Core.Campaign.prop_result) ->
+        r.Core.Campaign.outcome.Mc.Engine.engine_used)
+      t.Core.Campaign.results
+  in
   Alcotest.(check (list string))
     "each row's key is its own module's fingerprint" expected
-    (List.map
-       (fun (r : Core.Campaign.prop_result) ->
-         r.Core.Campaign.outcome.Mc.Engine.engine_used)
-       answered.Core.Campaign.results)
+    (markers (Core.Campaign.run ~cache:marked chip));
+  Obs.Telemetry.start ();
+  Obs.Telemetry.recorder_start ~capacity:8192 ();
+  let answered = Core.Campaign.run ~cache:marked chip in
+  let events = Obs.Telemetry.events () in
+  Obs.Telemetry.recorder_stop ();
+  let report = Obs.Telemetry.stop () in
+  Alcotest.(check (list string))
+    "each row's key from a cell record is its own module's fingerprint"
+    expected (markers answered);
+  let hits =
+    List.filter
+      (fun (e : Obs.Telemetry.event) -> e.Obs.Telemetry.kind = "cell.hit")
+      events
+  in
+  Alcotest.(check bool) "every cell from its record" true
+    (hits <> [] && Obs.Telemetry.counter report "cell.miss" = 0);
+  Alcotest.(check int) "one cell.hit event per cell"
+    (Obs.Telemetry.counter report "cell.hit") (List.length hits);
+  List.iter
+    (fun (e : Obs.Telemetry.event) ->
+      let d = e.Obs.Telemetry.detail in
+      Alcotest.(check bool) "the event carries the digest and the module" true
+        (String.length d > 33 && d.[32] = ' '))
+    hits;
+  Alcotest.(check int) "no elaboration behind the cell records" 0
+    (List.length
+       (List.filter
+          (fun (s : Obs.Telemetry.span) ->
+            s.Obs.Telemetry.name = "prepare.elaborate")
+          report.Obs.Telemetry.spans))
 
 (* every obligation, cache hits included, is keyed exactly as its own
    module's preparation keys it, and the chip's 95 modules are prepared
@@ -314,6 +348,172 @@ let test_twin_cells () =
   Alcotest.(check (list string)) "pool matches sequential"
     (List.map result_key seq.Core.Campaign.results)
     (List.map result_key par.Core.Campaign.results)
+
+(* the chip's preparation cells in the campaign's order — one per module
+   structure, at its first module — with their properties *)
+let cells chip =
+  let seen = Hashtbl.create 32 in
+  List.filter_map
+    (fun ws ->
+      let s = structure ws in
+      if Hashtbl.mem seen s then None
+      else begin
+        Hashtbl.add seen s ();
+        Some
+          ( (List.hd ws).Core.Campaign.w_mdl,
+            List.map
+              (fun (w : Core.Campaign.work) ->
+                ( w.Core.Campaign.w_prop_name, w.Core.Campaign.w_assert,
+                  w.Core.Campaign.w_assumes ))
+              ws )
+      end)
+    (by_module (Core.Campaign.work_items chip))
+
+let fresh_keys (mdl, props) =
+  List.map
+    (fun (_, prep) ->
+      Mc.Obligation.fingerprint (Mc.Obligation.of_prepared prep ~meta:()))
+    (Mc.Engine.prepare_module mdl ~props)
+
+(* The preparation behind every key is pinned twice. The MD5 of the
+   pre-fix chip's 603 cell keys, in cell order, is pinned beside
+   [prep_version]. The committed current-format store holds two cell
+   records written at that version, and while their digests name cells of
+   the chip, their keys must be what preparing those cells computes now. A
+   change that moves a key fails both checks; re-pinning the MD5 without
+   bumping [prep_version] still fails the second. A bump changes every
+   digest, so the fixture's records then name no cell and must be written
+   anew (see test_runtime's [pinned_cells]). *)
+let test_prep_version_pin () =
+  let cells = cells (Lazy.force chip) in
+  let keys = List.map fresh_keys cells in
+  Alcotest.(check int) "603 keys in 22 cells" 603
+    (List.length (List.concat keys));
+  Alcotest.(check (pair int string)) "prep_version and its keys' MD5"
+    (1, "347922a28a176caf2b48db2c8d3fe1de")
+    ( Mc.Engine.prep_version,
+      Digest.to_hex (Digest.string (String.concat "" (List.concat keys))) );
+  let store =
+    match
+      Mc.Cache.load (Filename.concat "fixtures" (Mc.Cache.schema ^ ".cache"))
+    with
+    | Some c -> c
+    | None -> Alcotest.fail "no current-format fixture"
+  in
+  let named =
+    List.filter_map
+      (fun ((mdl, props), keys) ->
+        Option.map
+          (fun recorded -> (mdl.Rtl.Mdl.name, recorded, keys))
+          (Mc.Cache.find_cell store
+             ~digest:(Mc.Obligation.cell_digest mdl ~props)))
+      (List.combine cells keys)
+  in
+  Alcotest.(check int) "the fixture's cell records name two cells" 2
+    (Mc.Cache.cells store);
+  Alcotest.(check (list string)) "...of the chip at this prep_version"
+    [ "a_csr"; "C_leaf06" ]
+    (List.map (fun (m, _, _) -> m) named);
+  List.iter
+    (fun (m, recorded, keys) ->
+      Alcotest.(check (list string))
+        (m ^ ": a record of this version names the fresh keys") keys recorded)
+    named
+
+(* the digest reads the module but its name, the properties, the salt and
+   the preparation version *)
+let test_cell_digest_covers () =
+  let t = Lazy.force chip in
+  let mdl, props = List.hd (cells t) in
+  let digest ?budget ?strategy ?(mdl = mdl) props =
+    Mc.Obligation.cell_digest ?budget ?strategy mdl ~props
+  in
+  let base = digest props in
+  let differs name d =
+    Alcotest.(check bool) (name ^ " moves the digest") true (d <> base)
+  in
+  Alcotest.(check string) "the module's name is left out" base
+    (digest ~mdl:{ mdl with Rtl.Mdl.name = "renamed" } props);
+  Alcotest.(check string) "so are the properties' names" base
+    (digest (List.map (fun (_, a, s) -> ("renamed", a, s)) props));
+  differs "dropping a property" (digest (List.tl props));
+  differs "swapping two properties"
+    (digest (match props with p :: q :: r -> q :: p :: r | r -> r));
+  differs "another assert"
+    (digest
+       (List.mapi
+          (fun i (n, a, s) ->
+            (n, (if i = 0 then Psl.Ast.Not a else a), s))
+          props));
+  differs "one more assumption"
+    (digest
+       (List.map (fun (n, a, s) -> (n, a, Psl.Ast.Bool Rtl.Expr.tru :: s))
+          props));
+  differs "another strategy" (digest ~strategy:Mc.Engine.Bmc props);
+  differs "another budget"
+    (digest
+       ~budget:{ Mc.Engine.default_budget with Mc.Engine.bmc_depth = 21 }
+       props);
+  let first = (List.hd mdl.Rtl.Mdl.regs).Rtl.Mdl.reg_name in
+  differs "a register's parity flag"
+    (digest
+       ~mdl:
+         (Rtl.Mdl.map_regs
+            (fun r ->
+              if r.Rtl.Mdl.reg_name = first then
+                { r with
+                  Rtl.Mdl.parity_protected = not r.Rtl.Mdl.parity_protected }
+              else r)
+            mdl)
+       props)
+
+(* a store's cell records never answer another strategy: rerun under BMC
+   on a store the default strategy filled, the rows are BMC's own *)
+let test_cells_keep_the_salt () =
+  let mini = mini_chip () in
+  let cache = Mc.Cache.create () in
+  ignore (Core.Campaign.run ~cache mini);
+  let detail (r : Core.Campaign.prop_result) =
+    Printf.sprintf "%s %s" (result_key r)
+      r.Core.Campaign.outcome.Mc.Engine.engine_used
+  in
+  Alcotest.(check (list string)) "BMC on the filled store = BMC alone"
+    (List.map detail
+       (Core.Campaign.run ~strategy:Mc.Engine.Bmc mini).Core.Campaign.results)
+    (List.map detail
+       (Core.Campaign.run ~strategy:Mc.Engine.Bmc ~cache mini)
+         .Core.Campaign.results)
+
+(* A store whose cell records name keys preparation no longer computes,
+   as after a preparation change without a [prep_version] bump: each
+   record's keys miss, so its cell is prepared, found stale, counted and
+   rewritten, and every row is answered under its fresh key. *)
+let test_stale_cell_record () =
+  let mini = mini_chip () in
+  let cache = Mc.Cache.create () in
+  let cells = cells mini in
+  List.iter
+    (fun (mdl, props) ->
+      Mc.Cache.add_cell cache
+        ~digest:(Mc.Obligation.cell_digest mdl ~props)
+        (List.map (fun k -> "stale-" ^ k) (fresh_keys (mdl, props))))
+    cells;
+  Obs.Telemetry.start ();
+  let healed = Core.Campaign.run ~cache mini in
+  let report = Obs.Telemetry.stop () in
+  Alcotest.(check int) "every cell found stale" (List.length cells)
+    (Obs.Telemetry.counter report "cell.stale");
+  List.iter
+    (fun (mdl, props) ->
+      Alcotest.(check (option (list string)))
+        (mdl.Rtl.Mdl.name ^ ": record rewritten")
+        (Some (fresh_keys (mdl, props)))
+        (Mc.Cache.find_cell cache
+           ~digest:(Mc.Obligation.cell_digest mdl ~props)))
+    cells;
+  Alcotest.(check (list string)) "verdicts as on a fresh store"
+    (List.map result_key (Core.Campaign.run mini).Core.Campaign.results)
+    (List.map result_key healed.Core.Campaign.results)
 
 (* concurrent BMC runs build Bexpr nodes on several domains at once *)
 let test_bmc_pool_matches_sequential () =
@@ -769,6 +969,14 @@ let () =
            test_shared_cells;
          Alcotest.test_case "twins differing in one flag get two cells" `Slow
            test_twin_cells;
+         Alcotest.test_case "prep_version pins the pre-fix keys" `Slow
+           test_prep_version_pin;
+         Alcotest.test_case "cell digest covers what keys read" `Quick
+           test_cell_digest_covers;
+         Alcotest.test_case "cell records keep the strategy salt" `Slow
+           test_cells_keep_the_salt;
+         Alcotest.test_case "a stale cell record is rewritten" `Slow
+           test_stale_cell_record;
          Alcotest.test_case "bmc on a pool matches sequential" `Slow
            test_bmc_pool_matches_sequential;
          Alcotest.test_case "executor map" `Quick test_executor_map;

@@ -336,22 +336,46 @@ let test_old_formats_rejected () =
       Alcotest.(check int) (name ^ ": replaced by a fresh store") 1
         (stored path);
       Sys.remove path)
-    [ "dicheck-cache-v3.cache"; "dicheck-journal-v2.journal" ]
+    [ "dicheck-cache-v3.cache"; "dicheck-cache-v4.cache";
+      "dicheck-journal-v2.journal" ]
+
+(* the fixture's two cell records: the digests of the pre-fix chip's
+   a_csr and C_leaf06 cells and their key counts (test_core checks that
+   the keys are still what preparing those cells computes) *)
+let pinned_cells =
+  [ ("3516be463badf33070c7fefb74e2f302", 5);
+    ("c0364c5a45511a76426b83269ac8ee32", 7) ]
+
+let is_hex_digest k =
+  String.length k = 32
+  && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) k
 
 (* The fixture is named after the current schema. A field added to an
    outcome or its perf makes the decoder reject it until the schema is
-   bumped and a fixture in the new format is committed. *)
+   bumped and a fixture in the new format is committed. It was written
+   through [Mc.Cache.add] (the [pinned] outcomes) and [Mc.Cache.add_cell]
+   (two cells of the pre-fix chip). *)
 let test_current_format_pinned () =
   match Mc.Cache.load (fixture (Mc.Cache.schema ^ ".cache")) with
   | None -> Alcotest.failf "no fixture for %s" Mc.Cache.schema
   | Some c ->
-    Alcotest.(check int) "every record decodes" (List.length pinned)
+    Alcotest.(check int) "every verdict decodes" (List.length pinned)
       (Mc.Cache.length c);
     List.iter
       (fun (key, o) ->
         Alcotest.(check bool) (key ^ " decodes to its pinned outcome") true
           (Mc.Cache.find c ~key = Some o))
-      pinned
+      pinned;
+    Alcotest.(check int) "every cell record decodes"
+      (List.length pinned_cells) (Mc.Cache.cells c);
+    List.iter
+      (fun (digest, n) ->
+        match Mc.Cache.find_cell c ~digest with
+        | Some keys ->
+          Alcotest.(check int) (digest ^ " holds its keys") n
+            (List.length (List.filter is_hex_digest keys))
+        | None -> Alcotest.failf "cell %s missing" digest)
+      pinned_cells
 
 let gen_outcome =
   let open QCheck.Gen in
@@ -392,20 +416,63 @@ let gen_outcome =
       }
   | _ -> assert false
 
+(* a cell record: any digest text, and up to 40 keys *)
+let gen_cell =
+  let open QCheck.Gen in
+  let bytes = string_size ~gen:char (int_range 0 40) in
+  pair bytes (list_size (int_range 0 40) bytes)
+
+(* an outcome, and a store holding it and a cell record: the outcome
+   round-trips through its JSON, and both records through the appended
+   file and through [save] *)
 let qcheck_outcome_roundtrip =
   QCheck.Test.make ~count:300 ~name:"outcomes round-trip through the codec"
-    (QCheck.make gen_outcome) (fun o ->
+    (QCheck.make (QCheck.Gen.pair gen_outcome gen_cell))
+    (fun (o, (digest, keys)) ->
       let text = Obs.Json.to_string (Mc.Cache.outcome_to_json o) in
-      match Obs.Json.parse text with
-      | Ok j -> Mc.Cache.outcome_of_json j = Ok o
-      | Error _ -> false)
+      let path = Filename.temp_file "dicheck_codec" ".cache" in
+      let holds c =
+        Mc.Cache.find c ~key:digest = Some o
+        && Mc.Cache.find_cell c ~digest = Some keys
+        && Mc.Cache.length c = 1 && Mc.Cache.cells c = 1
+      in
+      let appended =
+        let c = Mc.Cache.open_file path in
+        Mc.Cache.add c ~key:digest o;
+        Mc.Cache.add_cell c ~digest keys;
+        Mc.Cache.close c;
+        Mc.Cache.load path
+      in
+      let saved =
+        Option.bind appended (fun c ->
+            Mc.Cache.save c path;
+            Mc.Cache.load path)
+      in
+      Sys.remove path;
+      (match Obs.Json.parse text with
+       | Ok j -> Mc.Cache.outcome_of_json j = Ok o
+       | Error _ -> false)
+      && Option.fold ~none:false ~some:holds appended
+      && Option.fold ~none:false ~some:holds saved)
 
-(* a store holding [pinned], written through the append path *)
+(* the cell records written beside [pinned] *)
+let written_cells =
+  [ ("cell-a", [ "fp-proved"; "fp-failed" ]); ("cell-b", []);
+    ("cell-c", [ "k\"1"; "k\n2"; "fp-ro" ]) ]
+
+(* a store holding [pinned] and [written_cells], written through the
+   append path, records of both kinds interleaved *)
 let valid_store =
   lazy
     (let path = Filename.temp_file "dicheck_valid" ".cache" in
      let c = Mc.Cache.open_file path in
-     List.iter (fun (key, o) -> Mc.Cache.add c ~key o) pinned;
+     List.iteri
+       (fun i (key, o) ->
+         Mc.Cache.add c ~key o;
+         match List.nth_opt written_cells i with
+         | Some (digest, keys) -> Mc.Cache.add_cell c ~digest keys
+         | None -> ())
+       pinned;
      Mc.Cache.close c;
      let text = read_file path in
      Sys.remove path;
@@ -441,8 +508,15 @@ let qcheck_damaged_store =
           List.filter_map
             (fun (key, o) -> Option.map (( = ) o) (Mc.Cache.find c ~key))
             pinned
+        and found_cells =
+          List.filter_map
+            (fun (digest, keys) ->
+              Option.map (( = ) keys) (Mc.Cache.find_cell c ~digest))
+            written_cells
         in
-        List.for_all Fun.id found && List.length found = Mc.Cache.length c
+        List.for_all Fun.id (found @ found_cells)
+        && List.length found = Mc.Cache.length c
+        && List.length found_cells = Mc.Cache.cells c
       in
       let ok, _ =
         capture_stderr (fun () ->
@@ -454,6 +528,7 @@ let qcheck_damaged_store =
               Mc.Cache.close c';
               only_written c && only_written c'
               && Mc.Cache.length c = Mc.Cache.length c'
+              && Mc.Cache.cells c = Mc.Cache.cells c'
               && stored path = Mc.Cache.length c)
       in
       Sys.remove path;
@@ -736,11 +811,19 @@ let test_journal_partial_resume () =
   let calls1 = ref 0 in
   let first = Core.Campaign.run ~cache:c ~fault_hook:(count calls1) mini in
   Mc.Cache.close c;
-  (* keep the header and the first three records, then a torn tail — a
-     hand-made crash prefix *)
+  (* keep the header and every record up to the third verdict, the cell
+     records among them included, then a torn tail — a hand-made crash
+     prefix *)
+  let rec upto_third_verdict n = function
+    | [] -> []
+    | line :: rest ->
+      let verdict = String.starts_with ~prefix:"{\"key\":" line in
+      let n = if verdict then n + 1 else n in
+      line :: (if n = 3 then [] else upto_third_verdict n rest)
+  in
   let lines = String.split_on_char '\n' (read_file path) in
   write_file path
-    (String.concat "\n" (List.filteri (fun i _ -> i < 4) lines) ^ "\ntorn");
+    (String.concat "\n" (upto_third_verdict 0 lines) ^ "\ntorn");
   let c2, _ = capture_stderr (fun () -> Mc.Cache.open_file path) in
   let loaded = Mc.Cache.length c2 in
   Alcotest.(check int) "the prefix's three records loaded" 3 loaded;
