@@ -597,6 +597,7 @@ let check ?(incremental = true) ?(max_conflicts = max_int)
           inc ~depth:d
       in
       sat := Solver.add_stats !sat st;
+      if shared = None then Solver.release inc.solver;
       match outcome with
       | `No_violation ->
         if d = depth then No_violation_upto (depth, mk_stats ~depth inc)
@@ -605,4 +606,7 @@ let check ?(incremental = true) ?(max_conflicts = max_int)
       | `Violation trace -> Violation (trace, mk_stats ~depth:d inc)
     end
   in
-  go 0
+  let result = go 0 in
+  (* the trace and the stats are built: hand the solver's storage on *)
+  Option.iter (fun inc -> Solver.release inc.solver) shared;
+  result

@@ -443,13 +443,17 @@ let make_inliner mdl =
             e)
           (Hashtbl.find_opt driver x)
   and expand visiting e = Rtl.Expr.subst (expand_var visiting) e in
-  let env name = Rtl.Mdl.signal_width mdl name in
+  let env = Rtl.Mdl.widths mdl in
   fun fl ->
     Psl.Ast.map_bool
       (fun e -> Rtl.Expr.simplify ~env (expand [] e))
       fl
 
-let inline_bools mdl fl = make_inliner mdl fl
+(* a name set, for membership tests *)
+let name_set names =
+  let tbl = Hashtbl.create 97 in
+  List.iter (fun n -> Hashtbl.replace tbl n ()) names;
+  Hashtbl.mem tbl
 
 (* Drop assumptions that cannot affect the assert: an assumption whose
    signals are all primary inputs outside the assert's cone of influence
@@ -458,50 +462,57 @@ let inline_bools mdl fl = make_inliner mdl fl
 let make_pruner mdl =
   let design = Rtl.Design.of_modules [ mdl ] in
   let nl = Rtl.Elaborate.run design ~top:mdl.Rtl.Mdl.name in
-  let declared = List.map fst (Rtl.Netlist.signals nl) in
-  let input_names = List.map fst nl.Rtl.Netlist.inputs in
+  let declared = name_set (List.map fst (Rtl.Netlist.signals nl)) in
+  let is_input = name_set (List.map fst nl.Rtl.Netlist.inputs) in
   let reduce = Rtl.Coi.reduce nl in
   fun ~assert_ ~assumes ->
-    let roots =
-      List.filter (fun s -> List.mem s declared) (Psl.Ast.signals assert_)
+    let roots = List.filter declared (Psl.Ast.signals assert_) in
+    (* only an assumption over inputs alone needs the cone *)
+    let in_cone =
+      lazy (name_set (List.map fst (Rtl.Netlist.signals (reduce ~roots))))
     in
-    let cone = reduce ~roots in
-    let cone_signals = List.map fst (Rtl.Netlist.signals cone) in
     let keep a =
       let sigs = Psl.Ast.signals a in
-      let inputs_only = List.for_all (fun s -> List.mem s input_names) sigs in
-      (not inputs_only) || List.exists (fun s -> List.mem s cone_signals) sigs
+      (not (List.for_all is_input sigs))
+      || List.exists (Lazy.force in_cone) sigs
     in
     List.filter keep assumes
-
-let prune_assumes mdl ~assert_ ~assumes =
-  make_pruner mdl ~assert_ ~assumes
 
 (* invariant input-only assumptions ("always <boolean over inputs>") become
    engine-level input constraints instead of latched monitors: the engines
    then simply never explore constraint-violating inputs, which keeps the
    assumption bookkeeping out of the state space *)
-let split_constraint_assumes mdl assumes =
-  let input_names =
-    List.map (fun (p : Rtl.Mdl.port) -> p.Rtl.Mdl.port_name)
-      (Rtl.Mdl.inputs mdl)
+let make_splitter mdl =
+  let is_input =
+    name_set
+      (List.map (fun (p : Rtl.Mdl.port) -> p.Rtl.Mdl.port_name)
+         (Rtl.Mdl.inputs mdl))
   in
   let as_input_invariant = function
     | Psl.Ast.Always (Psl.Ast.Bool e) | Psl.Ast.Bool e ->
-      if List.for_all (fun s -> List.mem s input_names) (Rtl.Expr.support e)
-      then Some e
-      else None
+      if List.for_all is_input (Rtl.Expr.support e) then Some e else None
     | Psl.Ast.Not _ | Psl.Ast.And _ | Psl.Ast.Or _ | Psl.Ast.Implies _
     | Psl.Ast.Next _ | Psl.Ast.Next_n _ | Psl.Ast.Always _ | Psl.Ast.Never _
     | Psl.Ast.Until _ | Psl.Ast.Seq_implies _ | Psl.Ast.Eventually _ ->
       None
   in
-  List.partition_map
-    (fun a ->
+  List.partition_map (fun a ->
       match as_input_invariant a with
       | Some e -> Either.Left e
       | None -> Either.Right a)
-    assumes
+
+(* the wire [name] holding the conjunction of a property's input
+   invariants, as a part to weave after the property's monitor *)
+let constraint_part name = function
+  | [] -> None
+  | es ->
+    let c =
+      List.fold_left (fun acc e -> Rtl.Expr.( &: ) acc e) Rtl.Expr.tru es
+    in
+    Some
+      { (Rtl.Mdl.create name) with
+        Rtl.Mdl.wires = [ (name, 1) ];
+        assigns = [ { Rtl.Mdl.lhs = name; rhs = c } ] }
 
 (* shared preparation front half: inline, prune, lower input invariants to a
    constraint wire, weave in the safety monitor, elaborate — everything up
@@ -510,50 +521,46 @@ let prepare_full_netlist mdl ~assert_ ~assumes =
   let sp name f = Telemetry.span ~cat:"prepare" name f in
   let assert_, assumes =
     sp "prepare.inline" (fun () ->
-        (inline_bools mdl assert_, List.map (inline_bools mdl) assumes))
+        let inline = make_inliner mdl in
+        (inline assert_, List.map inline assumes))
   in
   let assumes =
-    sp "prepare.prune" (fun () -> prune_assumes mdl ~assert_ ~assumes)
+    sp "prepare.prune" (fun () -> make_pruner mdl ~assert_ ~assumes)
   in
-  let constraints, temporal_assumes = split_constraint_assumes mdl assumes in
-  let inst =
+  let constraints, temporal_assumes = make_splitter mdl assumes in
+  let mon =
     sp "prepare.monitor" (fun () ->
-        Psl.Monitor.instrument mdl ~prefix:"mon" ~assert_
+        Psl.Monitor.weaver mdl ~prefix:"mon" ~assert_
           ~assumes:temporal_assumes)
   in
-  let mdl', constraint_signal =
-    match constraints with
-    | [] -> (inst.Psl.Monitor.mdl, None)
-    | es ->
-      let c =
-        List.fold_left (fun acc e -> Rtl.Expr.( &: ) acc e) Rtl.Expr.tru es
-      in
-      let name = "mon_input_constraint" in
-      let m = Rtl.Mdl.add_wire inst.Psl.Monitor.mdl name 1 in
-      (Rtl.Mdl.add_assign m name c, Some name)
+  let cons = constraint_part "mon_input_constraint" constraints in
+  let mdl' =
+    Rtl.Mdl.append mdl (mon.Psl.Monitor.mdl :: Option.to_list cons)
   in
   let nl =
     sp "prepare.elaborate" (fun () ->
         let design = Rtl.Design.of_modules [ mdl' ] in
         Rtl.Elaborate.run design ~top:mdl'.Rtl.Mdl.name)
   in
-  (nl, inst.Psl.Monitor.invariant_ok, constraint_signal)
+  ( nl, mon.Psl.Monitor.invariant_ok,
+    Option.map (fun (c : Rtl.Mdl.t) -> c.Rtl.Mdl.name) cons )
 
 let replay_model mdl ~assert_ ~assumes =
   prepare_full_netlist mdl ~assert_ ~assumes
 
 (* Shared per-module preparation: when a module carries several properties
    (the paper's P0/P1/P2 obligations), the module-level work — the inliner's
-   driver tables, the pruner's raw elaboration, the monitor weaving, the
-   single full elaborate and the COI dependency indexes of both netlists —
-   runs once for all of them. Each property gets its own monitor (distinct
-   [mon<i>] prefixes in one woven module) and its own cone-of-influence
-   reduction from its own roots, so the per-property reduced netlist is
-   structurally identical to what the unshared {!instrumented_netlist} path
-   builds: monitors are independent cones, and COI from property [i]'s
-   roots excludes every other property's monitor. Canonical fingerprints
-   (name-independent) therefore agree between the shared and unshared
-   paths. *)
+   driver and width tables, the pruner's raw elaboration, the monitor
+   weaver's width table, the single full elaborate and the COI indexes of
+   both netlists — runs once for all of them. Each property gets its own
+   monitor (distinct [mon<i>] prefixes in one woven module), synthesized
+   against the module alone and appended in property order, and its own
+   cone-of-influence reduction from its own roots, so the per-property
+   reduced netlist is structurally identical to what the unshared
+   {!instrumented_netlist} path builds: monitors are independent cones,
+   and COI from property [i]'s roots excludes every other property's
+   monitor. Canonical fingerprints (name-independent) therefore agree
+   between the shared and unshared paths. *)
 let prep_version = 1
 
 let prepare_module mdl ~props =
@@ -562,54 +569,51 @@ let prepare_module mdl ~props =
     sp "prepare.inline" (fun () ->
         let inline = make_inliner mdl in
         let prune = make_pruner mdl in
+        let split = make_splitter mdl in
         List.map
           (fun (name, assert_, assumes) ->
             let assert_ = inline assert_ in
             let assumes = List.map inline assumes in
-            let assumes = prune ~assert_ ~assumes in
-            let constraints, temporal = split_constraint_assumes mdl assumes in
+            let constraints, temporal = split (prune ~assert_ ~assumes) in
             (name, assert_, constraints, temporal))
           props)
   in
-  let woven = ref mdl in
-  let per_rev = ref [] in
-  List.iteri
-    (fun i (name, assert_, constraints, temporal) ->
-      let prefix = Printf.sprintf "mon%d" i in
-      let inst =
-        sp "prepare.monitor" (fun () ->
-            Psl.Monitor.instrument !woven ~prefix ~assert_ ~assumes:temporal)
-      in
-      let m', constraint_signal =
-        match constraints with
-        | [] -> (inst.Psl.Monitor.mdl, None)
-        | es ->
-          let c =
-            List.fold_left (fun acc e -> Rtl.Expr.( &: ) acc e) Rtl.Expr.tru es
-          in
-          let cname = prefix ^ "_input_constraint" in
-          let m = Rtl.Mdl.add_wire inst.Psl.Monitor.mdl cname 1 in
-          (Rtl.Mdl.add_assign m cname c, Some cname)
-      in
-      woven := m';
-      per_rev :=
-        (name, prefix, inst.Psl.Monitor.invariant_ok, constraint_signal)
-        :: !per_rev)
-    fronts;
+  (* one width table for every property's monitor, built inside the first
+     monitor span *)
+  let weave = lazy (Psl.Monitor.weaver mdl) in
+  let per =
+    List.mapi
+      (fun i (name, assert_, constraints, temporal) ->
+        let prefix = Printf.sprintf "mon%d" i in
+        let mon =
+          sp "prepare.monitor" (fun () ->
+              Lazy.force weave ~prefix ~assert_ ~assumes:temporal)
+        in
+        let cons = constraint_part (prefix ^ "_input_constraint") constraints in
+        (name, prefix, mon, cons))
+      fronts
+  in
+  let woven =
+    Rtl.Mdl.append mdl
+      (List.concat_map
+         (fun (_, _, mon, cons) -> mon.Psl.Monitor.mdl :: Option.to_list cons)
+         per)
+  in
   let nl =
     sp "prepare.elaborate" (fun () ->
-        let design = Rtl.Design.of_modules [ !woven ] in
-        Rtl.Elaborate.run design ~top:(!woven).Rtl.Mdl.name)
+        let design = Rtl.Design.of_modules [ woven ] in
+        Rtl.Elaborate.run design ~top:woven.Rtl.Mdl.name)
   in
   (* one dependency index for every property's cone, built inside the
      first COI span *)
   let reduce = lazy (Rtl.Coi.reduce nl) in
-  List.rev_map
-    (fun (name, prefix, ok_signal, constraint_signal) ->
-      let roots =
-        ok_signal
-        :: (match constraint_signal with Some c -> [ c ] | None -> [])
+  List.map
+    (fun (name, prefix, mon, cons) ->
+      let ok_signal = mon.Psl.Monitor.invariant_ok in
+      let constraint_signal =
+        Option.map (fun (c : Rtl.Mdl.t) -> c.Rtl.Mdl.name) cons
       in
+      let roots = ok_signal :: Option.to_list constraint_signal in
       let red = sp "prepare.coi" (fun () -> Lazy.force reduce ~roots) in
       (* after its COI reduction the property's cone holds exactly one
          monitor, so the weaving prefix [mon<i>] can be folded back to the
@@ -625,7 +629,7 @@ let prepare_module mdl ~props =
       in
       let red = Rtl.Canon.rename fold red in
       (name, (red, fold ok_signal, Option.map fold constraint_signal)))
-    !per_rev
+    per
 
 let instrumented_netlist mdl ~assert_ ~assumes =
   let nl, ok_signal, constraint_signal =

@@ -11,23 +11,42 @@ type instrumented = {
   invariant_ok : string;
 }
 
-type state = { mutable m : M.t; mutable fresh : int; prefix : string }
+(* One monitor being woven: the widths of the module's signals, which are
+   all a property may read, and the monitor's own wires, assigns and
+   registers, newest first. *)
+type state = {
+  width : string -> int;
+  prefix : string;
+  mutable fresh : int;
+  mutable wires : (string * int) list;
+  mutable assigns : M.assign list;
+  mutable regs : M.reg list;
+}
 
 let fresh_name st stem =
   let n = st.fresh in
   st.fresh <- n + 1;
   Printf.sprintf "%s_%s%d" st.prefix stem n
 
+let declare_wire st name e =
+  st.wires <- (name, 1) :: st.wires;
+  st.assigns <- { M.lhs = name; rhs = e } :: st.assigns
+
+(* a 1-bit monitor register with the given next function, reset to 0 *)
+let declare_reg st name next =
+  st.regs <-
+    { M.reg_name = name; reg_width = 1; reset_value = Bitvec.zero 1; next;
+      reg_class = M.Plain; parity_protected = false }
+    :: st.regs
+
 let add_wire st stem e =
   let name = fresh_name st stem in
-  st.m <- M.add_wire st.m name 1;
-  st.m <- M.add_assign st.m name e;
+  declare_wire st name e;
   E.var name
 
-(* A 1-bit monitor register with the given next function, reset to 0. *)
 let add_delay st next =
   let name = fresh_name st "r" in
-  st.m <- M.add_reg st.m name 1 next;
+  declare_reg st name next;
   E.var name
 
 let rec bexpr_of_pure (f : Ast.fl) =
@@ -52,8 +71,7 @@ let rec bexpr_of_pure (f : Ast.fl) =
     None
 
 let check_one_bit st e =
-  let env name = M.signal_width st.m name in
-  match E.width ~env e with
+  match E.width ~env:st.width e with
   | 1 -> ()
   | w ->
     raise
@@ -115,7 +133,7 @@ let rec compile st (act : E.t) (f : Ast.fl) : E.t =
     | Ast.Always f ->
       (* once activated, active forever *)
       let latched = fresh_name st "always" in
-      st.m <- M.add_reg st.m latched 1 E.(var latched |: act);
+      declare_reg st latched E.(var latched |: act);
       compile st E.(var latched |: act) f
     | Ast.Never f -> (
       match bexpr_of_pure f with
@@ -128,8 +146,7 @@ let rec compile st (act : E.t) (f : Ast.fl) : E.t =
         (* weak until: while the region is open and q has not yet held,
            p is obligated this cycle *)
         let region = fresh_name st "until" in
-        st.m <-
-          M.add_reg st.m region 1 E.((var region |: act) &: !:bq);
+        declare_reg st region E.((var region |: act) &: !:bq);
         let open_now = add_wire st "region" E.(var region |: act) in
         compile st E.(open_now &: !:bq) p
       | None -> raise (Unsupported "until with a temporal right operand"))
@@ -157,54 +174,45 @@ let rec compile st (act : E.t) (f : Ast.fl) : E.t =
            "eventually! is a liveness property; the data-integrity \
             methodology uses the safety subset only"))
 
-let instrument mdl ~prefix ~assert_ ~assumes =
-  List.iter
-    (fun (name, _) ->
-      if String.length name >= String.length prefix
-         && String.sub name 0 (String.length prefix) = prefix
-      then
+let weaver mdl =
+  let width = M.widths mdl in
+  let names = List.map fst (M.declared_signals mdl) in
+  fun ~prefix ~assert_ ~assumes ->
+    Option.iter
+      (fun name ->
         invalid_arg
           (Printf.sprintf "Monitor.instrument: prefix %s collides with signal %s"
              prefix name))
-    (M.declared_signals mdl);
-  let st = { m = mdl; fresh = 0; prefix } in
-  (* activation pulse: high in the first cycle after reset only *)
-  let first_done = fresh_name st "started" in
-  st.m <- M.add_reg st.m first_done 1 E.tru;
-  let act0 = E.(!:(var first_done)) in
-  let fail_e = compile st act0 assert_ in
-  let assume_fails = List.map (fun a -> compile st act0 a) assumes in
-  let fail_signal = prefix ^ "_fail" in
-  st.m <- M.add_wire st.m fail_signal 1;
-  st.m <- M.add_assign st.m fail_signal fail_e;
-  let assume_fail_now = prefix ^ "_assume_fail" in
-  st.m <- M.add_wire st.m assume_fail_now 1;
-  st.m <-
-    M.add_assign st.m assume_fail_now
+      (List.find_opt (fun name -> String.starts_with ~prefix name) names);
+    let st =
+      { width; prefix; fresh = 0; wires = []; assigns = []; regs = [] }
+    in
+    (* activation pulse: high in the first cycle after reset only *)
+    let first_done = fresh_name st "started" in
+    declare_reg st first_done E.tru;
+    let act0 = E.(!:(var first_done)) in
+    let fail_e = compile st act0 assert_ in
+    let assume_fails = List.map (fun a -> compile st act0 a) assumes in
+    let fail_signal = prefix ^ "_fail" in
+    declare_wire st fail_signal fail_e;
+    let assume_fail_now = prefix ^ "_assume_fail" in
+    declare_wire st assume_fail_now
       (List.fold_left (fun acc e -> E.(acc |: e)) E.fls assume_fails);
-  let assume_failed_before = prefix ^ "_assume_failed_q" in
-  st.m <-
-    M.add_reg st.m assume_failed_before 1
+    let assume_failed_before = prefix ^ "_assume_failed_q" in
+    declare_reg st assume_failed_before
       E.(var assume_failed_before |: var assume_fail_now);
-  let invariant_ok = prefix ^ "_ok" in
-  st.m <- M.add_wire st.m invariant_ok 1;
-  st.m <-
-    M.add_assign st.m invariant_ok
+    let invariant_ok = prefix ^ "_ok" in
+    declare_wire st invariant_ok
       E.(!:(var fail_signal
             &: !:(var assume_fail_now)
             &: !:(var assume_failed_before)));
-  { mdl = st.m; fail_signal; assume_fail_now; assume_failed_before;
-    invariant_ok }
+    { mdl =
+        { (M.create prefix) with
+          M.wires = List.rev st.wires;
+          assigns = List.rev st.assigns;
+          regs = List.rev st.regs };
+      fail_signal; assume_fail_now; assume_failed_before; invariant_ok }
 
-let monitor_register_count inst =
-  (* monitor registers all carry the instrumentation prefix, recoverable
-     from the fail signal's name *)
-  let prefix =
-    String.sub inst.fail_signal 0 (String.length inst.fail_signal - 5)
-  in
-  let has_prefix name =
-    String.length name >= String.length prefix
-    && String.sub name 0 (String.length prefix) = prefix
-  in
-  List.length
-    (List.filter (fun (r : M.reg) -> has_prefix r.M.reg_name) inst.mdl.M.regs)
+let instrument mdl ~prefix ~assert_ ~assumes =
+  let inst = weaver mdl ~prefix ~assert_ ~assumes in
+  { inst with mdl = M.append mdl [ inst.mdl ] }

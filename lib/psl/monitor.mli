@@ -28,7 +28,17 @@ type instrumented = {
 val instrument :
   Rtl.Mdl.t -> prefix:string -> assert_:Ast.fl -> assumes:Ast.fl list -> instrumented
 (** [prefix] namespaces the added monitor signals; it must be fresh with
-    respect to the module's signals. *)
+    respect to the module's signals. [instrument] is {!weaver} for one
+    property, with the monitor appended to the module. *)
 
-val monitor_register_count : instrumented -> int
-(** Registers added by the instrumentation (property state size). *)
+val weaver :
+  Rtl.Mdl.t -> prefix:string -> assert_:Ast.fl -> assumes:Ast.fl list -> instrumented
+(** [weaver mdl] synthesizes monitors against [mdl] without weaving them
+    in. Each application returns one property's monitor alone: its [mdl],
+    named after [prefix], holds only the monitor's wires, assigns and
+    registers, in the order {!instrument} adds them, and each of their
+    names starts with [prefix ^ "_"]. [prefix] must be fresh with respect
+    to [mdl]'s signals. {!Rtl.Mdl.append} then weaves the monitors of
+    several such prefixes, as [mon0], [mon1], ..., into [mdl] in order.
+    The partial application builds [mdl]'s width table once, so each
+    monitor costs its own size, not the module's. *)

@@ -18,7 +18,7 @@ let canonical_map (nl : Netlist.t) =
   let fresh = ref 0 in
   let bind name =
     if not (Hashtbl.mem tbl name) then begin
-      Hashtbl.add tbl name (Printf.sprintf "s%d" !fresh);
+      Hashtbl.add tbl name ("s" ^ string_of_int !fresh);
       incr fresh
     end
   in
@@ -31,33 +31,59 @@ let canonical_map (nl : Netlist.t) =
   List.iter (fun (n, _) -> bind n) nl.Netlist.wires;
   fun name -> match Hashtbl.find_opt tbl name with Some c -> c | None -> name
 
-let canonicalize nl =
-  let map = canonical_map nl in
-  (rename map nl, map)
-
+(* The text of the canonical netlist, [rename (canonical_map nl) nl],
+   printed straight into one buffer: names are mapped as they are
+   printed, so the renamed copy is never built. *)
 let fingerprint ?(salt = "") ?(roots = []) nl =
-  let nl, map = canonicalize nl in
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "salt:%s\n" salt;
-  List.iter (fun r -> add "root:%s\n" (map r)) roots;
-  List.iter (fun (n, w) -> add "in:%s:%d\n" n w) nl.Netlist.inputs;
-  List.iter (fun (n, w) -> add "out:%s:%d\n" n w) nl.Netlist.outputs;
+  let map = canonical_map nl in
+  let b = Buffer.create 4096 in
+  let chr = Buffer.add_char b and str = Buffer.add_string b in
+  let int n = str (string_of_int n) in
+  str "salt:";
+  str salt;
+  chr '\n';
+  List.iter
+    (fun r ->
+      str "root:";
+      str (map r);
+      chr '\n')
+    roots;
+  let port tag (n, w) =
+    str tag;
+    str (map n);
+    chr ':';
+    int w;
+    chr '\n'
+  in
+  List.iter (port "in:") nl.Netlist.inputs;
+  List.iter (port "out:") nl.Netlist.outputs;
   List.iter
     (fun (r : Netlist.flat_reg) ->
-      let cls =
-        match r.Netlist.cls with
-        | Mdl.Fsm -> "fsm"
-        | Mdl.Counter -> "cnt"
-        | Mdl.Datapath -> "dp"
-        | Mdl.Plain -> "plain"
-      in
-      add "reg:%s:%d:%s:%s:%b:%s\n" r.Netlist.name r.Netlist.width
-        (Bitvec.to_string r.Netlist.reset_value)
-        cls r.Netlist.parity_protected
-        (Expr.to_string r.Netlist.next))
+      str "reg:";
+      str (map r.Netlist.name);
+      chr ':';
+      int r.Netlist.width;
+      chr ':';
+      str (Bitvec.to_string r.Netlist.reset_value);
+      chr ':';
+      str
+        (match r.Netlist.cls with
+         | Mdl.Fsm -> "fsm"
+         | Mdl.Counter -> "cnt"
+         | Mdl.Datapath -> "dp"
+         | Mdl.Plain -> "plain");
+      chr ':';
+      str (string_of_bool r.Netlist.parity_protected);
+      chr ':';
+      Expr.bprint ~name:map b r.Netlist.next;
+      chr '\n')
     nl.Netlist.regs;
   List.iter
-    (fun (lhs, rhs) -> add "asn:%s=%s\n" lhs (Expr.to_string rhs))
+    (fun (lhs, rhs) ->
+      str "asn:";
+      str (map lhs);
+      chr '=';
+      Expr.bprint ~name:map b rhs;
+      chr '\n')
     nl.Netlist.assigns;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  Digest.to_hex (Digest.string (Buffer.contents b))

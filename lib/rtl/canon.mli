@@ -21,12 +21,10 @@ val canonical_map : Netlist.t -> (string -> string)
 (** The positional canonical renaming of a netlist. Signals outside the
     netlist map to themselves. *)
 
-val canonicalize : Netlist.t -> Netlist.t * (string -> string)
-(** [canonicalize nl] is [rename (canonical_map nl) nl] paired with the
-    map, so callers can translate root/observation signals too. *)
-
 val fingerprint : ?salt:string -> ?roots:string list -> Netlist.t -> string
-(** Hex digest of the canonical form. [roots] (e.g. the property's ok and
-    constraint signals) are translated through the canonical map and folded
-    into the digest; [salt] lets callers mix in non-structural inputs such
-    as the engine strategy and resource budget. *)
+(** Hex digest of the canonical form, [rename (canonical_map nl) nl]: the
+    text is printed with each name mapped on the way, so the renamed
+    netlist is never built. [roots] (e.g. the property's ok and constraint
+    signals) are translated through the canonical map and folded into the
+    digest; [salt] lets callers mix in non-structural inputs such as the
+    engine strategy and resource budget. *)

@@ -12,11 +12,12 @@ val reduce : Netlist.t -> roots:string list -> Netlist.t
     interface. Raises [Not_found] if a root is undeclared.
 
     Partially applying [reduce nl] builds the netlist's dependency index
-    (every signal's driver support and the declared-signal set) once;
-    applying the result to each set of roots then costs only that cone's
-    walk and the filtering. Keep the partial application when reducing one
-    netlist to many cones. The index is read-only, so the closure may be
-    shared across domains. *)
+    (every signal's driver support and each declaration's position in its
+    list) once; applying the result to each set of roots then costs only
+    that cone's walk and putting the signals it reached back in declaration
+    order, whatever the netlist's size. Keep the partial application when
+    reducing one netlist to many cones. The index is read-only, so the
+    closure may be shared across domains. *)
 
 val cone_size : Netlist.t -> roots:string list -> int * int
 (** [(registers, assigns)] inside the cone. *)

@@ -174,4 +174,64 @@ let rec pp ppf = function
     if hi = lo then Format.fprintf ppf "%a[%d]" pp e lo
     else Format.fprintf ppf "%a[%d:%d]" pp e hi lo
 
-let to_string e = Format.asprintf "%a" pp e
+(* [pp]'s text, written straight into a buffer: [pp] opens no box and has
+   no break hint, so [Format] adds nothing to it *)
+let bprint ?(name = Fun.id) b e =
+  let chr = Buffer.add_char b and str = Buffer.add_string b in
+  let rec digits n =
+    if n >= 10 then digits (n / 10);
+    chr (Char.unsafe_chr (48 + (n mod 10)))
+  in
+  let int n = if n >= 0 then digits n else str (string_of_int n) in
+  let rec go = function
+    | Const c ->
+      let w = Bitvec.width c in
+      int w;
+      str "'b";
+      for i = w - 1 downto 0 do
+        chr (if Bitvec.get c i then '1' else '0')
+      done
+    | Var x -> str (name x)
+    | Unop (op, e) ->
+      str (unop_symbol op);
+      chr '(';
+      go e;
+      chr ')'
+    | Binop (Concat, x, y) ->
+      chr '{';
+      go x;
+      str ", ";
+      go y;
+      chr '}'
+    | Binop (op, x, y) ->
+      chr '(';
+      go x;
+      chr ' ';
+      str (binop_symbol op);
+      chr ' ';
+      go y;
+      chr ')'
+    | Mux (s, t, e) ->
+      chr '(';
+      go s;
+      str " ? ";
+      go t;
+      str " : ";
+      go e;
+      chr ')'
+    | Slice (e, hi, lo) ->
+      go e;
+      chr '[';
+      if hi <> lo then begin
+        int hi;
+        chr ':'
+      end;
+      int lo;
+      chr ']'
+  in
+  go e
+
+let to_string e =
+  let b = Buffer.create 64 in
+  bprint b e;
+  Buffer.contents b

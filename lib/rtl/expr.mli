@@ -91,4 +91,11 @@ val simplify : env:(string -> int) -> t -> t
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
+
+val bprint : ?name:(string -> string) -> Buffer.t -> t -> unit
+(** [bprint ~name b e] appends the text of [pp] on [rename name e] to [b],
+    without building the renamed expression or going through [Format].
+    [name] defaults to the identity. *)
+
 val to_string : t -> string
+(** The text of [pp], printed by {!bprint}. *)

@@ -99,6 +99,20 @@ let signal_width m name =
   | Some w -> w
   | None -> raise Not_found
 
+let widths m =
+  let tbl = Hashtbl.create 97 in
+  List.iter
+    (fun (name, w) -> if not (Hashtbl.mem tbl name) then Hashtbl.add tbl name w)
+    (declared_signals m);
+  Hashtbl.find tbl
+
+let append m parts =
+  let all f = f m @ List.concat_map f parts in
+  { m with
+    wires = all (fun p -> p.wires);
+    assigns = all (fun p -> p.assigns);
+    regs = all (fun p -> p.regs) }
+
 let map_regs f m = { m with regs = List.map f m.regs }
 
 let map_exprs f m =

@@ -69,6 +69,12 @@ val add_reg :
 val add_instance : t -> string -> of_module:string -> (string * actual) list -> t
 val add_attr : t -> string -> string -> t
 
+val append : t -> t list -> t
+(** [append m parts] adds each part's wires, assigns and registers after
+    [m]'s own, part by part, in the order that [add_*] calls on [m] would
+    add them. The parts' ports, instances and attributes are ignored, and
+    no name is checked for freshness. *)
+
 (** {1 Queries} *)
 
 val find_port : t -> string -> port option
@@ -81,6 +87,11 @@ val is_leaf : t -> bool
 
 val signal_width : t -> string -> int
 (** Width of a port, wire or register. Raises [Not_found] if undeclared. *)
+
+val widths : t -> string -> int
+(** [widths m] is [signal_width m], answered from a table that the partial
+    application builds once. Keep it when looking up many names of one
+    module: {!signal_width} rescans every declaration on each call. *)
 
 val declared_signals : t -> (string * int) list
 

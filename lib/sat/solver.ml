@@ -132,7 +132,7 @@ let lit_of_var v sign = (v lsl 1) lor (if sign then 0 else 1)
 (* clause header words: the length, then the links of watch slots 0 and 1 *)
 let header = 3
 
-let create () =
+let fresh () =
   let cap = 64 in
   { nvars = 0; cap; arena = Array.make 1024 0; arena_size = 0;
     num_problem_clauses = 0; watch_head = Array.make (2 * cap) (-1);
@@ -146,6 +146,52 @@ let create () =
     unsat = false; failed = [];
     n_solves = 0; n_decisions = 0; n_conflicts = 0; n_propagations = 0;
     n_restarts = 0; n_learned = 0 }
+
+(* The solver last released on this domain, whose arrays the next [create]
+   here takes over. *)
+let spare : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let release t = Domain.DLS.set spare (Some t)
+
+(* Turn [t] into an empty solver that keeps its capacity. A per-variable
+   array is written only below [nvars], so clearing that prefix restores
+   its fresh contents; the arena, scratch, trail, level stack and order
+   heap are read only below their sizes, which restart at 0. Capacity
+   never steers the search, so the solver then searches as a fresh one. *)
+let recycle t =
+  let n = t.nvars in
+  Array.fill t.watch_head 0 (2 * n) (-1);
+  Array.fill t.assigns 0 n (-1);
+  Array.fill t.level 0 n 0;
+  Array.fill t.reason 0 n (-1);
+  Array.fill t.activity 0 n 0.0;
+  Array.fill t.phase 0 n false;
+  Array.fill t.seen 0 n false;
+  Array.fill t.heap_pos 0 n (-1);
+  t.nvars <- 0;
+  t.arena_size <- 0;
+  t.num_problem_clauses <- 0;
+  t.trail_size <- 0;
+  t.qhead <- 0;
+  t.n_levels <- 0;
+  t.var_inc <- 1.0;
+  t.heap_size <- 0;
+  t.unsat <- false;
+  t.failed <- [];
+  t.n_solves <- 0;
+  t.n_decisions <- 0;
+  t.n_conflicts <- 0;
+  t.n_propagations <- 0;
+  t.n_restarts <- 0;
+  t.n_learned <- 0;
+  t
+
+let create () =
+  match Domain.DLS.get spare with
+  | None -> fresh ()
+  | Some t ->
+    Domain.DLS.set spare None;
+    recycle t
 
 (* The order heap sifts a hole rather than swapping: the moving variable
    and its activity are read once, each level it passes costs one write,

@@ -66,6 +66,16 @@ type t
     obligation/domain. *)
 
 val create : unit -> t
+(** An empty solver. It takes over the storage of the solver last
+    {!release}d on the calling domain, if any, and then searches exactly as
+    one built from nothing. *)
+
+val release : t -> unit
+(** [release t] hands [t]'s storage to the next {!create} on the calling
+    domain. The caller must not use [t] again. A checker that runs one
+    solver per obligation, obligation after obligation, then grows its
+    arrays once per domain instead of leaving each obligation's arrays, and
+    the copies their doubling left behind, to the major GC. *)
 
 val add_clause : t -> int list -> unit
 (** Add a problem clause (DIMACS literals, i.e. nonzero ints where [-v]

@@ -420,6 +420,46 @@ let test_prep_version_pin () =
         (m ^ ": a record of this version names the fresh keys") keys recorded)
     named
 
+(* The first 20 seed-42 [Qa.Gen] cases are six fuzz templates (counter,
+   CSR, datapath, decoder, FIFO, merge) with randomized widths and
+   depths, so their keys pin the monitor, the COI and the printer on
+   modules and properties beyond the chip's. Each case is prepared
+   property by property and as one cell; the MD5 covers both lists of
+   keys. *)
+let test_fuzz_keys_pin () =
+  let key prep =
+    Mc.Obligation.fingerprint (Mc.Obligation.of_prepared prep ~meta:())
+  in
+  let unshared, shared =
+    List.split
+      (List.init 20 (fun index ->
+           let case = Qa.Gen.case_of ~seed:42 ~index in
+           let mdl = case.Qa.Gen.info.Verifiable.Transform.mdl in
+           let props =
+             List.concat_map
+               (fun (_, vu) ->
+                 let assumes = List.map snd (Psl.Ast.assumes vu) in
+                 List.map
+                   (fun (name, a) -> (name, a, assumes))
+                   (Psl.Ast.asserts vu))
+               (Verifiable.Propgen.all case.Qa.Gen.info case.Qa.Gen.spec)
+           in
+           ( List.map
+               (fun (_, assert_, assumes) ->
+                 key (Mc.Engine.instrumented_netlist mdl ~assert_ ~assumes))
+               props,
+             List.map (fun (_, prep) -> key prep)
+               (Mc.Engine.prepare_module mdl ~props) )))
+  in
+  let unshared = List.concat unshared and shared = List.concat shared in
+  Alcotest.(check int) "171 obligations" 171 (List.length unshared);
+  Alcotest.(check (list string)) "one cell keys each property alike" unshared
+    shared;
+  Alcotest.(check (pair int string)) "prep_version and the keys' MD5"
+    (1, "2379a9e3a448ab910e7f8c136f62aff4")
+    ( Mc.Engine.prep_version,
+      Digest.to_hex (Digest.string (String.concat "" (unshared @ shared))) )
+
 (* the digest reads the module but its name, the properties, the salt and
    the preparation version *)
 let test_cell_digest_covers () =
@@ -971,6 +1011,8 @@ let () =
            test_twin_cells;
          Alcotest.test_case "prep_version pins the pre-fix keys" `Slow
            test_prep_version_pin;
+         Alcotest.test_case "prep_version pins the fuzz stream's keys" `Quick
+           test_fuzz_keys_pin;
          Alcotest.test_case "cell digest covers what keys read" `Quick
            test_cell_digest_covers;
          Alcotest.test_case "cell records keep the strategy salt" `Slow

@@ -100,6 +100,18 @@ let prop_rename_roundtrip =
       in
       E.equal e back)
 
+(* [to_string] prints into a buffer what [Format] prints through [pp], and
+   [bprint ~name] what it prints of the renamed expression *)
+let prop_to_string_is_pp =
+  QCheck.Test.make ~name:"to_string is pp's text" ~count:500
+    (QCheck.make ~print:(Format.asprintf "%a" E.pp) (Rtl_gen.any 4))
+    (fun e ->
+      let name s = "p_" ^ s in
+      let b = Buffer.create 64 in
+      E.bprint ~name b e;
+      E.to_string e = Format.asprintf "%a" E.pp e
+      && Buffer.contents b = Format.asprintf "%a" E.pp (E.rename name e))
+
 let () =
   Alcotest.run "expr"
     [ ("unit",
@@ -109,4 +121,5 @@ let () =
          Alcotest.test_case "printing" `Quick test_pp ]);
       ("properties",
        List.map QCheck_alcotest.to_alcotest
-         [ prop_bitblast_agrees; prop_rename_roundtrip ]) ]
+         [ prop_bitblast_agrees; prop_rename_roundtrip;
+           prop_to_string_is_pp ]) ]

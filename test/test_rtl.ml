@@ -140,6 +140,83 @@ let test_levelize_order () =
   Alcotest.(check bool) "w1 before w2" true (pos "w1" < pos "w2");
   Alcotest.(check bool) "w2 before O" true (pos "w2" < pos "O")
 
+(* The filter-based reduction that [Rtl.Coi.reduce] replaced, kept as its
+   reference: every list of the netlist filtered by the cone's walk. *)
+let reference_reduce (nl : Rtl.Netlist.t) ~roots =
+  let module S = Set.Make (String) in
+  let deps = Hashtbl.create 97 in
+  List.iter
+    (fun (r : Rtl.Netlist.flat_reg) ->
+      Hashtbl.replace deps r.Rtl.Netlist.name (E.support r.Rtl.Netlist.next))
+    nl.Rtl.Netlist.regs;
+  List.iter
+    (fun (lhs, rhs) -> Hashtbl.replace deps lhs (E.support rhs))
+    nl.Rtl.Netlist.assigns;
+  let declared = List.map fst (Rtl.Netlist.signals nl) in
+  List.iter
+    (fun root -> if not (List.mem root declared) then raise Not_found)
+    roots;
+  let rec visit seen name =
+    if S.mem name seen then seen
+    else
+      List.fold_left visit (S.add name seen)
+        (Option.value ~default:[] (Hashtbl.find_opt deps name))
+  in
+  let keep = List.fold_left visit S.empty roots in
+  let mem name = S.mem name keep in
+  { nl with
+    Rtl.Netlist.inputs = List.filter (fun (n, _) -> mem n) nl.Rtl.Netlist.inputs;
+    outputs = List.filter (fun (n, _) -> mem n) nl.Rtl.Netlist.outputs;
+    wires = List.filter (fun (n, _) -> mem n) nl.Rtl.Netlist.wires;
+    assigns = List.filter (fun (lhs, _) -> mem lhs) nl.Rtl.Netlist.assigns;
+    regs =
+      List.filter
+        (fun (r : Rtl.Netlist.flat_reg) -> mem r.Rtl.Netlist.name)
+        nl.Rtl.Netlist.regs }
+
+(* Netlists over eight names, checked for nothing: a name may be declared
+   in several lists or twice in one, drive both a register and an assign,
+   or never be declared at all; roots may be undeclared. Only supports
+   matter to a cone, so every expression is a concatenation of signals. *)
+let gen_coi_case =
+  let open QCheck.Gen in
+  let name = map (Printf.sprintf "n%d") (int_bound 7) in
+  let names = list_size (int_bound 3) name in
+  let expr =
+    map
+      (function [] -> E.tru | ns -> E.concat_list (List.map E.var ns))
+      names
+  in
+  let decls = list_size (int_bound 5) (pair name (int_range 1 4)) in
+  let reg =
+    map2
+      (fun name next ->
+        { Rtl.Netlist.name; width = 1; reset_value = Bitvec.zero 1; next;
+          cls = M.Plain; parity_protected = false })
+      name expr
+  in
+  map
+    (fun (((inputs, outputs), (wires, assigns)), (regs, roots)) ->
+      ( { Rtl.Netlist.top = "t"; inputs; outputs; wires; assigns; regs },
+        roots ))
+    (pair
+       (pair (pair decls decls)
+          (pair decls (list_size (int_bound 8) (pair name expr))))
+       (pair (list_size (int_bound 6) reg) names))
+
+let prop_coi_matches_reference =
+  let attempt f =
+    match f () with nl -> Some nl | exception Not_found -> None
+  in
+  QCheck.Test.make ~name:"reduce matches the filter-based reduction"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (_, roots) -> "roots " ^ String.concat "," roots)
+       gen_coi_case)
+    (fun (nl, roots) ->
+      attempt (fun () -> Rtl.Coi.reduce nl ~roots)
+      = attempt (fun () -> reference_reduce nl ~roots))
+
 let test_coi () =
   let leaf = leaf_module () in
   let d = Rtl.Design.of_modules [ leaf ] in
@@ -162,7 +239,33 @@ let test_coi () =
         (String.concat "," roots ^ ": shared index")
         true
         (shared ~roots = Rtl.Coi.reduce nl ~roots))
-    [ [ "OUT" ]; [ "cs" ]; [ "OUT"; "cs" ]; [ "cs" ]; [] ]
+    [ [ "OUT" ]; [ "cs" ]; [ "OUT"; "cs" ]; [ "cs" ]; [] ];
+  (* a register and an assign of one name both stay in its cone, each
+     list in declaration order; an undeclared root raises in both
+     reductions *)
+  let reg name next =
+    { Rtl.Netlist.name; width = 1; reset_value = Bitvec.zero 1; next;
+      cls = M.Plain; parity_protected = false }
+  in
+  let twin =
+    { Rtl.Netlist.top = "twin"; inputs = [ ("a", 1); ("b", 1) ];
+      outputs = [ ("x", 1) ]; wires = [ ("y", 1) ];
+      assigns = [ ("x", E.var "y"); ("y", E.var "a") ];
+      regs = [ reg "x" (E.var "b"); reg "z" (E.var "x") ] }
+  in
+  let cone = Rtl.Coi.reduce twin ~roots:[ "z" ] in
+  Alcotest.(check bool) "shared name: the filter-based cone" true
+    (cone = reference_reduce twin ~roots:[ "z" ]);
+  Alcotest.(check (pair int int)) "shared name: both drivers kept" (2, 2)
+    (List.length cone.Rtl.Netlist.regs, List.length cone.Rtl.Netlist.assigns);
+  List.iter
+    (fun (what, reduce) ->
+      Alcotest.(check bool) (what ^ ": undeclared root raises") true
+        (match reduce twin ~roots:[ "z"; "ghost" ] with
+         | _ -> false
+         | exception Not_found -> true))
+    [ ("reduce", fun nl ~roots -> Rtl.Coi.reduce nl ~roots);
+      ("reference", reference_reduce) ]
 
 let test_verilog () =
   let leaf = leaf_module () in
@@ -342,7 +445,8 @@ let test_canon_fingerprint () =
 
 let test_canon_rename_valid () =
   let nl = elab (named_machine ~state:"cs" ~inp:"IN" ~out:"OUT" ~wire:"nx") in
-  let canon, map = Rtl.Canon.canonicalize nl in
+  let map = Rtl.Canon.canonical_map nl in
+  let canon = Rtl.Canon.rename map nl in
   (match Rtl.Netlist.validate canon with
    | Ok () -> ()
    | Error msg -> Alcotest.failf "canonical netlist invalid: %s" msg);
@@ -369,7 +473,8 @@ let () =
          Alcotest.test_case "levelization order" `Quick test_levelize_order ]);
       ("analysis",
        [ Alcotest.test_case "cone of influence" `Quick test_coi;
-         Alcotest.test_case "verilog emission" `Quick test_verilog ]);
+         Alcotest.test_case "verilog emission" `Quick test_verilog;
+         QCheck_alcotest.to_alcotest prop_coi_matches_reference ]);
       ("canon",
        [ Alcotest.test_case "structural fingerprint" `Quick
            test_canon_fingerprint;

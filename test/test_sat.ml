@@ -1,8 +1,9 @@
 (* CDCL solver and Tseitin encoder: crafted instances, misuse of the
-   incremental interface, the failed-assumption core, instances large
-   enough to grow every buffer, random CNFs checked against brute force,
-   equisatisfiability of the encoding, and the exact search counters of two
-   BMC runs and of the activity-rescale path. *)
+   incremental interface, the failed-assumption core, a solver on a
+   released solver's storage, instances large enough to grow every buffer,
+   random CNFs checked against brute force, equisatisfiability of the
+   encoding, and the exact search counters of two BMC runs and of the
+   activity-rescale path. *)
 
 module X = Rtl.Bexpr
 
@@ -290,6 +291,47 @@ let test_pigeonhole_8_7 () =
 let row (st : Solver.stats) =
   [ st.decisions; st.conflicts; st.propagations; st.restarts; st.learned ]
 
+(* A solver on a released solver's storage answers as a fresh one. The
+   released solver has grown past 256 variables and kept assignments,
+   activities, phases and learnt clauses; the same calls, php(5,4) behind
+   an activation literal asked three ways, then go to a solver on that
+   storage and to one built from nothing, and every answer, core and
+   search counter must agree. *)
+let test_released_storage () =
+  let used = Solver.create () in
+  List.iter (Solver.add_clause used) (php_clauses 8 7);
+  for v = 57 to 299 do
+    Solver.add_clause used [ v; v + 1 ]
+  done;
+  ignore (Solver.solve_assuming used [ -57 ]);
+  Solver.release used;
+  let recycled = Solver.create () in
+  let fresh = Solver.create () in
+  let transcript t =
+    List.iter
+      (fun c -> Solver.add_clause t (-1 :: c))
+      (php_clauses ~base:1 5 4);
+    List.map
+      (fun assumptions ->
+        let r, st = Solver.solve_assuming_stats t assumptions in
+        let answer =
+          match r with
+          | Solver.Sat m ->
+            String.init (Array.length m) (fun i -> if m.(i) then '1' else '0')
+          | Solver.Unsat -> "unsat"
+          | Solver.Unknown -> "unknown"
+        in
+        Printf.sprintf "%s core=[%s] stats=[%s]" answer
+          (String.concat ";"
+             (List.map string_of_int (Solver.failed_assumptions t)))
+          (String.concat ";" (List.map string_of_int (row st))))
+      [ [ 1 ]; []; [ 1 ]; [ -1; 2 ] ]
+    @ [ Printf.sprintf "vars=%d clauses=%d solves=%d" (Solver.num_vars t)
+          (Solver.num_clauses t) (Solver.solves t) ]
+  in
+  Alcotest.(check (list string)) "same answers, cores and counters"
+    (transcript fresh) (transcript recycled)
+
 (* Two seeded-chip cones through incremental BMC to depth 20, each a
    sequence of solves on one live solver: one proved to the bound (with
    restarts), one violated. Any change to watch order, learnt-clause
@@ -482,7 +524,9 @@ let () =
          Alcotest.test_case "stop exception returns to the root" `Quick
            test_stop_exception_returns_to_root;
          Alcotest.test_case "failed-assumption core edge cases" `Quick
-           test_core_edge_cases ]);
+           test_core_edge_cases;
+         Alcotest.test_case "released storage searches as new" `Quick
+           test_released_storage ]);
       ("growth",
        [ Alcotest.test_case "long clauses between solves" `Quick
            test_long_clauses_incremental;
