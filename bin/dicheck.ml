@@ -620,23 +620,21 @@ let report_cmd =
       with Sys_error m -> fail ("cannot read " ^ m)
     in
     let idx = parse_or_fail index_path src in
-    let failures =
-      match Option.bind (Obs.Json.member "failures" idx) Obs.Json.to_list with
-      | Some l -> l
-      | None -> fail (index_path ^ ": no \"failures\" list")
+    let files =
+      let open Obs.Json in
+      let ( let* ) = Result.bind in
+      let entry f =
+        let* diag = as_str "diag" f in
+        let* vcd = as_str "vcd" f in
+        Ok (diag, vcd)
+      in
+      match Result.bind (as_list "failures" idx) (map_result entry) with
+      | Ok l -> l
+      | Error m -> fail (Printf.sprintf "%s: %s" index_path m)
     in
     let entries =
       List.map
-        (fun f ->
-          let str name =
-            match Option.bind (Obs.Json.member name f) Obs.Json.to_str with
-            | Some s -> s
-            | None ->
-              fail (Printf.sprintf "%s: failure entry lacks %S" index_path
-                      name)
-          in
-          let diag_file = str "diag" in
-          let vcd_file = str "vcd" in
+        (fun (diag_file, vcd_file) ->
           let dsrc =
             try read_file (Filename.concat dir diag_file)
             with Sys_error m -> fail ("cannot read " ^ m)
@@ -644,7 +642,7 @@ let report_cmd =
           match Diag.Diagnosis.of_json (parse_or_fail diag_file dsrc) with
           | Ok dg -> { Diag.Report_html.diag = dg; vcd = Some vcd_file }
           | Error m -> fail (Printf.sprintf "%s: %s" diag_file m))
-        failures
+        files
     in
     Diag.Report_html.write html_out entries;
     Printf.printf "report written to %s (%d falsified obligations)\n" html_out

@@ -19,33 +19,62 @@ let spec_of (leaf : Chip.Archetype.leaf) =
     parity_outputs = leaf.Chip.Archetype.parity_outputs;
     extra = leaf.Chip.Archetype.extra_props }
 
+let verdict_text = function
+  | Mc.Engine.Proved -> "proved"
+  | Mc.Engine.Proved_bounded d -> Printf.sprintf "no violation up to %d" d
+  | Mc.Engine.Failed _ -> "FAILED"
+  | Mc.Engine.Resource_out msg -> "resource out: " ^ msg
+  | Mc.Engine.Error msg -> "engine error: " ^ msg
+
+(* The design flow of Figure 5: the designer releases lint-clean Verifiable
+   RTL and its PSL; the verification engineer model-checks every assert of
+   every vunit and feeds the failures back. *)
 let run_flow title leaf =
   section title;
-  match
-    Core.Flow.release_verifiable_rtl leaf.Chip.Archetype.mdl ~spec:(spec_of leaf)
-  with
-  | Error issues ->
+  let mdl = leaf.Chip.Archetype.mdl in
+  match Rtl.Check.check_module (Rtl.Design.of_modules [ mdl ]) mdl with
+  | _ :: _ as issues ->
     Printf.printf "RTL not releasable:\n";
     List.iter (fun i -> Format.printf "  %a@." Rtl.Check.pp_issue i) issues
-  | Ok release ->
-    Printf.printf "released PSL:\n%s\n" release.Core.Flow.psl_text;
-    let feedback = Core.Flow.verify_release release in
-    List.iter (fun f -> Format.printf "  %a@." Core.Flow.pp_feedback f) feedback;
-    let failures = Core.Flow.failures feedback in
+  | [] ->
+    let info = Verifiable.Transform.apply mdl in
+    let vunits = PG.all info (spec_of leaf) in
+    Printf.printf "released PSL:\n%s\n"
+      (String.concat "\n"
+         (List.map (fun (_, v) -> Psl.Print.vunit_to_string v) vunits));
+    let feedback =
+      List.concat_map
+        (fun (cls, vunit) ->
+          List.map
+            (fun (prop, outcome) -> (prop, cls, outcome))
+            (Mc.Engine.check_vunit info.Verifiable.Transform.mdl vunit))
+        vunits
+    in
+    List.iter
+      (fun (prop, cls, (o : Mc.Engine.outcome)) ->
+        Printf.printf "  %-28s [%s] %s (%s, %.3fs)\n" prop (PG.class_name cls)
+          (verdict_text o.Mc.Engine.verdict) o.Mc.Engine.engine_used
+          o.Mc.Engine.time_s)
+      feedback;
+    let failures =
+      List.filter_map
+        (fun (prop, _, (o : Mc.Engine.outcome)) ->
+          match o.Mc.Engine.verdict with
+          | Mc.Engine.Failed trace -> Some (prop, trace)
+          | Mc.Engine.Proved | Mc.Engine.Proved_bounded _
+          | Mc.Engine.Resource_out _ | Mc.Engine.Error _ ->
+            None)
+        feedback
+    in
     if failures = [] then
       Printf.printf "--> all %d properties verified\n" (List.length feedback)
     else begin
       Printf.printf "--> %d properties FAILED; feedback to the designer:\n"
         (List.length failures);
       List.iter
-        (fun (f : Core.Flow.feedback) ->
-          match f.Core.Flow.outcome.Mc.Engine.verdict with
-          | Mc.Engine.Failed trace ->
-            Printf.printf "counterexample for %s:\n%s" f.Core.Flow.prop_name
-              (Mc.Trace.to_string trace)
-          | Mc.Engine.Proved | Mc.Engine.Proved_bounded _
-          | Mc.Engine.Resource_out _ | Mc.Engine.Error _ ->
-            ())
+        (fun (prop, trace) ->
+          Printf.printf "counterexample for %s:\n%s" prop
+            (Mc.Trace.to_string trace))
         failures
     end
 

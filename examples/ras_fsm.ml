@@ -118,15 +118,23 @@ let () =
   in
   let sim = Sim.Simulator.create nl in
   Sim.Simulator.reset sim;
-  let vcd = Sim.Vcd.create sim ~signals:[ "st_q"; "HE"; "GRANT" ] in
-  (* two clean handshakes, then inject an even-parity state *)
+  (* two clean handshakes, then inject an even-parity state; every cycle is
+     recorded as a trace step, with HE and GRANT as its replayed signals *)
+  let recorded = ref [] in
   let drive ?(inj = false) req ack =
-    Sim.Simulator.drive_all sim
+    let inputs =
       [ ("REQ", Bitvec.of_bool req); ("ACK", Bitvec.of_bool ack);
         (info.Verifiable.Transform.ec_port, Bitvec.of_bool inj);
-        (info.Verifiable.Transform.ed_port, Bitvec.of_string "011") ];
+        (info.Verifiable.Transform.ed_port, Bitvec.of_string "011") ]
+    in
+    Sim.Simulator.drive_all sim inputs;
     Sim.Simulator.settle sim;
-    Sim.Vcd.sample vcd;
+    let peek = Sim.Simulator.peek sim in
+    recorded :=
+      ( { Mc.Trace.step = Sim.Simulator.cycle_count sim; inputs;
+          state = [ ("st_q", peek "st_q") ] },
+        [ ("HE", peek "HE"); ("GRANT", peek "GRANT") ] )
+      :: !recorded;
     Printf.printf "cycle %2d  state=%s HE=%b GRANT=%b\n"
       (Sim.Simulator.cycle_count sim)
       (Bitvec.to_string (Sim.Simulator.peek sim "st_q"))
@@ -141,7 +149,12 @@ let () =
   drive false false;  (* HE must report the corruption here *)
   drive false false;
   Printf.printf "\nVCD trace (first lines):\n";
-  let vcd_text = Sim.Vcd.to_string vcd in
-  String.split_on_char '\n' vcd_text
-  |> List.filteri (fun i _ -> i < 12)
+  let trace, replay = List.split (List.rev !recorded) in
+  (* the header and the first cycle *)
+  let rec first_cycle = function
+    | [] | "#1" :: _ -> []
+    | line :: rest -> line :: first_cycle rest
+  in
+  String.split_on_char '\n' (Mc.Trace.to_vcd ~replay trace)
+  |> first_cycle
   |> List.iter print_endline

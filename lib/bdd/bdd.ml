@@ -131,7 +131,6 @@ let create ?node_limit ~nvars () =
     interrupt_polls = 0 }
 
 let nvars m = m.nvars
-let set_node_limit m l = m.node_limit <- l
 
 let set_interrupt m f =
   m.interrupt <- f;

@@ -25,7 +25,6 @@ val create : ?node_limit:int -> nvars:int -> unit -> man
     [node_limit] defaults to unlimited. *)
 
 val nvars : man -> int
-val set_node_limit : man -> int option -> unit
 
 val set_interrupt : man -> (unit -> bool) option -> unit
 (** Install (or clear) a cancellation callback, polled every few thousand

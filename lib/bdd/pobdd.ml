@@ -1,6 +1,3 @@
-type partition = { window : Bdd.t; part : Bdd.t }
-type t = partition list
-
 let windows m vars =
   let rec go = function
     | [] -> [ Bdd.one m ]
@@ -13,18 +10,6 @@ let windows m vars =
   in
   (* [go] puts the first variable as the most significant split *)
   go vars
-
-let decompose m ~windows f =
-  List.map (fun w -> { window = w; part = Bdd.and_ m w f }) windows
-
-let recombine m t =
-  List.fold_left (fun acc p -> Bdd.or_ m acc p.part) (Bdd.zero m) t
-
-let peak_size m t =
-  List.fold_left (fun acc p -> max acc (Bdd.size m p.part)) 0 t
-
-let total_size m t =
-  List.fold_left (fun acc p -> acc + Bdd.size m p.part) 0 t
 
 let choose_splitting_vars m ~candidates ~k f =
   let rec pick chosen remaining f n =

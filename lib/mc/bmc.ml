@@ -213,7 +213,7 @@ let create_inc ?(incremental = true) ?on_clause ?constraint_signal nl
         Solver.add_clause solver lits
       in
       Reference
-        { bad0; constraint0; next_of; ctx = Tseitin.create ~on_clause:sink ();
+        { bad0; constraint0; next_of; ctx = Tseitin.create ~on_clause:sink;
           cnf_var_of = Hashtbl.create 997;
           frame_states = [ Array.map X.of_bool reset ] }
   in

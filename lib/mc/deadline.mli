@@ -51,4 +51,4 @@ val check : t -> unit
 
 val checker : t -> unit -> bool
 (** [expired] as a thunk — the shape {!Bdd.set_interrupt} and
-    [Solver.solve ?should_stop] expect. *)
+    [Solver.solve_assuming ?should_stop] expect. *)

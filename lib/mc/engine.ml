@@ -614,7 +614,6 @@ let prepare_module mdl ~props =
         Option.map (fun (c : Rtl.Mdl.t) -> c.Rtl.Mdl.name) cons
       in
       let roots = ok_signal :: Option.to_list constraint_signal in
-      let red = sp "prepare.coi" (fun () -> Lazy.force reduce ~roots) in
       (* after its COI reduction the property's cone holds exactly one
          monitor, so the weaving prefix [mon<i>] can be folded back to the
          unshared path's [mon]: the result is name-identical (not merely
@@ -627,7 +626,10 @@ let prepare_module mdl ~props =
                      (String.length n - String.length pre)
         else n
       in
-      let red = Rtl.Canon.rename fold red in
+      let red =
+        sp "prepare.coi" (fun () ->
+            Rtl.Canon.rename fold (Lazy.force reduce ~roots))
+      in
       (name, (red, fold ok_signal, Option.map fold constraint_signal)))
     per
 

@@ -75,7 +75,7 @@ let check ?(incremental = true) ?(max_conflicts = max_int) ?(max_frames = 32)
      init-state literals directly, per-query block cubes get a one-shot
      activation literal retired by a unit right after the solve. *)
   let inc_solver = Solver.create () in
-  let inc_ctx = Tseitin.create ~on_clause:(Solver.add_clause inc_solver) () in
+  let inc_ctx = Tseitin.create ~on_clause:(Solver.add_clause inc_solver) in
   let inc_tbl = Hashtbl.create 197 in
   let inc_var_map v =
     match Hashtbl.find_opt inc_tbl v with
@@ -198,7 +198,7 @@ let check ?(incremental = true) ?(max_conflicts = max_int) ?(max_frames = 32)
   let solve_query_scratch ~level ~block_cube ~target =
     incr n_sat_calls;
     let solver = Solver.create () in
-    let ctx = Tseitin.create ~on_clause:(Solver.add_clause solver) () in
+    let ctx = Tseitin.create ~on_clause:(Solver.add_clause solver) in
     let tbl = Hashtbl.create 197 in
     let var_map v =
       match Hashtbl.find_opt tbl v with

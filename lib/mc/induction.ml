@@ -47,7 +47,7 @@ let create_step ?constraint_signal (flat : B.flat) ~nstate ~ninputs ~ok0 =
     Option.map (fun c -> (flat.B.fn c).(0)) constraint_signal
   in
   let solver = Solver.create () in
-  let ctx = Tseitin.create ~on_clause:(Solver.add_clause solver) () in
+  let ctx = Tseitin.create ~on_clause:(Solver.add_clause solver) in
   { nstate; ninputs; ok0; constraint0; next_of; ctx; solver;
     cnf_var_of = Hashtbl.create 997;
     state = Array.init (max nstate 1) X.var; next_frame = 0; ok_lits = [];

@@ -153,11 +153,3 @@ let to_vcd ?(replay = []) t =
         signals)
     t;
   Buffer.contents buf
-
-let write_vcd ?replay t path =
-  let oc = open_out path in
-  (try output_string oc (to_vcd ?replay t)
-   with e ->
-     close_out oc;
-     raise e);
-  close_out oc

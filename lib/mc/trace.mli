@@ -46,5 +46,3 @@ val to_vcd : ?replay:(string * Bitvec.t) list list -> t -> string
     fail net), so the waveform shows the violation itself, not just the
     stimulus that causes it. Replayed values for signals the trace already
     carries are ignored in favor of the trace's own. *)
-
-val write_vcd : ?replay:(string * Bitvec.t) list list -> t -> string -> unit

@@ -76,10 +76,6 @@ let ite c t e =
     else if e.id = tru.id then or_ (not_ c) t
     else mk (Ite (c, t, e))
 
-let and_list = List.fold_left and_ tru
-let or_list = List.fold_left or_ fls
-let xor_list = List.fold_left xor fls
-
 let id e = e.id
 
 let eval f e =
@@ -157,7 +153,8 @@ let support_set e =
 
 let support e = Int_set.elements (support_set e)
 
-let count_nodes seen e =
+let size e =
+  let seen = Hashtbl.create 97 in
   let n = ref 0 in
   let rec go e =
     if not (Hashtbl.mem seen e.id) then begin
@@ -180,12 +177,6 @@ let count_nodes seen e =
   in
   go e;
   !n
-
-let size e = count_nodes (Hashtbl.create 97) e
-
-let size_many es =
-  let seen = Hashtbl.create 97 in
-  List.fold_left (fun acc e -> acc + count_nodes seen e) 0 es
 
 let rec pp ppf e =
   match e.node with

@@ -32,10 +32,6 @@ val xnor : t -> t -> t
 val ite : t -> t -> t -> t
 (** [ite c t e]. *)
 
-val and_list : t list -> t
-val or_list : t list -> t
-val xor_list : t list -> t
-
 val id : t -> int
 val is_const : t -> bool option
 (** [Some b] when the node is the constant [b]. *)
@@ -56,8 +52,5 @@ val support : t -> int list
 
 val size : t -> int
 (** Number of distinct non-leaf DAG nodes (shared nodes counted once). *)
-
-val size_many : t list -> int
-(** DAG size of a set of roots with sharing across roots counted once. *)
 
 val pp : Format.formatter -> t -> unit

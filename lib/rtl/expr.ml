@@ -35,7 +35,6 @@ let bit e i = Slice (e, i, i)
 let red_xor e = Unop (Red_xor, e)
 let red_or e = Unop (Red_or, e)
 let red_and e = Unop (Red_and, e)
-let odd_parity_ok e = red_xor e
 
 let width ~env e =
   let rec go = function

@@ -58,10 +58,6 @@ val red_xor : t -> t
 val red_or : t -> t
 val red_and : t -> t
 
-val odd_parity_ok : t -> t
-(** [odd_parity_ok e] is the 1-bit check that [e] carries odd parity — the
-    legality predicate for all parity-protected values in the paper. *)
-
 (** {1 Queries} *)
 
 val width : env:(string -> int) -> t -> int

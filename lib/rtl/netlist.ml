@@ -122,13 +122,4 @@ let validate nl =
     let ( >>= ) r f = match r with Error _ as e -> e | Ok () -> f () in
     check_assigns nl.assigns >>= check_regs >>= check_outputs
 
-let stats nl =
-  (List.length nl.inputs + List.length nl.outputs, List.length nl.regs,
-   List.length nl.assigns)
-
 let state_bits nl = List.fold_left (fun acc r -> acc + r.width) 0 nl.regs
-
-let pp_summary ppf nl =
-  let io, regs, assigns = stats nl in
-  Format.fprintf ppf "netlist %s: %d I/O, %d regs (%d state bits), %d assigns"
-    nl.top io regs (state_bits nl) assigns

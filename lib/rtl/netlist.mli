@@ -39,10 +39,5 @@ val validate : t -> (unit, string) result
 (** Every assign target declared exactly once, every support signal declared,
     widths consistent, outputs driven. *)
 
-val stats : t -> int * int * int
-(** [(num inputs+outputs, num registers, num assigns)]. *)
-
 val state_bits : t -> int
 (** Total register bits — the model-checking problem size. *)
-
-val pp_summary : Format.formatter -> t -> unit

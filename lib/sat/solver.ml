@@ -840,23 +840,3 @@ let solve_assuming ?max_conflicts ?should_stop t assumptions =
 let failed_assumptions t = t.failed
 
 let solves t = t.n_solves
-
-(* One-shot interface: a fresh solver per call, so repeated solves of the
-   same CNF are bit-for-bit deterministic (no retained state). *)
-let solve_stats ?max_conflicts ?should_stop (cnf : Cnf.t) =
-  let t = create () in
-  ensure_vars t cnf.Cnf.nvars;
-  List.iter (add_clause t) cnf.Cnf.clauses;
-  let result, stats = solve_assuming_stats ?max_conflicts ?should_stop t [] in
-  (* one-shot models are sized by the CNF header even when trailing
-     variables never appear in any clause *)
-  let result =
-    match result with
-    | Sat m when Array.length m < cnf.Cnf.nvars ->
-      Sat (Array.init cnf.Cnf.nvars (fun v -> v < Array.length m && m.(v)))
-    | r -> r
-  in
-  (result, stats)
-
-let solve ?max_conflicts ?should_stop cnf =
-  fst (solve_stats ?max_conflicts ?should_stop cnf)

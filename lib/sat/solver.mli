@@ -49,9 +49,8 @@ type stats = {
   learned : int;  (** learnt clauses added by conflict analysis *)
 }
 (** Per-solve work counters: a deterministic work measure for a single
-    [solve_stats] / [solve_assuming_stats] call. The counters live in the
-    solver state, so concurrent solves on different domains never observe
-    each other. *)
+    {!solve_assuming_stats} call. The counters live in the solver state, so
+    concurrent solves on different domains never observe each other. *)
 
 val zero_stats : stats
 
@@ -100,9 +99,13 @@ val solve_assuming :
     committing them: the assumptions are retracted when the call returns,
     while everything learnt is kept. [Unsat] means unsat {e under these
     assumptions} (or absolutely, if the database itself is contradictory).
-    [max_conflicts] and [should_stop] are per-call budgets as in
-    {!solve}. Every exit, an exception raised by [should_stop] included,
-    leaves the solver at decision level 0, ready for {!add_clause}.
+    [max_conflicts] and [should_stop] are per-call budgets. [max_conflicts]
+    defaults to unlimited. [should_stop] is a cooperative cancellation
+    callback (e.g. a wall-clock deadline), polled every ~1000 search steps.
+    When the conflicts run out or [should_stop] returns [true], the search
+    gives up with {!Unknown}. Every exit, an exception raised by
+    [should_stop] included, leaves the solver at decision level 0, ready
+    for {!add_clause}.
     @raise Invalid_argument on a literal [0], before any state changes. *)
 
 val solve_assuming_stats :
@@ -129,19 +132,3 @@ val num_clauses : t -> int
 
 val solves : t -> int
 (** Number of [solve_assuming] calls made on this solver so far. *)
-
-(** {1 One-shot interface}
-
-    Each call builds a fresh solver, so repeated solves of the same CNF are
-    bit-for-bit deterministic. *)
-
-val solve : ?max_conflicts:int -> ?should_stop:(unit -> bool) -> Cnf.t -> result
-(** [max_conflicts] defaults to unlimited. [should_stop] is a cooperative
-    cancellation callback (e.g. a wall-clock deadline), polled every ~1000
-    search steps; when it returns [true] the search gives up with
-    {!Unknown}. *)
-
-val solve_stats :
-  ?max_conflicts:int -> ?should_stop:(unit -> bool) -> Cnf.t ->
-  result * stats
-(** Like {!solve}, but also returns the work counters for this solve. *)

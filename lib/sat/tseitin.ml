@@ -1,26 +1,21 @@
 type ctx = {
   mutable next_var : int;
-  mutable clauses : int list list;
   mutable num_clauses : int;
   node_lit : (int, int) Hashtbl.t;  (* Bexpr node id -> literal *)
   mutable const_true : int option;  (* variable forced true, lazily made *)
-  on_clause : (int list -> unit) option;
-      (* streaming sink: clauses go straight to a live solver instead of
-         being accumulated for to_cnf *)
+  on_clause : int list -> unit;  (* the sink every clause goes to *)
 }
 
-let create ?on_clause () =
-  { next_var = 0; clauses = []; num_clauses = 0;
-    node_lit = Hashtbl.create 997; const_true = None; on_clause }
+let create ~on_clause =
+  { next_var = 0; num_clauses = 0; node_lit = Hashtbl.create 997;
+    const_true = None; on_clause }
 
 let fresh_var ctx =
   ctx.next_var <- ctx.next_var + 1;
   ctx.next_var
 
 let add_clause ctx lits =
-  (match ctx.on_clause with
-   | Some sink -> sink lits
-   | None -> ctx.clauses <- lits :: ctx.clauses);
+  ctx.on_clause lits;
   ctx.num_clauses <- ctx.num_clauses + 1
 
 let assert_lit ctx lit = add_clause ctx [ lit ]
@@ -86,9 +81,5 @@ let lit_of_bexpr ctx var_map root =
   in
   go root
 
-let to_cnf ctx =
-  if ctx.on_clause <> None then
-    invalid_arg "Tseitin.to_cnf: context streams clauses to a sink";
-  Cnf.create ~nvars:ctx.next_var (List.rev ctx.clauses)
 let num_vars ctx = ctx.next_var
 let num_clauses ctx = ctx.num_clauses

@@ -1,16 +1,15 @@
 (** Tseitin transformation from {!Bexpr} DAGs to CNF.
 
     Each distinct DAG node gets one CNF variable; sharing in the DAG is
-    preserved, so the encoding is linear in DAG size. A context accumulates
-    clauses across multiple roots — the bounded model checker encodes every
-    unrolled frame into one context. *)
+    preserved, so the encoding is linear in DAG size. A context keeps its
+    node variables across multiple roots — the bounded model checker
+    encodes every unrolled frame into one context. *)
 
 type ctx
 
-val create : ?on_clause:(int list -> unit) -> unit -> ctx
-(** With [on_clause], every generated clause is streamed to the sink
-    (typically {!Solver.add_clause} on a live incremental solver) instead of
-    being accumulated; {!to_cnf} is then unavailable. *)
+val create : on_clause:(int list -> unit) -> ctx
+(** Every generated clause goes to [on_clause] as it is made, typically
+    {!Solver.add_clause} on a live incremental solver. *)
 
 val fresh_var : ctx -> int
 (** A fresh DIMACS variable (returned positive). *)
@@ -25,9 +24,6 @@ val assert_lit : ctx -> int -> unit
 (** Add the unit clause [lit]. *)
 
 val add_clause : ctx -> int list -> unit
-
-val to_cnf : ctx -> Cnf.t
-(** Raises [Invalid_argument] on a context created with [on_clause]. *)
 
 val num_vars : ctx -> int
 val num_clauses : ctx -> int

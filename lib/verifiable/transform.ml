@@ -74,9 +74,3 @@ let tie_offs info =
   in
   [ (info.ec_port, M.Expr (E.of_int ~width:n 0));
     (info.ed_port, M.Expr (E.of_int ~width:dwidth 0)) ]
-
-let is_injection_port name =
-  let sub = "ERR_INJ" in
-  let n = String.length name and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub name i m = sub || go (i + 1)) in
-  go 0

@@ -28,7 +28,3 @@ val data_slice : info -> Entity.t -> Rtl.Expr.t
 val tie_offs : info -> (string * Rtl.Mdl.actual) list
 (** Connections tying both ports to zero, for the parent instantiation
     (Figure 6's wrapper). *)
-
-val is_injection_port : string -> bool
-(** Recognizes injection port names (used by stimulus profiles and the
-    area accounting). *)

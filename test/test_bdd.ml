@@ -409,30 +409,6 @@ let test_visit_marks_wrap () =
 
 (* POBDD layer *)
 
-let test_pobdd_roundtrip () =
-  let man = Bdd.create ~nvars () in
-  let f =
-    Bdd.or_ man
-      (Bdd.and_ man (Bdd.var man 0) (Bdd.var man 2))
-      (Bdd.and_ man (Bdd.nvar man 0) (Bdd.var man 3))
-  in
-  let windows = Pobdd.windows man [ 0; 1 ] in
-  Alcotest.(check int) "window count" 4 (List.length windows);
-  let parts = Pobdd.decompose man ~windows f in
-  Alcotest.(check bool) "recombine restores" true
-    (Bdd.equal (Pobdd.recombine man parts) f);
-  Alcotest.(check bool) "peak below total" true
-    (Pobdd.peak_size man parts <= Pobdd.total_size man parts)
-
-let prop_pobdd_partition =
-  QCheck.Test.make ~name:"POBDD decompose/recombine roundtrip" ~count:100
-    arb_form (fun form ->
-      let man = Bdd.create ~nvars () in
-      let f = build man form in
-      let windows = Pobdd.windows man [ 1; 3 ] in
-      let parts = Pobdd.decompose man ~windows f in
-      Bdd.equal (Pobdd.recombine man parts) f)
-
 let prop_pobdd_windows_disjoint =
   QCheck.Test.make ~name:"POBDD windows partition the space" ~count:50
     (QCheck.make (QCheck.Gen.return ())) (fun () ->
@@ -474,9 +450,7 @@ let () =
          Alcotest.test_case "visit marks across stamp wraps" `Quick
            test_visit_marks_wrap ]);
       ("pobdd",
-       [ Alcotest.test_case "roundtrip" `Quick test_pobdd_roundtrip;
-         Alcotest.test_case "splitting vars" `Quick test_choose_splitting;
-         QCheck_alcotest.to_alcotest prop_pobdd_partition;
+       [ Alcotest.test_case "splitting vars" `Quick test_choose_splitting;
          QCheck_alcotest.to_alcotest prop_pobdd_windows_disjoint ]);
       ("properties",
        List.map QCheck_alcotest.to_alcotest

@@ -1,65 +1,10 @@
-(* End-to-end methodology: the design flow, a scoped-down verification
-   campaign, bug classification, and the report generators. *)
+(* End-to-end methodology: a scoped-down verification campaign, bug
+   classification, and the report generators. *)
 
 module G = Chip.Generator
 module PG = Verifiable.Propgen
 
 let chip = lazy (G.generate ())
-
-let test_flow_release () =
-  let leaf = Chip.Archetype.counter ~name:"flow_cnt" () in
-  let spec =
-    { PG.he = leaf.Chip.Archetype.he; he_map = leaf.Chip.Archetype.he_map;
-      parity_inputs = leaf.Chip.Archetype.parity_inputs;
-      parity_outputs = leaf.Chip.Archetype.parity_outputs;
-      extra = leaf.Chip.Archetype.extra_props }
-  in
-  match Core.Flow.release_verifiable_rtl leaf.Chip.Archetype.mdl ~spec with
-  | Error issues ->
-    Alcotest.failf "release rejected: %d issues" (List.length issues)
-  | Ok release ->
-    Alcotest.(check int) "three stereotype vunits" 3
-      (List.length release.Core.Flow.vunits);
-    Alcotest.(check bool) "PSL text released" true
-      (String.length release.Core.Flow.psl_text > 100);
-    let feedback = Core.Flow.verify_release release in
-    Alcotest.(check int) "all properties checked" 5 (List.length feedback);
-    Alcotest.(check int) "no failures on clean module" 0
-      (List.length (Core.Flow.failures feedback))
-
-let test_flow_rejects_dirty_rtl () =
-  (* an undriven output must be fixed before release *)
-  let m = Rtl.Mdl.create "dirty" in
-  let m = Rtl.Mdl.add_output m "O" 1 in
-  let m =
-    Rtl.Mdl.add_reg ~cls:Rtl.Mdl.Counter ~parity_protected:true m "c" 2
-      (Rtl.Expr.var "c")
-  in
-  let spec =
-    { PG.he = "O"; he_map = []; parity_inputs = []; parity_outputs = [];
-      extra = [] }
-  in
-  match Core.Flow.release_verifiable_rtl m ~spec with
-  | Error issues -> Alcotest.(check bool) "issues reported" true (issues <> [])
-  | Ok _ -> Alcotest.fail "dirty RTL accepted"
-
-let test_flow_feedback_on_bug () =
-  let leaf = Chip.Archetype.counter ~name:"flow_bug" ~bug:true () in
-  let spec =
-    { PG.he = leaf.Chip.Archetype.he; he_map = leaf.Chip.Archetype.he_map;
-      parity_inputs = leaf.Chip.Archetype.parity_inputs;
-      parity_outputs = leaf.Chip.Archetype.parity_outputs; extra = [] }
-  in
-  match Core.Flow.release_verifiable_rtl leaf.Chip.Archetype.mdl ~spec with
-  | Error _ -> Alcotest.fail "release rejected"
-  | Ok release ->
-    let failures = Core.Flow.failures (Core.Flow.verify_release release) in
-    Alcotest.(check bool) "bug produces feedback" true (failures <> []);
-    List.iter
-      (fun (f : Core.Flow.feedback) ->
-        Alcotest.(check bool) "feedback formats" true
-          (String.length (Format.asprintf "%a" Core.Flow.pp_feedback f) > 0))
-      failures
 
 (* the three bug modules of category A only: exercises the full Campaign
    machinery without the cost of all 2047 properties *)
@@ -994,11 +939,7 @@ let test_equiv_interface_mismatch () =
 
 let () =
   Alcotest.run "core"
-    [ ("flow",
-       [ Alcotest.test_case "release and verify" `Quick test_flow_release;
-         Alcotest.test_case "rejects dirty RTL" `Quick test_flow_rejects_dirty_rtl;
-         Alcotest.test_case "feedback on bug" `Quick test_flow_feedback_on_bug ]);
-      ("campaign",
+    [ ("campaign",
        [ Alcotest.test_case "mini campaign over bug modules" `Slow
            test_mini_campaign;
          Alcotest.test_case "parallel executor matches sequential" `Slow

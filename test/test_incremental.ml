@@ -330,8 +330,8 @@ let prop_solve_assuming_equiv =
         (fun assumps ->
           let inc = Solver.solve_assuming t assumps in
           let scratch =
-            Solver.solve
-              (Cnf.create ~nvars
+            fst
+              (Oneshot.solve ~nvars
                  (clauses @ List.map (fun l -> [ l ]) assumps))
           in
           match (inc, scratch) with
@@ -369,11 +369,8 @@ let php_activated () =
 
 let test_solver_determinism () =
   let act, clauses = php_activated () in
-  let cnf =
-    Cnf.create ~nvars:act (clauses @ [ [ act ] ])
-  in
-  let r1, s1 = Solver.solve_stats cnf in
-  let r2, s2 = Solver.solve_stats cnf in
+  let r1, s1 = Oneshot.solve ~nvars:act (clauses @ [ [ act ] ]) in
+  let r2, s2 = Oneshot.solve ~nvars:act (clauses @ [ [ act ] ]) in
   let is_unsat = function
     | Solver.Unsat -> true
     | Solver.Sat _ | Solver.Unknown -> false

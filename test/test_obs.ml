@@ -150,7 +150,7 @@ let test_bdd_nodes_cause () =
 
 let test_solver_stats_deterministic () =
   (* a small unsatisfiable pigeonhole-ish instance: forces real search *)
-  let cnf =
+  let clauses =
     (* 4 pigeons, 3 holes: var p*3 + h + 1 *)
     let v p h = (p * 3) + h + 1 in
     let at_least = List.init 4 (fun p -> List.init 3 (fun h -> v p h)) in
@@ -166,10 +166,10 @@ let test_solver_stats_deterministic () =
           !pairs)
         [ 0; 1; 2 ]
     in
-    Cnf.create ~nvars:12 (at_least @ no_share)
+    at_least @ no_share
   in
-  let r1, s1 = Solver.solve_stats cnf in
-  let r2, s2 = Solver.solve_stats cnf in
+  let r1, s1 = Oneshot.solve ~nvars:12 clauses in
+  let r2, s2 = Oneshot.solve ~nvars:12 clauses in
   (match r1 with
    | Solver.Unsat -> ()
    | _ -> Alcotest.fail "pigeonhole should be unsat");

@@ -1,5 +1,5 @@
 (* Tests for the differential QA layer: Bitvec/Bdd against brute-force
-   references, SAT micro-fuzz with DIMACS round-trips, the Verilog
+   references, SAT micro-fuzz against brute force, the Verilog
    print/parse round-trip on fuzzed designs, and the fuzz driver itself
    (smoke, determinism, injection/shrinking, mutation gauntlet). *)
 
@@ -116,7 +116,7 @@ let test_bdd_12var_parity () =
     "sat_count" (1 lsl (n - 1))
     (int_of_float (Bdd.sat_count man f))
 
-(* ---- SAT micro-fuzz: solver vs brute force, DIMACS round-trip ---- *)
+(* ---- SAT micro-fuzz: solver vs brute force ---- *)
 
 let arb_cnf =
   let print (nvars, clauses) =
@@ -137,11 +137,11 @@ let arb_cnf =
               bool >>= fun s -> return (if s then v else -v) ) )
       >>= fun clauses -> return (nvars, clauses))
 
-let brute_force_sat (c : Cnf.t) =
-  let n = c.Cnf.nvars in
+let brute_force_sat nvars clauses =
   let rec go m =
-    if m = 1 lsl n then false
-    else if Cnf.eval c (fun v -> m land (1 lsl (v - 1)) <> 0) then true
+    if m = 1 lsl nvars then false
+    else if Oneshot.eval clauses (fun v -> m land (1 lsl (v - 1)) <> 0) then
+      true
     else go (m + 1)
   in
   go 0
@@ -149,23 +149,14 @@ let brute_force_sat (c : Cnf.t) =
 let prop_sat_differential =
   QCheck.Test.make ~name:"solver agrees with brute-force enumeration"
     ~count:300 arb_cnf (fun (nvars, clauses) ->
-      let c = Cnf.create ~nvars clauses in
-      match Solver.solve c with
+      match fst (Oneshot.solve ~nvars clauses) with
       | Solver.Sat model ->
         (* the model must actually satisfy the formula, and when the space
            is small enough to enumerate, brute force must agree *)
-        Cnf.eval c (fun v -> model.(v - 1))
-        && (nvars > 12 || brute_force_sat c)
-      | Solver.Unsat -> nvars > 12 || not (brute_force_sat c)
+        Oneshot.eval clauses (fun v -> model.(v - 1))
+        && (nvars > 12 || brute_force_sat nvars clauses)
+      | Solver.Unsat -> nvars > 12 || not (brute_force_sat nvars clauses)
       | Solver.Unknown -> false)
-
-let prop_dimacs_roundtrip =
-  QCheck.Test.make ~name:"DIMACS print/parse round-trip" ~count:300 arb_cnf
-    (fun (nvars, clauses) ->
-      let c = Cnf.create ~nvars clauses in
-      match Dimacs.parse (Format.asprintf "%a" Cnf.pp_dimacs c) with
-      | Ok c' -> c'.Cnf.nvars = c.Cnf.nvars && c'.Cnf.clauses = c.Cnf.clauses
-      | Error m -> QCheck.Test.fail_reportf "re-parse failed: %s" m)
 
 (* ---- Verilog round-trip on fuzzed designs ---- *)
 
@@ -342,8 +333,7 @@ let () =
     [ ( "brute-force",
         List.map QCheck_alcotest.to_alcotest
           [ prop_bitvec_arith; prop_bitvec_logic; prop_bitvec_structure;
-            prop_bdd_truth_table; prop_sat_differential;
-            prop_dimacs_roundtrip ]
+            prop_bdd_truth_table; prop_sat_differential ]
         @ [ Alcotest.test_case "bdd 12-var parity" `Quick
               test_bdd_12var_parity ] );
       ( "generator",

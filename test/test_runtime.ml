@@ -191,8 +191,11 @@ let test_solver_should_stop () =
             (List.init (n + 1) (fun k -> k + 1)))
         (List.init n (fun j -> j + 1))
   in
-  let cnf = Cnf.create ~nvars:((n + 1) * n) clauses in
-  match Solver.solve ~should_stop:(fun () -> true) cnf with
+  match
+    fst
+      (Oneshot.solve ~should_stop:(fun () -> true) ~nvars:((n + 1) * n)
+         clauses)
+  with
   | Solver.Unknown -> ()
   | Solver.Sat _ -> Alcotest.fail "PHP is unsatisfiable"
   | Solver.Unsat -> Alcotest.fail "cancellation never fired"

@@ -10,27 +10,27 @@ module X = Rtl.Bexpr
 
 (* --- crafted instances --- *)
 
-let cnf nvars clauses = Cnf.create ~nvars clauses
+let solve nvars clauses = fst (Oneshot.solve ~nvars clauses)
 
 let is_sat = function Solver.Sat _ -> true | Solver.Unsat | Solver.Unknown -> false
 let is_unsat = function Solver.Unsat -> true | Solver.Sat _ | Solver.Unknown -> false
 
 let test_trivial () =
-  Alcotest.(check bool) "empty cnf sat" true (is_sat (Solver.solve (cnf 0 [])));
-  Alcotest.(check bool) "unit sat" true (is_sat (Solver.solve (cnf 1 [ [ 1 ] ])));
+  Alcotest.(check bool) "empty cnf sat" true (is_sat (solve 0 []));
+  Alcotest.(check bool) "unit sat" true (is_sat (solve 1 [ [ 1 ] ]));
   Alcotest.(check bool) "unit conflict" true
-    (is_unsat (Solver.solve (cnf 1 [ [ 1 ]; [ -1 ] ])));
+    (is_unsat (solve 1 [ [ 1 ]; [ -1 ] ]));
   Alcotest.(check bool) "empty clause" true
-    (is_unsat (Solver.solve (cnf 1 [ [] ])));
+    (is_unsat (solve 1 [ [] ]));
   Alcotest.(check bool) "tautology dropped" true
-    (is_sat (Solver.solve (cnf 1 [ [ 1; -1 ] ])))
+    (is_sat (solve 1 [ [ 1; -1 ] ]))
 
 let test_model_valid () =
-  let c = cnf 4 [ [ 1; 2 ]; [ -1; 3 ]; [ -3; -2; 4 ]; [ -4; 1 ] ] in
-  match Solver.solve c with
+  let c = [ [ 1; 2 ]; [ -1; 3 ]; [ -3; -2; 4 ]; [ -4; 1 ] ] in
+  match solve 4 c with
   | Solver.Sat model ->
     Alcotest.(check bool) "model satisfies" true
-      (Cnf.eval c (fun v -> model.(v - 1)))
+      (Oneshot.eval c (fun v -> model.(v - 1)))
   | Solver.Unsat | Solver.Unknown -> Alcotest.fail "expected sat"
 
 let test_pigeonhole () =
@@ -47,7 +47,7 @@ let test_pigeonhole () =
         [ 0; 1 ]
   in
   Alcotest.(check bool) "php(3,2) unsat" true
-    (is_unsat (Solver.solve (cnf 6 clauses)))
+    (is_unsat (solve 6 clauses))
 
 let test_xor_chain () =
   (* x1 xor x2 xor ... xor x5 = 1 and all equal: unsat for even weight mix *)
@@ -55,7 +55,7 @@ let test_xor_chain () =
   let clauses = eq 1 2 @ eq 2 3 @ [ [ 1; 2; 3 ]; [ -1; -2; -3 ] ] in
   (* all-equal plus "not all equal" *)
   Alcotest.(check bool) "equality chain conflict" true
-    (is_unsat (Solver.solve (cnf 3 clauses)))
+    (is_unsat (solve 3 clauses))
 
 let test_conflict_budget () =
   (* php(5,4) is small but needs some search; budget of 1 conflict gives up *)
@@ -70,13 +70,13 @@ let test_conflict_budget () =
                     List.filteri (fun p2 _ -> p2 > p1)
                       (List.init pigeons (fun p2 -> [ -var p1 h; -var p2 h ]))))))
   in
-  let c = cnf (pigeons * holes) clauses in
-  (match Solver.solve ~max_conflicts:1 c with
+  let nvars = pigeons * holes in
+  (match fst (Oneshot.solve ~max_conflicts:1 ~nvars clauses) with
    | Solver.Unknown -> ()
    | Solver.Unsat -> () (* allowed: solved before the budget *)
    | Solver.Sat _ -> Alcotest.fail "php(5,4) cannot be sat");
   Alcotest.(check bool) "php(5,4) unsat with full budget" true
-    (is_unsat (Solver.solve c))
+    (is_unsat (solve nvars clauses))
 
 (* --- incremental use: bad input and a search cut short --- *)
 
@@ -198,8 +198,7 @@ let prop_core_refutes =
             let core = Solver.failed_assumptions t in
             List.for_all (fun l -> List.mem l assumptions) core
             && is_unsat
-                 (Solver.solve
-                    (cnf nvars (clauses @ List.map (fun l -> [ l ]) core))))
+                 (solve nvars (clauses @ List.map (fun l -> [ l ]) core)))
         sets)
 
 (* --- growth: long clauses, many variables, long learnt clauses --- *)
@@ -237,11 +236,11 @@ let test_long_clauses_incremental () =
       (is_unsat (Solver.solve_assuming t falsified));
     let assumptions = List.tl falsified in
     let units = List.map (fun l -> [ l ]) assumptions in
-    let whole = cnf nvars (units @ !clauses) in
-    match (Solver.solve_assuming t assumptions, Solver.solve whole) with
+    let whole = units @ !clauses in
+    match (Solver.solve_assuming t assumptions, solve nvars whole) with
     | Solver.Sat m, Solver.Sat _ ->
       Alcotest.(check bool) "model satisfies clauses and assumptions" true
-        (Cnf.eval whole (fun v -> m.(v - 1)))
+        (Oneshot.eval whole (fun v -> m.(v - 1)))
     | Solver.Unsat, Solver.Unsat -> ()
     | _ -> Alcotest.fail "incremental and fresh answers differ"
   done
@@ -258,11 +257,11 @@ let test_planted_3sat () =
       let c = List.init 3 (fun _ -> rand_lit rng nvars) in
       if List.exists holds c then c else clause ()
     in
-    let c = cnf nvars (List.init (42 * nvars / 10) (fun _ -> clause ())) in
-    match Solver.solve c with
+    let c = List.init (42 * nvars / 10) (fun _ -> clause ()) in
+    match solve nvars c with
     | Solver.Sat m ->
       Alcotest.(check bool) "model satisfies" true
-        (Cnf.eval c (fun v -> m.(v - 1)))
+        (Oneshot.eval c (fun v -> m.(v - 1)))
     | Solver.Unsat | Solver.Unknown -> Alcotest.fail "planted 3-SAT is sat"
   done
 
@@ -284,7 +283,7 @@ let php_clauses ?(base = 0) pigeons holes =
 
 let test_pigeonhole_8_7 () =
   Alcotest.(check bool) "php(8,7) unsat" true
-    (is_unsat (Solver.solve (cnf 56 (php_clauses 8 7))))
+    (is_unsat (solve 56 (php_clauses 8 7)))
 
 (* --- the search itself, pinned --- *)
 
@@ -377,7 +376,7 @@ let test_pinned_bmc_search () =
    shrink by up to 1e-400 and can underflow to 0. The decisions must be
    those of the (activity, index) order throughout. *)
 let test_pinned_rescale () =
-  let _, st = Solver.solve_stats (cnf 56 (php_clauses 8 7)) in
+  let _, st = Oneshot.solve ~nvars:56 (php_clauses 8 7) in
   Alcotest.(check (list int)) "php(8,7) sat stats"
     [ 5413; 4656; 61648; 7; 4655 ] (row st);
   (* copy c on variables (4-c)*57+1 .. +56, each clause guarded by -a_c,
@@ -408,28 +407,31 @@ let arb_cnf =
     int_range 0 18 >>= fun nclauses ->
     let lit = int_range 1 nvars >>= fun v -> map (fun b -> if b then v else -v) bool in
     list_repeat nclauses (int_range 1 3 >>= fun len -> list_repeat len lit)
-    >|= fun clauses -> Cnf.create ~nvars clauses
+    >|= fun clauses -> (nvars, clauses)
   in
+  let ints l = String.concat "," (List.map string_of_int l) in
   QCheck.make
-    ~print:(fun c -> Format.asprintf "%a" Cnf.pp_dimacs c)
+    ~print:(fun (nvars, clauses) ->
+      Printf.sprintf "nvars=%d clauses=%s" nvars
+        (String.concat ";" (List.map ints clauses)))
     gen
 
-let brute_force_sat (c : Cnf.t) =
-  let n = c.Cnf.nvars in
+let brute_force_sat nvars clauses =
   let rec try_mask mask =
-    if mask >= 1 lsl n then false
-    else if Cnf.eval c (fun v -> mask lsr (v - 1) land 1 = 1) then true
+    if mask >= 1 lsl nvars then false
+    else if Oneshot.eval clauses (fun v -> mask lsr (v - 1) land 1 = 1) then
+      true
     else try_mask (mask + 1)
   in
   try_mask 0
 
 let prop_solver_correct =
   QCheck.Test.make ~name:"CDCL agrees with brute force" ~count:500 arb_cnf
-    (fun c ->
-      match Solver.solve c with
+    (fun (nvars, clauses) ->
+      match solve nvars clauses with
       | Solver.Sat model ->
-        Cnf.eval c (fun v -> model.(v - 1))
-      | Solver.Unsat -> not (brute_force_sat c)
+        Oneshot.eval clauses (fun v -> model.(v - 1))
+      | Solver.Unsat -> not (brute_force_sat nvars clauses)
       | Solver.Unknown -> false)
 
 (* --- Tseitin --- *)
@@ -456,15 +458,16 @@ let arb_bexpr =
   QCheck.make ~print:(Format.asprintf "%a" X.pp) (gen_bexpr_depth 4)
 
 (* asserting e must be satisfiable exactly when e is not constant-false,
-   and any model must make e true *)
+   and any model must make e true; the clauses stream into a live solver,
+   as they do in the model checkers *)
 let prop_tseitin_equisat =
   QCheck.Test.make ~name:"Tseitin encoding is equisatisfiable" ~count:300
     arb_bexpr (fun e ->
-      let ctx = Tseitin.create () in
+      let solver = Solver.create () in
+      let ctx = Tseitin.create ~on_clause:(Solver.add_clause solver) in
       let inputs = Array.init 5 (fun _ -> Tseitin.fresh_var ctx) in
       let lit = Tseitin.lit_of_bexpr ctx (fun v -> inputs.(v)) e in
       Tseitin.assert_lit ctx lit;
-      let c = Tseitin.to_cnf ctx in
       let brute_sat =
         let rec try_mask mask =
           if mask >= 32 then false
@@ -473,42 +476,17 @@ let prop_tseitin_equisat =
         in
         try_mask 0
       in
-      match Solver.solve c with
+      match Solver.solve_assuming solver [] with
       | Solver.Sat model ->
-        let assign v = model.(inputs.(v) - 1) in
+        (* an input in no clause is unconstrained; the solver never saw it *)
+        let assign v =
+          let i = inputs.(v) - 1 in
+          i < Array.length model && model.(i)
+        in
         brute_sat && X.eval assign e
       | Solver.Unsat -> not brute_sat
       | Solver.Unknown -> false)
 
-
-(* --- DIMACS --- *)
-
-let test_dimacs_roundtrip () =
-  let c = cnf 4 [ [ 1; -2 ]; [ 3 ]; [ -4; 2; 1 ] ] in
-  let text = Format.asprintf "%a" Cnf.pp_dimacs c in
-  (match Dimacs.parse text with
-   | Ok c' ->
-     Alcotest.(check int) "nvars" c.Cnf.nvars c'.Cnf.nvars;
-     Alcotest.(check bool) "clauses" true (c.Cnf.clauses = c'.Cnf.clauses)
-   | Error msg -> Alcotest.fail msg)
-
-let test_dimacs_errors () =
-  let expect_error text =
-    match Dimacs.parse text with
-    | Ok _ -> Alcotest.failf "accepted %S" text
-    | Error _ -> ()
-  in
-  expect_error "1 2 0\n";               (* missing header *)
-  expect_error "p cnf 2 1\n1 2\n";     (* unterminated clause *)
-  expect_error "p cnf 2 2\n1 2 0\n";   (* clause count mismatch *)
-  expect_error "p cnf 1 1\n5 0\n";     (* literal out of range *)
-  expect_error "p cnf x y\n"           (* malformed header *)
-
-let test_dimacs_comments_and_spacing () =
-  match Dimacs.parse "c a comment\np cnf 3 2\n  1  -2  0\nc mid\n3 0\n" with
-  | Ok c ->
-    Alcotest.(check int) "clauses parsed" 2 (Cnf.num_clauses c)
-  | Error msg -> Alcotest.fail msg
 
 let () =
   Alcotest.run "sat"
@@ -536,11 +514,6 @@ let () =
        [ Alcotest.test_case "BMC search counters" `Quick
            test_pinned_bmc_search;
          Alcotest.test_case "activity rescale" `Quick test_pinned_rescale ]);
-      ("dimacs",
-       [ Alcotest.test_case "roundtrip" `Quick test_dimacs_roundtrip;
-         Alcotest.test_case "errors" `Quick test_dimacs_errors;
-         Alcotest.test_case "comments and spacing" `Quick
-           test_dimacs_comments_and_spacing ]);
       ("properties",
        List.map QCheck_alcotest.to_alcotest
          [ prop_solver_correct; prop_tseitin_equisat; prop_core_refutes ]) ]

@@ -1,5 +1,5 @@
 (* Simulator: cycle semantics, reset behavior, stimulus profiles, testbench
-   watching, VCD output; cross-checked against a hand-computed model. *)
+   watching and coverage; cross-checked against a hand-computed model. *)
 
 module E = Rtl.Expr
 module M = Rtl.Mdl
@@ -139,24 +139,6 @@ let test_testbench_watch () =
   in
   Alcotest.(check int) "stops at fire" 9 stop_run.Sim.Testbench.cycles_run
 
-let test_vcd () =
-  let sim = Sim.Simulator.create (elaborated (accumulator ())) in
-  Sim.Simulator.reset sim;
-  let vcd = Sim.Vcd.create sim ~signals:[ "OUT"; "EN" ] in
-  Sim.Vcd.sample vcd;
-  Sim.Simulator.cycle sim [ ("EN", bv "1"); ("IN", bv "0001") ];
-  Sim.Vcd.sample vcd;
-  let text = Sim.Vcd.to_string vcd in
-  let contains needle =
-    let n = String.length needle and h = String.length text in
-    let rec go i = i + n <= h && (String.sub text i n = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "has header" true (contains "$enddefinitions");
-  Alcotest.(check bool) "has var decl" true (contains "$var wire 4");
-  Alcotest.(check bool) "has timesteps" true (contains "#1")
-
-
 let test_coverage () =
   let sim = Sim.Simulator.create (elaborated (accumulator ())) in
   Sim.Simulator.reset sim;
@@ -250,8 +232,7 @@ let () =
        [ Alcotest.test_case "generators" `Quick test_stimulus_generators;
          Alcotest.test_case "legal profile" `Quick test_legal_profile ]);
       ("testbench",
-       [ Alcotest.test_case "watching" `Quick test_testbench_watch;
-         Alcotest.test_case "vcd" `Quick test_vcd ]);
+       [ Alcotest.test_case "watching" `Quick test_testbench_watch ]);
       ("coverage",
        [ Alcotest.test_case "toggle and value" `Quick test_coverage;
          Alcotest.test_case "wide signals" `Quick test_coverage_wide_signals;
