@@ -11,7 +11,9 @@
 
     This lives in [Core] (rather than [Diag], which re-exports it) because
     the self-healing layer replays freed-cut counterexamples on the concrete
-    module to tell real failures from abstraction artifacts. *)
+    module to tell real failures from abstraction artifacts. The fuzz
+    battery's exhaustive sweep applies the same violation rule to
+    {!Sim.Simulator.lanes} stimuli at once ({!run_lanes}). *)
 
 type snapshot = (string * Bitvec.t) list
 (** Settled pre-clock values of every netlist signal at one cycle. *)
@@ -30,10 +32,10 @@ type run = {
 }
 
 val run :
-  ?capture:bool ->
   ?defaults:(string * Bitvec.t) list ->
   ?constraint_signal:string ->
   Rtl.Netlist.t ->
+  ?capture:bool ->
   ok_signal:string ->
   (string * Bitvec.t) list list ->
   run
@@ -43,7 +45,26 @@ val run :
     odd-parity constants for parity-assumed inputs so a replay never breaks
     the input constraint by construction. [capture] (default [true]) records
     full signal snapshots; the minimization oracle turns it off to keep
-    replays cheap. Each call bumps the [diag.replays] telemetry counter. *)
+    replays cheap.
+
+    The partial application [run ?defaults ?constraint_signal nl] compiles
+    [nl] once ({!Sim.Simulator.create}); apply it to as many stimuli as
+    needed, one at a time and from one domain, since the stimuli share that
+    simulator. Each stimulus replayed bumps the [diag.replays] telemetry
+    counter, so it counts trace replays; {!run_lanes} does not count. *)
+
+val run_lanes :
+  ?constraint_signal:string ->
+  Rtl.Netlist.t ->
+  ok_signal:string ->
+  (string * int array) list list ->
+  int option array
+(** [run] without capture for {!Sim.Simulator.lanes} stimuli at once, one
+    per lane: each cycle gives every input as one word per bit, lane [l] in
+    bit [l] ({!Sim.Simulator.drive_lanes}), and an input absent from a cycle
+    is zero in every lane. Returns each lane's [fail_cycle], decided by the
+    same genuine-violation rule as [run]. The partial application
+    [run_lanes ?constraint_signal nl] compiles [nl] once, as for [run]. *)
 
 val fails : run -> bool
 (** [fail_cycle <> None]. *)

@@ -114,9 +114,10 @@ let diagnose ?he_signal (w : Core.Campaign.work) (trace : Mc.Trace.t) =
         | _ -> None
       in
       let stimulus0 = Mc.Trace.replay_stimulus trace in
+      let replay = Core.Replay.run ?constraint_signal nl in
       let r0 =
         Telemetry.span ~cat:"diag" "diag.replay" (fun () ->
-            Core.Replay.run ?constraint_signal nl ~ok_signal stimulus0)
+            replay ~ok_signal stimulus0)
       in
       let validated = Core.Replay.validate trace r0 in
       let status, min_stim, rmin, _stats =
@@ -132,9 +133,7 @@ let diagnose ?he_signal (w : Core.Campaign.work) (trace : Mc.Trace.t) =
             Minimize.truncate_to_first_failure ~fail_cycle stimulus0
           in
           let oracle s =
-            Core.Replay.fails
-              (Core.Replay.run ~capture:false ?constraint_signal nl ~ok_signal
-                 s)
+            Core.Replay.fails (replay ~capture:false ~ok_signal s)
           in
           let min_stim, stats =
             Telemetry.span ~cat:"diag" "diag.minimize" (fun () ->
@@ -143,9 +142,7 @@ let diagnose ?he_signal (w : Core.Campaign.work) (trace : Mc.Trace.t) =
           Telemetry.count ~n:stats.Minimize.cycles_removed
             "diag.cycles_removed";
           Telemetry.count ~n:stats.Minimize.bits_cleared "diag.bits_cleared";
-          let rmin =
-            Core.Replay.run ?constraint_signal nl ~ok_signal min_stim
-          in
+          let rmin = replay ~ok_signal min_stim in
           (`Confirmed, min_stim, rmin, stats)
       in
       let cone_result =

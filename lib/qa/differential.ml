@@ -91,46 +91,56 @@ let roundtrip (m : Rtl.Mdl.t) =
 (* ---- bounded exhaustive simulation on the replay model ---- *)
 
 (* sweep every input sequence of [total_bits / input_bits] cycles, as long
-   as that is at most 2^sim_limit_bits replays *)
+   as that is at most 2^sim_limit_bits sequences; sequence [n] drives bit
+   [k] of [n] as the [k]-th input bit of the whole stimulus, cycle by cycle
+   and input by input *)
 let sim_limit_bits = 10
 
 let exhaustive_sim rnl ~ok_signal ~constraint_signal =
   let inputs = rnl.Rtl.Netlist.inputs in
   let b = List.fold_left (fun a (_, w) -> a + w) 0 inputs in
   if b = 0 || b > sim_limit_bits then None
-  else begin
+  else
+    Obs.Telemetry.span ~cat:"sim" "sweep" @@ fun () ->
     let depth = max 1 (sim_limit_bits / b) in
     let total = 1 lsl (b * depth) in
-    let stim_of n =
-      let rec cycles c off acc =
-        if c = depth then List.rev acc
-        else
-          let vec, off =
-            List.fold_left
-              (fun (vec, off) (name, w) ->
-                let v = Bitvec.init w (fun i -> (n lsr (off + i)) land 1 = 1) in
-                ((name, v) :: vec, off + w))
-              ([], off) inputs
-          in
-          cycles (c + 1) off (List.rev vec :: acc)
+    let lanes = Sim.Simulator.lanes in
+    let replay = Core.Replay.run_lanes ?constraint_signal rnl ~ok_signal in
+    (* one batch runs sequences [base .. base + lanes - 1], sequence
+       [base + l] in lane [l] *)
+    let batch base =
+      let word k =
+        let w = ref 0 in
+        for l = lanes - 1 downto 0 do
+          w := (!w lsl 1) lor (((base + l) lsr k) land 1)
+        done;
+        !w
       in
-      cycles 0 0 []
+      List.init depth (fun c ->
+          snd
+            (List.fold_left_map
+               (fun off (name, w) ->
+                 (off + w, (name, Array.init w (fun i -> word (off + i)))))
+               (c * b) inputs))
     in
-    let first_fail = ref None in
-    let n = ref 0 in
-    while !first_fail = None && !n < total do
-      let run =
-        Core.Replay.run ~capture:false ?constraint_signal rnl ~ok_signal
-          (stim_of !n)
-      in
-      (match run.Core.Replay.fail_cycle with
-      | Some c -> first_fail := Some c
-      | None -> ());
-      incr n
-    done;
-    Obs.Telemetry.count ~n:!n "qa.sim_sequences";
-    Some (total, depth, !first_fail)
-  end
+    (* batches in enumeration order; the lowest failing lane of the first
+       failing batch is the first failing sequence *)
+    let rec sweep base =
+      if base >= total then (total, None)
+      else
+        let fails = replay (batch base) in
+        let rec lowest l =
+          if l >= lanes || base + l >= total then sweep (base + lanes)
+          else
+            match fails.(l) with
+            | Some c -> (base + l + 1, Some c)
+            | None -> lowest (l + 1)
+        in
+        lowest 0
+    in
+    let n, first_fail = sweep 0 in
+    Obs.Telemetry.count ~n "qa.sim_sequences";
+    Some (total, depth, first_fail)
 
 (* ---- verdict agreement ---- *)
 
@@ -149,6 +159,12 @@ let check_obligation ~case_id mdl ~cls ~prop_name ~assert_ ~assumes =
     E.instrumented_netlist mdl ~assert_ ~assumes
   in
   let replay = lazy (E.replay_model mdl ~assert_ ~assumes) in
+  (* compiled once, on the first counterexample *)
+  let replay_trace =
+    lazy
+      (let rnl, rok, rcons = Lazy.force replay in
+       Core.Replay.run ?constraint_signal:rcons rnl ~ok_signal:rok)
+  in
   let discs = ref [] in
   let add kind detail =
     discs := { kind; case_id; prop = Some prop_name; detail } :: !discs
@@ -174,11 +190,8 @@ let check_obligation ~case_id mdl ~cls ~prop_name ~assert_ ~assumes =
         let validated_fail =
           match outcome.E.verdict with
           | E.Failed trace -> (
-            let rnl, rok, rcons = Lazy.force replay in
-            let run =
-              Core.Replay.run ?constraint_signal:rcons rnl ~ok_signal:rok
-                (Mc.Trace.replay_stimulus trace)
-            in
+            let replay_trace = Lazy.force replay_trace in
+            let run = replay_trace (Mc.Trace.replay_stimulus trace) in
             match Core.Replay.validate trace run with
             | Ok () -> Some (Mc.Trace.length trace)
             | Error reason ->

@@ -75,6 +75,25 @@ val roundtrip : Rtl.Mdl.t -> (unit, string) result
     Verilog, parse it back, re-annotate, elaborate both and compare
     {!Rtl.Canon.fingerprint}s. *)
 
+val exhaustive_sim :
+  Rtl.Netlist.t ->
+  ok_signal:string ->
+  constraint_signal:string option ->
+  (int * int * int option) option
+(** Bounded exhaustive simulation of a replay model: [None] when its inputs
+    have no bits or more than 10; otherwise every input sequence of
+    [depth = max 1 (10 / bits)] cycles, [total = 2^(bits * depth)] of them,
+    numbered so that sequence [n] drives bit [k] of [n] as the [k]-th input
+    bit of the whole stimulus (cycle by cycle, input by input in netlist
+    order). The sequences run {!Sim.Simulator.lanes} at a time through
+    {!Core.Replay.run_lanes}, in batches taken in that order, and the sweep
+    stops at the first batch with a failing lane. Returns
+    [Some (total, depth, first_fail)], where [first_fail] is the failing
+    cycle of the lowest failing sequence, exactly what running the
+    sequences one at a time would report. Records one [sim/sweep] span and
+    adds to the [qa.sim_sequences] counter the number of sequences up to
+    and including the first failing one ([total] when none fails). *)
+
 val check_case : ?inject:bool -> Gen.case -> report
 (** Run the full differential battery. [inject] (default [false]) appends
     an artificial [Injected] discrepancy — the test hook that lets the

@@ -80,9 +80,6 @@ let add_instance m inst_name ~of_module connections =
     invalid_arg (Printf.sprintf "Mdl: instance %s already present" inst_name);
   { m with instances = m.instances @ [ { inst_name; of_module; connections } ] }
 
-let add_attr m key value = { m with attrs = (key, value) :: m.attrs }
-let attr m key = List.assoc_opt key m.attrs
-
 let find_port m name = List.find_opt (fun p -> p.port_name = name) m.ports
 let inputs m = List.filter (fun p -> p.dir = Input) m.ports
 let outputs m = List.filter (fun p -> p.dir = Output) m.ports

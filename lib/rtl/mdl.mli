@@ -43,6 +43,9 @@ type t = {
   regs : reg list;
   instances : instance list;
   attrs : (string * string) list;
+      (** [[]] from {!create}, and nothing in the library adds to it; the
+          field stays because [Mc.Obligation.cell_digest] prints it into
+          every stored cell digest *)
 }
 
 (** {1 Construction} *)
@@ -67,7 +70,6 @@ val add_reg :
     all zeros. *)
 
 val add_instance : t -> string -> of_module:string -> (string * actual) list -> t
-val add_attr : t -> string -> string -> t
 
 val append : t -> t list -> t
 (** [append m parts] adds each part's wires, assigns and registers after
@@ -99,5 +101,3 @@ val map_regs : (reg -> reg) -> t -> t
 val map_exprs : (Expr.t -> Expr.t) -> t -> t
 (** Applies to every assign right-hand side, register next function, and
     instance [Expr] actual. *)
-
-val attr : t -> string -> string option

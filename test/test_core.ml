@@ -799,12 +799,24 @@ let test_trace_vcd_export () =
   | Mc.Engine.Error _ ->
     Alcotest.fail "expected failure"
 
+(* each bug's simulation hits out of the three runs and its earliest
+   failing cycle, as the stimulus generators draw them *)
+let table3_hits =
+  [ ("B0", (3, Some 1)); ("B1", (0, None)); ("B2", (3, Some 55));
+    ("B3", (0, None)); ("B4", (3, Some 2)); ("B5", (1, Some 2991));
+    ("B6", (0, None)) ]
+
 let test_classification_matches_paper () =
   let t = Lazy.force chip in
   let results = Core.Classify.run ~cycles:3_000 ~seeds:[ 11; 23; 37 ] t in
   Alcotest.(check int) "seven bugs classified" 7 (List.length results);
   List.iter
     (fun (r : Core.Classify.result) ->
+      let name = Chip.Bugs.name r.Core.Classify.bug in
+      Alcotest.(check (pair int (option int)))
+        (name ^ " simulation hits and first cycle")
+        (List.assoc name table3_hits)
+        (r.Core.Classify.sim_found_runs, r.Core.Classify.sim_first_fire);
       Alcotest.(check bool)
         (Chip.Bugs.name r.Core.Classify.bug ^ " found by formal")
         true r.Core.Classify.formal_found;

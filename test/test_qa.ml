@@ -328,6 +328,111 @@ let test_mutation_gauntlet_kills_all () =
         true (List.mem b !seen))
     Chip.Bugs.all
 
+(* ---- exhaustive simulation in lanes vs one sequence at a time ---- *)
+
+(* the sweep the lanes replaced: each sequence through the reference
+   interpreter alone, with the genuine-violation rule spelled out *)
+let reference_sweep (nl : Rtl.Netlist.t) ~ok ~con =
+  let inputs = nl.Rtl.Netlist.inputs in
+  let b = List.fold_left (fun a (_, w) -> a + w) 0 inputs in
+  let depth = max 1 (10 / b) in
+  let total = 1 lsl (b * depth) in
+  let sim = Ref_sim.create nl in
+  let rec go n =
+    if n = total then (total, None)
+    else begin
+      Ref_sim.reset sim;
+      let clean = ref true and fail = ref None in
+      for c = 0 to depth - 1 do
+        ignore
+          (List.fold_left
+             (fun off (name, w) ->
+               Ref_sim.drive sim name
+                 (Bitvec.init w (fun i -> (n lsr (off + i)) land 1 = 1));
+               off + w)
+             (c * b) inputs);
+        Ref_sim.settle sim;
+        clean := !clean && Ref_sim.peek_bit sim con;
+        if !clean && (not (Ref_sim.peek_bit sim ok)) && !fail = None then
+          fail := Some c;
+        Ref_sim.clock sim
+      done;
+      match !fail with Some c -> (n + 1, Some c) | None -> go (n + 1)
+    end
+  in
+  (total, depth, go 0)
+
+let check_sweep what m =
+  let nl =
+    Rtl.Elaborate.run (Rtl.Design.of_modules [ m ]) ~top:m.Rtl.Mdl.name
+  in
+  let total, depth, (expect_n, expect_fail) =
+    reference_sweep nl ~ok:"ok" ~con:"con"
+  in
+  Obs.Telemetry.start ();
+  let got =
+    Qa.Differential.exhaustive_sim nl ~ok_signal:"ok"
+      ~constraint_signal:(Some "con")
+  in
+  let report = Obs.Telemetry.stop () in
+  Alcotest.(check (option (triple int int (option int))))
+    (what ^ ": total, depth and first failure")
+    (Some (total, depth, expect_fail)) got;
+  Alcotest.(check int)
+    (what ^ ": qa.sim_sequences")
+    expect_n
+    (Obs.Telemetry.counter report "qa.sim_sequences");
+  Alcotest.(check int)
+    (what ^ ": one sim/sweep span")
+    1
+    (List.length
+       (List.filter
+          (fun (sp : Obs.Telemetry.span) ->
+            sp.Obs.Telemetry.cat = "sim" && sp.Obs.Telemetry.name = "sweep")
+          report.Obs.Telemetry.spans));
+  (expect_n, expect_fail)
+
+(* a module with [inputs], the outputs [ok] and [con], and whatever else
+   [body] declares *)
+let sweep_design inputs body ~ok ~con =
+  let module M = Rtl.Mdl in
+  let m =
+    List.fold_left (fun m (name, w) -> M.add_input m name w) (M.create "sweep")
+      inputs
+  in
+  let m = body (M.add_output (M.add_output m "ok" 1) "con" 1) in
+  M.add_assign (M.add_assign m "ok" ok) "con" con
+
+let test_sweep_lane_boundaries () =
+  let module E = Rtl.Expr in
+  let module M = Rtl.Mdl in
+  let is name w n = E.(var name ==: of_int ~width:w n) in
+  (* 5 input bits, 2 cycles, 1024 sequences; sequence n drives v = n mod 32,
+     then v = n / 32. The first genuine failure is v = 8 then 6: sequence
+     200, lane 11 of the fourth batch. Sequence 100 (v = 4 then 3) violates
+     ok too, but only after breaking the constraint. *)
+  let previous m =
+    let m = M.add_wire m "v" 5 in
+    let m = M.add_assign m "v" E.(concat (var "Y") (var "X")) in
+    M.add_reg m "p" 5 (E.var "v")
+  in
+  Alcotest.(check (pair int (option int)))
+    "sequence 200 fails at cycle 1" (201, Some 1)
+    (check_sweep "later batch"
+       (sweep_design [ ("X", 3); ("Y", 2) ] previous
+          ~ok:
+            E.(!:((is "p" 5 8 &: is "v" 5 6) |: (is "p" 5 4 &: is "v" 5 3)))
+          ~con:E.(!:(is "v" 5 4))));
+  (* 10 input bits, 1 cycle: 1024 sequences are 16 full batches and 16
+     lanes of a seventeenth *)
+  let a10 ok = sweep_design [ ("A", 10) ] Fun.id ~ok ~con:E.tru in
+  Alcotest.(check (pair int (option int)))
+    "sequence 1020 fails in the last, partial batch" (1021, Some 0)
+    (check_sweep "partial batch" (a10 E.(!:(is "A" 10 1020))));
+  Alcotest.(check (pair int (option int)))
+    "no failure counts the 1024 sequences, not 17 batches" (1024, None)
+    (check_sweep "no failure" (a10 E.tru))
+
 let () =
   Alcotest.run "qa"
     [ ( "brute-force",
@@ -349,4 +454,6 @@ let () =
           Alcotest.test_case "injection shrinks" `Quick
             test_fuzz_injection_shrinks;
           Alcotest.test_case "mutation gauntlet" `Quick
-            test_mutation_gauntlet_kills_all ] ) ]
+            test_mutation_gauntlet_kills_all;
+          Alcotest.test_case "exhaustive sweep lane boundaries" `Quick
+            test_sweep_lane_boundaries ] ) ]

@@ -1,5 +1,7 @@
 (* Simulator: cycle semantics, reset behavior, stimulus profiles, testbench
-   watching and coverage; cross-checked against a hand-computed model. *)
+   watching and coverage; cross-checked against a hand-computed model, and
+   the compiled program against the reference interpreter ([Ref_sim]) on
+   random netlists, one lane and many. *)
 
 module E = Rtl.Expr
 module M = Rtl.Mdl
@@ -220,6 +222,99 @@ let test_counter_activity () =
   let a = Sim.Coverage.activity cov "cnt_q" in
   Alcotest.(check bool) "counter activity plausible" true (a > 0.3 && a < 0.6)
 
+(* ---- the compiled program against the reference interpreter ---- *)
+
+let arb_netlist =
+  QCheck.make ~print:Rtl_gen.print_netlist Rtl_gen.netlist
+
+let random_inputs st (nl : Rtl.Netlist.t) =
+  List.map (fun (name, w) -> (name, Bitvec.random st w)) nl.Rtl.Netlist.inputs
+
+(* one stimulus through both simulators: every signal agrees after reset,
+   after every settle and after every clock *)
+let prop_matches_reference =
+  QCheck.Test.make ~name:"compiled simulator matches the reference"
+    ~count:200
+    (QCheck.pair arb_netlist QCheck.small_int)
+    (fun (nl, seed) ->
+      let st = Random.State.make [| seed |] in
+      let r = Ref_sim.create nl and c = Sim.Simulator.create nl in
+      let agree what =
+        List.iter
+          (fun (name, _) ->
+            let x = Ref_sim.peek r name and y = Sim.Simulator.peek c name in
+            if not (Bitvec.equal x y) then
+              QCheck.Test.fail_reportf "%s: %s is %s, reference %s" what name
+                (Bitvec.to_string y) (Bitvec.to_string x))
+          (Rtl.Netlist.signals nl)
+      in
+      Ref_sim.reset r;
+      Sim.Simulator.reset c;
+      agree "reset";
+      for j = 0 to 7 do
+        let ins = random_inputs st nl in
+        Ref_sim.drive_all r ins;
+        Sim.Simulator.drive_all c ins;
+        Ref_sim.settle r;
+        Sim.Simulator.settle c;
+        agree (Printf.sprintf "cycle %d settled" j);
+        Ref_sim.clock r;
+        Sim.Simulator.clock c;
+        agree (Printf.sprintf "cycle %d clocked" j)
+      done;
+      true)
+
+(* a run with a different stimulus in each lane against one reference run
+   per lane *)
+let prop_lanes_independent =
+  QCheck.Test.make ~name:"each lane runs its own stimulus" ~count:30
+    (QCheck.pair arb_netlist QCheck.small_int)
+    (fun (nl, seed) ->
+      let st = Random.State.make [| seed |] in
+      let lanes = Sim.Simulator.lanes in
+      let refs = Array.init lanes (fun _ -> Ref_sim.create nl) in
+      let c = Sim.Simulator.create nl in
+      let agree what =
+        List.iter
+          (fun (name, w) ->
+            for i = 0 to w - 1 do
+              let word = Sim.Simulator.peek_lanes c name i in
+              Array.iteri
+                (fun l r ->
+                  let lane = (word lsr l) land 1 = 1 in
+                  if Bitvec.get (Ref_sim.peek r name) i <> lane then
+                    QCheck.Test.fail_reportf "%s: lane %d, %s bit %d" what l
+                      name i)
+                refs
+            done)
+          (Rtl.Netlist.signals nl)
+      in
+      Array.iter Ref_sim.reset refs;
+      Sim.Simulator.reset c;
+      for j = 0 to 5 do
+        let ins = Array.map (fun _ -> random_inputs st nl) refs in
+        Array.iteri (fun l r -> Ref_sim.drive_all r ins.(l)) refs;
+        List.iter
+          (fun (name, w) ->
+            Sim.Simulator.drive_lanes c name
+              (Array.init w (fun i ->
+                   let word = ref 0 in
+                   for l = lanes - 1 downto 0 do
+                     word :=
+                       (!word lsl 1)
+                       lor Bool.to_int (Bitvec.get (List.assoc name ins.(l)) i)
+                   done;
+                   !word)))
+          nl.Rtl.Netlist.inputs;
+        Array.iter Ref_sim.settle refs;
+        Sim.Simulator.settle c;
+        agree (Printf.sprintf "cycle %d settled" j);
+        Array.iter Ref_sim.clock refs;
+        Sim.Simulator.clock c;
+        agree (Printf.sprintf "cycle %d clocked" j)
+      done;
+      true)
+
 let () =
   Alcotest.run "sim"
     [ ("simulator",
@@ -228,6 +323,9 @@ let () =
          Alcotest.test_case "drive errors" `Quick test_drive_errors;
          Alcotest.test_case "matches reference model" `Quick
            test_sim_matches_reference ]);
+      ("compiled",
+       List.map QCheck_alcotest.to_alcotest
+         [ prop_matches_reference; prop_lanes_independent ]);
       ("stimulus",
        [ Alcotest.test_case "generators" `Quick test_stimulus_generators;
          Alcotest.test_case "legal profile" `Quick test_legal_profile ]);
