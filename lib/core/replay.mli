@@ -9,11 +9,11 @@
     the caller supplies a legal default for them; by the COI argument they
     cannot affect the property cone.
 
-    This lives in [Core] (rather than [Diag], which re-exports it) because
-    the self-healing layer replays freed-cut counterexamples on the concrete
-    module to tell real failures from abstraction artifacts. The fuzz
-    battery's exhaustive sweep applies the same violation rule to
-    {!Sim.Simulator.lanes} stimuli at once ({!run_lanes}). *)
+    This lives in [Core] (rather than [Diag]) because the self-healing
+    layer replays freed-cut counterexamples on the concrete module to tell
+    real failures from abstraction artifacts. The fuzz battery's exhaustive
+    sweep applies the same violation rule to {!Sim.Simulator.lanes}
+    stimuli at once ({!run_lanes}). *)
 
 type snapshot = (string * Bitvec.t) list
 (** Settled pre-clock values of every netlist signal at one cycle. *)

@@ -83,12 +83,12 @@ let verdict_string = function
 let check_piece ~budget ~piece mdl vunit =
   match Psl.Ast.asserts vunit with
   | [ (_, assert_) ] ->
-    let assumes = List.map snd (Psl.Ast.assumes vunit) in
-    let state_bits, _ = Mc.Engine.problem_size mdl ~assert_ ~assumes in
-    let o =
-      Mc.Engine.check_property ~budget ~strategy:Mc.Engine.Bdd_forward mdl
-        ~assert_ ~assumes
+    let ob =
+      Mc.Obligation.prepare ~budget ~strategy:Mc.Engine.Bdd_forward mdl
+        ~assert_ ~assumes:(List.map snd (Psl.Ast.assumes vunit)) ~meta:()
     in
+    let state_bits, _ = Mc.Obligation.size ob in
+    let o = Mc.Obligation.run ob in
     { piece; verdict = verdict_string o.Mc.Engine.verdict;
       engine = o.Mc.Engine.engine_used; state_bits;
       work_nodes = o.Mc.Engine.work_nodes; time_s = o.Mc.Engine.time_s }

@@ -514,112 +514,92 @@ let constraint_part name = function
         Rtl.Mdl.wires = [ (name, 1) ];
         assigns = [ { Rtl.Mdl.lhs = name; rhs = c } ] }
 
-(* shared preparation front half: inline, prune, lower input invariants to a
-   constraint wire, weave in the safety monitor, elaborate — everything up
-   to (but excluding) the cone-of-influence reduction *)
-let prepare_full_netlist mdl ~assert_ ~assumes =
-  let sp name f = Telemetry.span ~cat:"prepare" name f in
-  let assert_, assumes =
-    sp "prepare.inline" (fun () ->
-        let inline = make_inliner mdl in
-        (inline assert_, List.map inline assumes))
-  in
-  let assumes =
-    sp "prepare.prune" (fun () -> make_pruner mdl ~assert_ ~assumes)
-  in
-  let constraints, temporal_assumes = make_splitter mdl assumes in
-  let mon =
-    sp "prepare.monitor" (fun () ->
-        Psl.Monitor.weaver mdl ~prefix:"mon" ~assert_
-          ~assumes:temporal_assumes)
-  in
-  let cons = constraint_part "mon_input_constraint" constraints in
-  let mdl' =
-    Rtl.Mdl.append mdl (mon.Psl.Monitor.mdl :: Option.to_list cons)
-  in
-  let nl =
-    sp "prepare.elaborate" (fun () ->
-        let design = Rtl.Design.of_modules [ mdl' ] in
-        Rtl.Elaborate.run design ~top:mdl'.Rtl.Mdl.name)
-  in
-  ( nl, mon.Psl.Monitor.invariant_ok,
-    Option.map (fun (c : Rtl.Mdl.t) -> c.Rtl.Mdl.name) cons )
+let prep_span name f = Telemetry.span ~cat:"prepare" name f
 
-let replay_model mdl ~assert_ ~assumes =
-  prepare_full_netlist mdl ~assert_ ~assumes
-
-(* Shared per-module preparation: when a module carries several properties
-   (the paper's P0/P1/P2 obligations), the module-level work — the inliner's
-   driver and width tables, the pruner's raw elaboration, the monitor
-   weaver's width table, the single full elaborate and the COI indexes of
-   both netlists — runs once for all of them. Each property gets its own
-   monitor (distinct [mon<i>] prefixes in one woven module), synthesized
-   against the module alone and appended in property order, and its own
-   cone-of-influence reduction from its own roots, so the per-property
-   reduced netlist is structurally identical to what the unshared
-   {!instrumented_netlist} path builds: monitors are independent cones,
-   and COI from property [i]'s roots excludes every other property's
-   monitor. Canonical fingerprints (name-independent) therefore agree
-   between the shared and unshared paths. *)
-let prep_version = 1
-
-let prepare_module mdl ~props =
-  let sp name f = Telemetry.span ~cat:"prepare" name f in
+(* The one preparation front half. Each property [(prefix, assert, assumes)]
+   is inlined, its assumptions pruned and its input invariants split off;
+   its safety monitor is synthesized against the module alone under
+   [prefix], and every monitor, with its input-constraint wire, is woven
+   into the module in property order before one elaborate. Returns the
+   full netlist and each property's [(ok_signal, constraint_signal)]. The
+   module-level work — the inliner's tables, the pruner's raw elaboration
+   and its COI index, the weaver's width table and the elaborate — runs
+   once however many properties share it. *)
+let weave mdl props =
   let fronts =
-    sp "prepare.inline" (fun () ->
+    prep_span "prepare.inline" (fun () ->
         let inline = make_inliner mdl in
         let prune = make_pruner mdl in
         let split = make_splitter mdl in
         List.map
-          (fun (name, assert_, assumes) ->
+          (fun (prefix, assert_, assumes) ->
             let assert_ = inline assert_ in
             let assumes = List.map inline assumes in
             let constraints, temporal = split (prune ~assert_ ~assumes) in
-            (name, assert_, constraints, temporal))
+            (prefix, assert_, constraints, temporal))
           props)
   in
-  (* one width table for every property's monitor, built inside the first
-     monitor span *)
-  let weave = lazy (Psl.Monitor.weaver mdl) in
-  let per =
-    List.mapi
-      (fun i (name, assert_, constraints, temporal) ->
-        let prefix = Printf.sprintf "mon%d" i in
+  (* one width table for every monitor, built inside the first monitor
+     span *)
+  let weaver = lazy (Psl.Monitor.weaver mdl) in
+  let parts =
+    List.map
+      (fun (prefix, assert_, constraints, temporal) ->
         let mon =
-          sp "prepare.monitor" (fun () ->
-              Lazy.force weave ~prefix ~assert_ ~assumes:temporal)
+          prep_span "prepare.monitor" (fun () ->
+              Lazy.force weaver ~prefix ~assert_ ~assumes:temporal)
         in
         let cons = constraint_part (prefix ^ "_input_constraint") constraints in
-        (name, prefix, mon, cons))
+        ( mon.Psl.Monitor.mdl :: Option.to_list cons,
+          ( mon.Psl.Monitor.invariant_ok,
+            Option.map (fun (c : Rtl.Mdl.t) -> c.Rtl.Mdl.name) cons ) ))
       fronts
   in
-  let woven =
-    Rtl.Mdl.append mdl
-      (List.concat_map
-         (fun (_, _, mon, cons) -> mon.Psl.Monitor.mdl :: Option.to_list cons)
-         per)
-  in
+  let woven = Rtl.Mdl.append mdl (List.concat_map fst parts) in
   let nl =
-    sp "prepare.elaborate" (fun () ->
+    prep_span "prepare.elaborate" (fun () ->
         let design = Rtl.Design.of_modules [ woven ] in
         Rtl.Elaborate.run design ~top:woven.Rtl.Mdl.name)
+  in
+  (nl, List.map snd parts)
+
+let replay_model mdl ~assert_ ~assumes =
+  let nl, signals = weave mdl [ ("mon", assert_, assumes) ] in
+  let ok_signal, constraint_signal = List.hd signals in
+  (nl, ok_signal, constraint_signal)
+
+let prep_version = 1
+
+(* Every property is prepared as part of a cell: the properties of one
+   module (the paper's P0/P1/P2 obligations, or a single property) are
+   woven under the prefixes [mon<i>] and elaborated together, and each gets
+   its own cone-of-influence reduction from its own roots, all reduced from
+   one dependency index. Monitors are independent cones, so property [i]'s
+   cone holds its own monitor and no other: the reduced netlist of a
+   property does not depend on the cell around it. *)
+let prepare_module mdl ~props =
+  if not (Rtl.Mdl.is_leaf mdl) then
+    invalid_arg
+      (Printf.sprintf
+         "Engine.prepare_module: %s is not a leaf module; the methodology \
+          checks leaf modules only"
+         mdl.Rtl.Mdl.name);
+  let prefix i = Printf.sprintf "mon%d" i in
+  let nl, signals =
+    weave mdl
+      (List.mapi (fun i (_, assert_, assumes) -> (prefix i, assert_, assumes))
+         props)
   in
   (* one dependency index for every property's cone, built inside the
      first COI span *)
   let reduce = lazy (Rtl.Coi.reduce nl) in
-  List.map
-    (fun (name, prefix, mon, cons) ->
-      let ok_signal = mon.Psl.Monitor.invariant_ok in
-      let constraint_signal =
-        Option.map (fun (c : Rtl.Mdl.t) -> c.Rtl.Mdl.name) cons
-      in
+  List.mapi
+    (fun i ((name, _, _), (ok_signal, constraint_signal)) ->
       let roots = ok_signal :: Option.to_list constraint_signal in
       (* after its COI reduction the property's cone holds exactly one
-         monitor, so the weaving prefix [mon<i>] can be folded back to the
-         unshared path's [mon]: the result is name-identical (not merely
-         structurally identical) to {!instrumented_netlist}'s, which is what
-         keeps trace register names replayable against {!replay_model} *)
-      let pre = prefix ^ "_" in
+         monitor, so its prefix [mon<i>] folds back to {!replay_model}'s
+         [mon]: trace register names then replay on that model *)
+      let pre = prefix i ^ "_" in
       let fold n =
         if String.starts_with ~prefix:pre n then
           "mon_" ^ String.sub n (String.length pre)
@@ -627,53 +607,29 @@ let prepare_module mdl ~props =
         else n
       in
       let red =
-        sp "prepare.coi" (fun () ->
+        prep_span "prepare.coi" (fun () ->
             Rtl.Canon.rename fold (Lazy.force reduce ~roots))
       in
       (name, (red, fold ok_signal, Option.map fold constraint_signal)))
-    per
+    (List.combine props signals)
 
-let instrumented_netlist mdl ~assert_ ~assumes =
-  let nl, ok_signal, constraint_signal =
-    prepare_full_netlist mdl ~assert_ ~assumes
-  in
-  (* cone-of-influence reduction: only the logic feeding the property
-     matters; this is what makes the divide-and-conquer partitioning of
-     Figure 7 effective *)
-  let roots =
-    ok_signal
-    :: (match constraint_signal with Some c -> [ c ] | None -> [])
-  in
-  let nl =
-    Telemetry.span ~cat:"prepare" "prepare.coi" (fun () ->
-        Rtl.Coi.reduce nl ~roots)
-  in
-  (nl, ok_signal, constraint_signal)
-
-let problem_size mdl ~assert_ ~assumes =
-  let nl, _, _ = instrumented_netlist mdl ~assert_ ~assumes in
-  let state = Rtl.Netlist.state_bits nl in
-  let inputs =
-    List.fold_left (fun acc (_, w) -> acc + w) 0 nl.Rtl.Netlist.inputs
-  in
-  (state, inputs)
+(* each property of the cell checked on its own cone *)
+let check_cell ~budget ~strategy mdl ~props =
+  List.map
+    (fun (name, (nl, ok_signal, constraint_signal)) ->
+      (name, check_netlist ~budget ?constraint_signal ~strategy nl ~ok_signal))
+    (prepare_module mdl ~props)
 
 let check_property ?(budget = default_budget) ?(strategy = Auto) mdl ~assert_
     ~assumes =
-  if not (Rtl.Mdl.is_leaf mdl) then
-    invalid_arg
-      (Printf.sprintf
-         "Engine.check_property: %s is not a leaf module; the methodology \
-          checks leaf modules only"
-         mdl.Rtl.Mdl.name);
-  let nl, ok_signal, constraint_signal =
-    instrumented_netlist mdl ~assert_ ~assumes
-  in
-  check_netlist ~budget ?constraint_signal ~strategy nl ~ok_signal
+  snd
+    (List.hd
+       (check_cell ~budget ~strategy mdl ~props:[ ("", assert_, assumes) ]))
 
 let check_vunit ?(budget = default_budget) ?(strategy = Auto) mdl vunit =
   let assumes = List.map snd (Psl.Ast.assumes vunit) in
-  List.map
-    (fun (name, assert_) ->
-      (name, check_property ~budget ~strategy mdl ~assert_ ~assumes))
-    (Psl.Ast.asserts vunit)
+  check_cell ~budget ~strategy mdl
+    ~props:
+      (List.map
+         (fun (name, assert_) -> (name, assert_, assumes))
+         (Psl.Ast.asserts vunit))

@@ -211,51 +211,43 @@ val check_netlist :
     concludes or runs out of the deadline. {!combine_portfolio} then
     attributes the members that ran. *)
 
-val instrumented_netlist :
+val prepare_module :
   Rtl.Mdl.t ->
-  assert_:Psl.Ast.fl ->
-  assumes:Psl.Ast.fl list ->
-  Rtl.Netlist.t * string * string option
-(** The preparation half of {!check_property}: inline the property's boolean
-    layer, prune irrelevant assumptions, lower invariant input assumptions to
-    an engine-level constraint, synthesize the safety monitor, elaborate and
-    cone-reduce. Returns [(netlist, ok_signal, constraint_signal)] — exactly
-    what {!check_netlist} consumes. {!Obligation.prepare} builds on this to
-    make the prepared check a first-class, schedulable value. *)
+  props:(string * Psl.Ast.fl * Psl.Ast.fl list) list ->
+  (string * (Rtl.Netlist.t * string * string option)) list
+(** The one preparation of properties for checking, as a cell: the
+    properties of one leaf module, [(name, assert, assumes)] each, are
+    prepared together. Each property's boolean layer is inlined, its
+    irrelevant assumptions pruned and its invariant input assumptions
+    lowered to an engine-level constraint; its safety monitor is
+    synthesized under the prefix [mon<i>]; all monitors are woven into the
+    module and elaborated once; then each property gets its own
+    cone-of-influence reduction from its own roots. Output pairs each name
+    with [(netlist, ok_signal, constraint_signal)], exactly what
+    {!check_netlist} consumes. A property's cone holds only its own
+    monitor, whose prefix is folded back to {!replay_model}'s [mon], so a
+    property's reduced netlist is the same, name for name, whether it is
+    prepared alone or in a cell, and trace register names replay against
+    {!replay_model}. The module-level work (inliner tables, the pruner's
+    raw elaboration, monitor weaving, the elaborate, the COI index) runs
+    once per cell. Raises [Invalid_argument] on a module that is not a
+    leaf: the methodology checks leaf modules only. *)
 
 val replay_model :
   Rtl.Mdl.t ->
   assert_:Psl.Ast.fl ->
   assumes:Psl.Ast.fl list ->
   Rtl.Netlist.t * string * string option
-(** {!instrumented_netlist} without the final cone-of-influence reduction:
-    the same inlining, assumption pruning, constraint lowering and monitor
-    synthesis, but every module signal is kept. This is the model the
-    diagnosis layer replays counterexamples on — the simulator cross-check
-    then exercises an independently-prepared model (no COI), and the replay
-    exposes the full internal/output signal set (e.g. the [HE] report bus)
-    that the reduced engine model may have pruned away. Inputs of the
-    reduced model are a subset of this model's inputs; replaying a reduced
-    trace with the pruned inputs held at zero cannot change the property
-    cone (that is what the COI reduction proved). *)
-
-val prepare_module :
-  Rtl.Mdl.t ->
-  props:(string * Psl.Ast.fl * Psl.Ast.fl list) list ->
-  (string * (Rtl.Netlist.t * string * string option)) list
-(** Shared preparation for all properties of one module: the module-level
-    work (inliner tables, the pruner's raw elaboration and its
-    {!Rtl.Coi.reduce} index, monitor weaving, the single full elaborate and
-    its COI index) runs once, then each property gets its own
-    cone-of-influence reduction from its own monitor roots. Input is
-    [(name, assert, assumes)] per property; output pairs each name with
-    exactly what {!instrumented_netlist} would have returned for it: each
-    property's cone holds only its own monitor (monitors are independent
-    cones), and the weaving prefix is folded back to the unshared path's
-    [mon], so the reduced models are name-identical — same canonical
-    fingerprints, and trace register names stay replayable against
-    {!replay_model} — at roughly [1/n] of the preparation cost for an
-    [n]-property module. *)
+(** One property prepared as {!prepare_module} prepares it, under the
+    monitor prefix [mon], without the cone-of-influence reduction: every
+    module signal is kept. This is the model the diagnosis layer replays
+    counterexamples on — the simulator cross-check then exercises a model
+    that no COI reduction touched, and the replay exposes the full
+    internal/output signal set (e.g. the [HE] report bus) that the reduced
+    engine model may have pruned away. Inputs of the reduced model are a
+    subset of this model's inputs; replaying a reduced trace with the
+    pruned inputs held at zero cannot change the property cone (that is
+    what the COI reduction proved). *)
 
 val prep_version : int
 (** The version of the preparation behind every cache key: inlining,
@@ -273,15 +265,9 @@ val check_property :
   assert_:Psl.Ast.fl ->
   assumes:Psl.Ast.fl list ->
   outcome
-(** Instrument a leaf module with the property monitor, elaborate it in
-    isolation, and check. This is the paper's per-leaf-module model-checking
-    step. [strategy] defaults to [Auto]. *)
-
-val problem_size :
-  Rtl.Mdl.t -> assert_:Psl.Ast.fl -> assumes:Psl.Ast.fl list -> int * int
-(** [(state bits, input bits)] of the instrumented, cone-reduced model the
-    engines would actually check — the paper's "problem size of the
-    properties". *)
+(** Prepare the property as a one-property cell ({!prepare_module}) and
+    check it. This is the paper's per-leaf-module model-checking step.
+    [strategy] defaults to [Auto]. *)
 
 val check_vunit :
   ?budget:budget ->
@@ -289,5 +275,6 @@ val check_vunit :
   Rtl.Mdl.t ->
   Psl.Ast.vunit ->
   (string * outcome) list
-(** Run every [assert] of a vunit against the module, under all its
-    [assume]s. Returns per-property outcomes keyed by property name. *)
+(** Prepare every [assert] of a vunit, under all its [assume]s, as one
+    cell ({!prepare_module}) and check each. Returns per-property outcomes
+    keyed by property name. *)

@@ -7,29 +7,15 @@ type 'meta t = {
   meta : 'meta;
 }
 
-let prepare ?(budget = Engine.default_budget) ?(strategy = Engine.Auto) mdl
-    ~assert_ ~assumes ~meta =
-  if not (Rtl.Mdl.is_leaf mdl) then
-    invalid_arg
-      (Printf.sprintf
-         "Obligation.prepare: %s is not a leaf module; the methodology \
-          checks leaf modules only"
-         mdl.Rtl.Mdl.name);
-  let nl, ok_signal, constraint_signal =
-    Engine.instrumented_netlist mdl ~assert_ ~assumes
-  in
-  { nl; ok_signal; constraint_signal; budget; strategy; meta }
-
 let of_prepared ?(budget = Engine.default_budget) ?(strategy = Engine.Auto)
     (nl, ok_signal, constraint_signal) ~meta =
   { nl; ok_signal; constraint_signal; budget; strategy; meta }
 
-let of_vunit ?budget ?strategy mdl vunit ~meta =
-  let assumes = List.map snd (Psl.Ast.assumes vunit) in
-  List.map
-    (fun (prop_name, assert_) ->
-      prepare ?budget ?strategy mdl ~assert_ ~assumes ~meta:(meta ~prop_name))
-    (Psl.Ast.asserts vunit)
+let prepare ?budget ?strategy mdl ~assert_ ~assumes ~meta =
+  let prep =
+    snd (List.hd (Engine.prepare_module mdl ~props:[ ("", assert_, assumes) ]))
+  in
+  of_prepared ?budget ?strategy prep ~meta
 
 let budget_salt (b : Engine.budget) =
   let lim = function None -> "-" | Some n -> string_of_int n in

@@ -29,10 +29,10 @@ val prepare :
   assumes:Psl.Ast.fl list ->
   meta:'a ->
   'a t
-(** Instrument a leaf module with the property monitor and package the
-    reduced check. [strategy] defaults to [Auto], [budget] to
-    {!Engine.default_budget}. Raises [Invalid_argument] on non-leaf modules,
-    like {!Engine.check_property}. *)
+(** Prepare one property as a one-property cell ({!Engine.prepare_module})
+    and package the reduced check. [strategy] defaults to [Auto], [budget]
+    to {!Engine.default_budget}. Raises [Invalid_argument] on non-leaf
+    modules. *)
 
 val of_prepared :
   ?budget:Engine.budget ->
@@ -40,24 +40,11 @@ val of_prepared :
   Rtl.Netlist.t * string * string option ->
   meta:'a ->
   'a t
-(** Package an already-prepared check — the [(netlist, ok, constraint)]
-    triple {!Engine.instrumented_netlist} or {!Engine.prepare_module}
-    returns — without re-running preparation. This is how the campaign
-    shares one monitor-weaving/elaboration pass across all properties of
-    every module of one structure: prepare once with
-    {!Engine.prepare_module}, then wrap each per-property cone here.
-    Equivalent to {!prepare} on the same inputs (same netlist up to
-    structural identity, hence same {!fingerprint}). *)
-
-val of_vunit :
-  ?budget:Engine.budget ->
-  ?strategy:Engine.strategy ->
-  Rtl.Mdl.t ->
-  Psl.Ast.vunit ->
-  meta:(prop_name:string -> 'a) ->
-  'a t list
-(** One obligation per [assert] of the vunit, all under the vunit's
-    [assume]s; [meta] is invoked with each property's name. *)
+(** Package one property's [(netlist, ok, constraint)] triple from
+    {!Engine.prepare_module} without re-running preparation. This is how
+    the campaign shares one preparation across all properties of every
+    module of one structure: prepare the cell once, then wrap each
+    property's cone here. *)
 
 val fingerprint : ?salt:string -> _ t -> string
 (** Structural cache key: the canonical-form digest ({!Rtl.Canon}) of the

@@ -154,10 +154,8 @@ let claim_of er =
     match er.validated_fail with Some l -> Refuted l | None -> Unknown)
   | E.Resource_out _ | E.Error _ -> Unknown
 
-let check_obligation ~case_id mdl ~cls ~prop_name ~assert_ ~assumes =
-  let nl, ok_signal, constraint_signal =
-    E.instrumented_netlist mdl ~assert_ ~assumes
-  in
+let check_obligation ~case_id mdl ~cls ~prop_name ~assert_ ~assumes
+    (nl, ok_signal, constraint_signal) =
   let replay = lazy (E.replay_model mdl ~assert_ ~assumes) in
   (* compiled once, on the first counterexample *)
   let replay_trace =
@@ -279,18 +277,25 @@ let check_case ?(inject = false) (case : Gen.case) =
       [ { kind = Roundtrip_mismatch; case_id = case.Gen.id; prop = None;
           detail } ]
   in
-  let vunits = Verifiable.Propgen.all case.Gen.info case.Gen.spec in
-  let checked =
+  (* the design's properties are prepared as one cell, as the campaign
+     prepares a module *)
+  let props =
     List.concat_map
       (fun (cls, vu) ->
         let assumes = List.map snd (Psl.Ast.assumes vu) in
         List.map
-          (fun (prop_name, assert_) ->
-            Obs.Telemetry.count "qa.obligations";
-            check_obligation ~case_id:case.Gen.id mdl ~cls ~prop_name ~assert_
-              ~assumes)
+          (fun (name, a) -> (cls, (name, a, assumes)))
           (Psl.Ast.asserts vu))
-      vunits
+      (Verifiable.Propgen.all case.Gen.info case.Gen.spec)
+  in
+  let checked =
+    List.map2
+      (fun (cls, (prop_name, assert_, assumes)) (_, prep) ->
+        Obs.Telemetry.count "qa.obligations";
+        check_obligation ~case_id:case.Gen.id mdl ~cls ~prop_name ~assert_
+          ~assumes prep)
+      props
+      (E.prepare_module mdl ~props:(List.map snd props))
   in
   let obligations = List.map fst checked in
   let engine_discs = List.concat_map snd checked in

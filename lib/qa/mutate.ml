@@ -32,12 +32,8 @@ let verdict_summary outcome =
    stimulus does not actually violate the property is itself an engine bug,
    not a detection *)
 let attack_property mdl ~assert_ ~assumes =
-  let nl, ok_signal, constraint_signal =
-    E.instrumented_netlist mdl ~assert_ ~assumes
-  in
   let outcome =
-    E.check_netlist ~budget:Differential.fuzz_budget ?constraint_signal
-      ~strategy:E.Auto nl ~ok_signal
+    E.check_property ~budget:Differential.fuzz_budget mdl ~assert_ ~assumes
   in
   match outcome.E.verdict with
   | E.Failed trace -> (

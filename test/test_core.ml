@@ -368,8 +368,8 @@ let test_prep_version_pin () =
 (* The first 20 seed-42 [Qa.Gen] cases are six fuzz templates (counter,
    CSR, datapath, decoder, FIFO, merge) with randomized widths and
    depths, so their keys pin the monitor, the COI and the printer on
-   modules and properties beyond the chip's. Each case is prepared
-   property by property and as one cell; the MD5 covers both lists of
+   modules and properties beyond the chip's. Each case is prepared as
+   one-property cells and as one cell; the MD5 covers both lists of
    keys. *)
 let test_fuzz_keys_pin () =
   let key prep =
@@ -389,9 +389,10 @@ let test_fuzz_keys_pin () =
                    (Psl.Ast.asserts vu))
                (Verifiable.Propgen.all case.Qa.Gen.info case.Qa.Gen.spec)
            in
-           ( List.map
-               (fun (_, assert_, assumes) ->
-                 key (Mc.Engine.instrumented_netlist mdl ~assert_ ~assumes))
+           ( List.concat_map
+               (fun p ->
+                 List.map (fun (_, prep) -> key prep)
+                   (Mc.Engine.prepare_module mdl ~props:[ p ]))
                props,
              List.map (fun (_, prep) -> key prep)
                (Mc.Engine.prepare_module mdl ~props) )))

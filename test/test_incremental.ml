@@ -209,12 +209,11 @@ let test_fuzz_stream_differential () =
       (fun (_cls, vu) ->
         let assumes = List.map snd (Psl.Ast.assumes vu) in
         List.iter
-          (fun (prop_name, assert_) ->
-            let prep = E.instrumented_netlist mdl ~assert_ ~assumes in
-            check_netlist_both
-              ~label:(case.Qa.Gen.id ^ "." ^ prop_name)
-              prep)
-          (Psl.Ast.asserts vu))
+          (fun (prop_name, prep) ->
+            check_netlist_both ~label:(case.Qa.Gen.id ^ "." ^ prop_name) prep)
+          (E.prepare_module mdl
+             ~props:
+               (List.map (fun (n, a) -> (n, a, assumes)) (Psl.Ast.asserts vu))))
       (Verifiable.Propgen.all case.Qa.Gen.info case.Qa.Gen.spec)
   done;
   report_ic3_proofs ()
@@ -416,27 +415,31 @@ let test_learnt_retention () =
   | Solver.Unsat | Solver.Unknown ->
     Alcotest.fail "database alone must stay satisfiable"
 
-(* ---- shared preparation == unshared preparation, name for name ---- *)
+(* ---- a cell's cones == its properties prepared alone, name for name ---- *)
 
-let test_prepare_module_identity () =
-  (* one module of every distinct structure (the module without its name,
-     plus its properties' formulas) on the pre- and post-fix chips: the
-     127-property D leaves reduce every cone from one shared COI index *)
-  let seen = Hashtbl.create 64 in
-  let check_module mdl props =
+let test_cell_identity () =
+  (* each property's cone in its cell must be the cone of the same property
+     prepared as a one-property cell *)
+  let check_cell mdl props =
     let shared = E.prepare_module mdl ~props in
     Alcotest.(check int) "one prepared check per property" (List.length props)
       (List.length shared);
     List.iter2
-      (fun (name, assert_, assumes) (name', (nl, ok, cons)) ->
+      (fun ((name, _, _) as prop) (name', (nl, ok, cons)) ->
         Alcotest.(check string) "order preserved" name name';
         let name = mdl.Rtl.Mdl.name ^ "." ^ name in
-        let nl_u, ok_u, cons_u = E.instrumented_netlist mdl ~assert_ ~assumes in
+        let nl_u, ok_u, cons_u =
+          snd (List.hd (E.prepare_module mdl ~props:[ prop ]))
+        in
         Alcotest.(check string) (name ^ ": ok signal") ok_u ok;
         Alcotest.(check (option string)) (name ^ ": constraint") cons_u cons;
         Alcotest.(check bool) (name ^ ": same netlist") true (nl_u = nl))
       props shared
   in
+  (* one module of every distinct structure (the module without its name,
+     plus its properties' formulas) on the pre- and post-fix chips: the
+     127-property D leaves reduce every cone from one shared COI index *)
+  let seen = Hashtbl.create 64 in
   List.iter
     (fun with_bugs ->
       let works =
@@ -466,13 +469,29 @@ let test_prepare_module_identity () =
           in
           if not (Hashtbl.mem seen key) then begin
             Hashtbl.add seen key ();
-            check_module mdl props
+            check_cell mdl props
           end)
         (List.rev !order))
     [ true; false ];
   (* the pre-fix chip's 22 structures and the 6 its bug fixes add *)
   Alcotest.(check int) "every structure of both chips" 28
-    (Hashtbl.length seen)
+    (Hashtbl.length seen);
+  (* the first 20 seed-42 Qa.Gen designs, each prepared as one cell as the
+     fuzz battery prepares it *)
+  let obligations = ref 0 in
+  for index = 0 to 19 do
+    let case = Qa.Gen.case_of ~seed:42 ~index in
+    let props =
+      List.concat_map
+        (fun (_, vu) ->
+          let assumes = List.map snd (Psl.Ast.assumes vu) in
+          List.map (fun (n, a) -> (n, a, assumes)) (Psl.Ast.asserts vu))
+        (Verifiable.Propgen.all case.Qa.Gen.info case.Qa.Gen.spec)
+    in
+    obligations := !obligations + List.length props;
+    check_cell case.Qa.Gen.info.Verifiable.Transform.mdl props
+  done;
+  Alcotest.(check int) "every obligation of 20 fuzz designs" 171 !obligations
 
 (* ---- arena BDD vs exhaustive truth tables ---- *)
 
@@ -636,8 +655,8 @@ let () =
       ("encoder",
        [ QCheck_alcotest.to_alcotest prop_template_equals_reference ]);
       ("preparation",
-       [ Alcotest.test_case "prepare_module == instrumented_netlist" `Quick
-           test_prepare_module_identity ]);
+       [ Alcotest.test_case "cell cones == one-property cells" `Quick
+           test_cell_identity ]);
       ("arena",
        [ QCheck_alcotest.to_alcotest prop_arena_matches_brute_force;
          Alcotest.test_case "growth and rehash" `Quick

@@ -7,6 +7,11 @@ module M = Rtl.Mdl
 
 let elaborated m = Rtl.Elaborate.run (Rtl.Design.of_modules [ m ]) ~top:m.M.name
 
+(* one property's reduced check, prepared as a one-property cell *)
+let cone mdl ~assert_ ~assumes =
+  snd
+    (List.hd (Mc.Engine.prepare_module mdl ~props:[ ("p", assert_, assumes) ]))
+
 (* mod-5 counter with an ERROR flag that never rises *)
 let mod5 () =
   let m = M.create "mod5" in
@@ -251,10 +256,12 @@ let test_strategy_names_roundtrip () =
        (Mc.Engine.strategy_name (Mc.Engine.Portfolio p))
      = None)
 
-let test_problem_size () =
+let test_obligation_size () =
   let m = mod5 () in
   let assert_ = Psl.Parser.fl_of_string "never ERR" in
-  let state, inputs = Mc.Engine.problem_size m ~assert_ ~assumes:[] in
+  let state, inputs =
+    Mc.Obligation.size (Mc.Obligation.prepare m ~assert_ ~assumes:[] ~meta:())
+  in
   (* 3 counter bits + monitor bookkeeping registers *)
   Alcotest.(check bool) "state includes monitor" true (state >= 3);
   Alcotest.(check int) "one input bit" 1 inputs
@@ -420,8 +427,8 @@ let chip_cone mdl_name prop_name =
         && w.Core.Campaign.w_prop_name = prop_name)
       (Lazy.force seeded_chip)
   in
-  Mc.Engine.instrumented_netlist w.Core.Campaign.w_mdl
-    ~assert_:w.Core.Campaign.w_assert ~assumes:w.Core.Campaign.w_assumes
+  cone w.Core.Campaign.w_mdl ~assert_:w.Core.Campaign.w_assert
+    ~assumes:w.Core.Campaign.w_assumes
 
 (* IC3's search, pinned in both modes: frames, clauses, CTIs, queries and
    the summed solver counters of two proofs. Any change to how cubes are
@@ -452,7 +459,7 @@ let test_ic3_pinned_search () =
   in
   let m, assert_ = wrap8 () in
   pin "wrap8"
-    (Mc.Engine.instrumented_netlist m ~assert_ ~assumes:[])
+    (cone m ~assert_ ~assumes:[])
     ~expected:
       [ (4, 6, 6, 35, [ 27; 7; 1100; 0; 0 ]);
         (5, 15, 15, 85, [ 32; 10; 1010; 0; 0 ]) ];
@@ -462,7 +469,7 @@ let test_ic3_pinned_search () =
       [ (8, 118, 118, 794, [ 12472; 604; 71388; 0; 215 ]);
         (8, 139, 139, 966, [ 17981; 3045; 83146; 0; 2650 ]) ]
 
-(* the instrumented netlist of one obligation of a Qa.Gen fuzz design *)
+(* the reduced netlist of one obligation of a Qa.Gen fuzz design *)
 let fuzz_cone ~seed ~index prop_name =
   let case = Qa.Gen.case_of ~seed ~index in
   let assumes, assert_ =
@@ -474,8 +481,7 @@ let fuzz_cone ~seed ~index prop_name =
       (Verifiable.Propgen.all case.Qa.Gen.info case.Qa.Gen.spec)
     |> Option.get
   in
-  Mc.Engine.instrumented_netlist case.Qa.Gen.info.Verifiable.Transform.mdl
-    ~assert_ ~assumes
+  cone case.Qa.Gen.info.Verifiable.Transform.mdl ~assert_ ~assumes
 
 (* one BDD traversal on a fresh manager with an always-false interrupt
    installed, so that its polls are counted *)
@@ -764,8 +770,11 @@ let counter_obligations ?(bug = false) name =
   in
   List.concat_map
     (fun (_, vunit) ->
-      Mc.Obligation.of_vunit info.Verifiable.Transform.mdl vunit
-        ~meta:(fun ~prop_name -> prop_name))
+      let assumes = List.map snd (Psl.Ast.assumes vunit) in
+      Mc.Engine.prepare_module info.Verifiable.Transform.mdl
+        ~props:
+          (List.map (fun (n, a) -> (n, a, assumes)) (Psl.Ast.asserts vunit))
+      |> List.map (fun (n, prep) -> Mc.Obligation.of_prepared prep ~meta:n))
     (Verifiable.Propgen.all info spec)
 
 let test_obligation_fingerprints () =
@@ -814,12 +823,18 @@ let test_obligation_run_matches_engine () =
       (fun (name, o) -> (name, tag o))
       (Mc.Engine.check_vunit info.Verifiable.Transform.mdl vunit)
   in
+  (* the facade prepares the vunit as one cell, each obligation here is
+     prepared alone *)
+  let assumes = List.map snd (Psl.Ast.assumes vunit) in
   let via_obligation =
     List.map
-      (fun ob ->
-        (ob.Mc.Obligation.meta, tag (Mc.Obligation.run ob)))
-      (Mc.Obligation.of_vunit info.Verifiable.Transform.mdl vunit
-         ~meta:(fun ~prop_name -> prop_name))
+      (fun (name, assert_) ->
+        ( name,
+          tag
+            (Mc.Obligation.run
+               (Mc.Obligation.prepare info.Verifiable.Transform.mdl ~assert_
+                  ~assumes ~meta:())) ))
+      (Psl.Ast.asserts vunit)
   in
   Alcotest.(check (list (pair string string)))
     "prepared obligations reproduce the engine facade" via_engine
@@ -931,7 +946,7 @@ let () =
            test_strategy_names_roundtrip;
          Alcotest.test_case "canonical resource-out causes" `Quick
            test_canonical_ro_causes;
-         Alcotest.test_case "problem size" `Quick test_problem_size;
+         Alcotest.test_case "problem size" `Quick test_obligation_size;
          Alcotest.test_case "BDD work counters" `Quick test_bdd_pinned_work ]);
       ("induction",
        [ Alcotest.test_case "k-induction basics" `Quick test_kinduction;

@@ -347,9 +347,10 @@ let test_pinned_bmc_search () =
           && w.Core.Campaign.w_prop_name = prop)
         works
     in
-    let nl, ok_signal, constraint_signal =
-      Mc.Engine.instrumented_netlist w.Core.Campaign.w_mdl
+    let { Mc.Obligation.nl; ok_signal; constraint_signal; _ } =
+      Mc.Obligation.prepare w.Core.Campaign.w_mdl
         ~assert_:w.Core.Campaign.w_assert ~assumes:w.Core.Campaign.w_assumes
+        ~meta:()
     in
     let found, (s : Mc.Bmc.stats) =
       match Mc.Bmc.check ?constraint_signal nl ~ok_signal ~depth:20 with
