@@ -184,11 +184,15 @@ let racing () =
     (lw /. Float.max rw 1e-9)
 
 (* Self-healing under a starving budget: the same 2047-obligation campaign
-   twice, with the BDD arena capped where the filler cones exhaust it —
-   once plain (hundreds of resource-outs) and once with the automatic
-   Figure 7 recovery pass, which partitions each starved cone, re-proves
-   the pieces inside the very same budget and recombines them by
-   assume-guarantee. Fresh caches on both sides keep the comparison cold. *)
+   twice under bdd-forward, with the BDD arena capped at 2000 nodes where
+   the filler cones exhaust it — once plain (812 resource-outs) and once
+   with the automatic Figure 7 recovery pass, which partitions each
+   starved cone, re-proves the pieces inside the very same budget and
+   recombines them by assume-guarantee (648 recovered). Forward traversal
+   builds the transition relation and its images whatever the property,
+   so the cap starves it; which allocation the cap cuts is pinned by the
+   baseline's starved rows. Fresh caches on both sides keep the
+   comparison cold. *)
 let healing () =
   header "Self-healing recovery under a starving budget (--self-heal)";
   let starved =
@@ -198,8 +202,8 @@ let healing () =
   in
   let strategy =
     Mc.Engine.Portfolio
-      (Mc.Engine.portfolio ~name:"bdd-combined"
-         [ { Mc.Engine.m_strategy = Mc.Engine.Bdd_combined;
+      (Mc.Engine.portfolio ~name:"bdd-forward"
+         [ { Mc.Engine.m_strategy = Mc.Engine.Bdd_forward;
              m_budget = starved } ])
   in
   let plain =
