@@ -146,10 +146,10 @@ let table2 () =
    constrained budget. The default budget never escalates (bdd-combined
    decides all 2047 obligations inside its node limit), so the effect the
    scheduler exists for — overlapping a ladder's serial stages — is
-   measured where the ladder actually ladders: a small BDD node cap makes
-   the same obligations escalate under both configurations, then Auto pays
-   its rungs in sequence while the portfolio races them. Fresh caches on
-   both sides keep the comparison cold. *)
+   measured where the ladder actually ladders: a 5000-node BDD cap makes
+   the same 4 obligations escalate under both configurations (k-induction
+   decides all 4 in the race), then Auto pays its rungs in sequence while
+   the portfolio races them. Fresh caches keep the comparison cold. *)
 let racing () =
   header "Portfolio racing vs the auto ladder (constrained budget)";
   let base =
@@ -184,15 +184,11 @@ let racing () =
     (lw /. Float.max rw 1e-9)
 
 (* Self-healing under a starving budget: the same 2047-obligation campaign
-   twice under bdd-forward, with the BDD arena capped at 2000 nodes where
-   the filler cones exhaust it — once plain (812 resource-outs) and once
-   with the automatic Figure 7 recovery pass, which partitions each
-   starved cone, re-proves the pieces inside the very same budget and
-   recombines them by assume-guarantee (648 recovered). Forward traversal
-   builds the transition relation and its images whatever the property,
-   so the cap starves it; which allocation the cap cuts is pinned by the
-   baseline's starved rows. Fresh caches on both sides keep the
-   comparison cold. *)
+   twice under bdd-forward, which builds its relation and images whatever
+   the property, in a 2000-node arena — once plain (812 resource-outs) and
+   once with the Figure 7 recovery pass, which partitions each starved
+   cone, re-proves the pieces inside the very same budget and recombines
+   them by assume-guarantee (648 recovered). Fresh caches on both sides. *)
 let healing () =
   header "Self-healing recovery under a starving budget (--self-heal)";
   let starved =

@@ -170,7 +170,7 @@ let backtrack_forward ?constrain sym rings final_bits =
   back (k - 1) final_bits;
   (states, inputs, k)
 
-let trace_of_forward ?constrain sym ~ok rings =
+let trace_from_rings ?constrain sym ~ok rings =
   let man = Sym.man sym in
   let bad = bad_states ?constrain sym ~ok in
   let last_ring = List.nth rings (List.length rings - 1) in
@@ -187,9 +187,6 @@ let trace_of_forward ?constrain sym ~ok rings =
   in
   cycles
 
-let trace_from_rings ?constrain sym ~ok rings =
-  trace_of_forward ?constrain sym ~ok rings
-
 let check_forward ?constrain ?deadline sym ~ok =
   let man = Sym.man sym in
   let bad = bad_states ?constrain sym ~ok in
@@ -197,7 +194,7 @@ let check_forward ?constrain ?deadline sym ~ok =
   | `Proved (iterations, peak) ->
     Proved { iterations; bdd_nodes = Bdd.node_count man; peak_set_size = peak }
   | `Violation (rings, iterations, peak) ->
-    let trace = trace_of_forward ?constrain sym ~ok rings in
+    let trace = trace_from_rings ?constrain sym ~ok rings in
     Failed
       (trace,
        { iterations; bdd_nodes = Bdd.node_count man; peak_set_size = peak })
@@ -287,7 +284,7 @@ let check_backward ?constrain ?deadline sym ~ok =
 
 let check_combined ?constrain ?(deadline = Deadline.none) sym ~ok =
   let man = Sym.man sym in
-  let parts = make_parts sym in
+  let parts = lazy (make_parts sym) in
   let bad = bad_states ?constrain sym ~ok in
   let init = Sym.init sym in
   let rec go f_rings f_reached f_frontier b_rings b_covered b_frontier iter peak =
@@ -300,25 +297,25 @@ let check_combined ?constrain ?(deadline = Deadline.none) sym ~ok =
     (* meet check: some forward-explored state can reach bad *)
     if not (Bdd.is_zero (Bdd.and_ man f_frontier b_covered)) then
       `Meet (List.rev (f_frontier :: f_rings), List.rev b_rings @ [ b_frontier ], iter, peak)
-    else begin
-      let f_img = image_with_parts ?constrain sym parts f_frontier in
-      let f_fresh = Bdd.and_ man f_img (Bdd.not_ man f_reached) in
+    else
       let b_pre = pre_image ?constrain sym b_frontier in
       let b_fresh = Bdd.and_ man b_pre (Bdd.not_ man b_covered) in
-      if Bdd.is_zero f_fresh then `ProvedF (iter, peak)
-      else if Bdd.is_zero b_fresh then `ProvedB (iter, peak)
+      if Bdd.is_zero b_fresh then `Proved (iter, peak)
       else
-        go (f_frontier :: f_rings)
-          (Bdd.or_ man f_reached f_fresh)
-          f_fresh
-          (b_frontier :: b_rings)
-          (Bdd.or_ man b_covered b_fresh)
-          b_fresh (iter + 1) peak
-    end
+        let f_img = image_with_parts ?constrain sym (Lazy.force parts) f_frontier in
+        let f_fresh = Bdd.and_ man f_img (Bdd.not_ man f_reached) in
+        if Bdd.is_zero f_fresh then `Proved (iter, peak)
+        else
+          go (f_frontier :: f_rings)
+            (Bdd.or_ man f_reached f_fresh)
+            f_fresh
+            (b_frontier :: b_rings)
+            (Bdd.or_ man b_covered b_fresh)
+            b_fresh (iter + 1) peak
   in
   (* the meet check needs b_covered to include ring 0 from the start *)
   match fixpoint (fun () -> go [] init init [] bad bad 0 0) with
-  | `ProvedF (iterations, peak) | `ProvedB (iterations, peak) ->
+  | `Proved (iterations, peak) ->
     Proved { iterations; bdd_nodes = Bdd.node_count man; peak_set_size = peak }
   | `Meet (f_rings, b_rings, iterations, peak) ->
     (* some state s* in the last forward ring lies in some backward ring t:

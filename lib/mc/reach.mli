@@ -5,7 +5,7 @@
     is bad when some input valuation makes it false. Forward traversal
     explores from reset; backward traversal regresses from the bad states;
     the combined mode (the paper's in-house engine does "combined forward and
-    backward traversal") advances both frontiers in lockstep. *)
+    backward traversal") steps both and stops at whichever converges first. *)
 
 type stats = {
   iterations : int;
@@ -44,6 +44,9 @@ val check_backward :
 
 val check_combined :
   ?constrain:Bdd.t -> ?deadline:Deadline.t -> Sym.t -> ok:Bdd.t -> result
-(** All three fixpoints poll [deadline] once per frontier iteration and
-    raise {!Deadline.Expired} when it passes; counterexample extraction
-    after a violation is not interrupted. *)
+(** Each iteration tests the meet of both sides, the backward pre-image,
+    then the forward image, whose relation is built at its first use: an
+    inductive invariant costs one pre-image, and a proof takes the fewer of
+    {!check_forward}'s and {!check_backward}'s [iterations]. All three poll
+    [deadline] once per iteration and raise {!Deadline.Expired} when it
+    passes; counterexample extraction after a violation is not interrupted. *)

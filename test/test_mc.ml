@@ -535,7 +535,7 @@ let test_bdd_pinned_work () =
     ~expected:
       [ "forward proved: 7 iterations, 1843 nodes, set 33, 0 polls";
         "backward proved: 0 iterations, 845 nodes, set 20, 0 polls";
-        "combined proved: 0 iterations, 1260 nodes, set 20, 0 polls";
+        "combined proved: 0 iterations, 845 nodes, set 20, 0 polls";
         "pobdd proved: 7 iterations, 1989 nodes, set 33, 0 polls" ];
   pin "a_csr.pNoError_0" (chip_cone "a_csr" "pNoError_0")
     ~expected:
@@ -548,7 +548,7 @@ let test_bdd_pinned_work () =
     ~expected:
       [ "forward proved: 2 iterations, 18901 nodes, set 264, 2 polls";
         "backward proved: 0 iterations, 515 nodes, set 18, 0 polls";
-        "combined proved: 0 iterations, 4842 nodes, set 19, 0 polls";
+        "combined proved: 0 iterations, 515 nodes, set 19, 0 polls";
         "pobdd proved: 2 iterations, 33685 nodes, set 171, 4 polls" ];
   (* a POBDD run cut by the node limit stops at exactly that allocation *)
   let limit = 1000 in
@@ -561,6 +561,71 @@ let test_bdd_pinned_work () =
       (Bdd.node_count (Mc.Sym.man sym))
   | Mc.Reach.Proved _ | Mc.Reach.Failed _ ->
     Alcotest.fail "pobdd: expected the node limit"
+
+(* Where bdd-combined departs from its two sides on one cone, one message
+   each. An iteration takes one step of each side, the backward one first,
+   and the transition relation is built at the first forward image. So
+   wherever bdd-forward and bdd-backward both prove, bdd-combined proves
+   in the fewer of their iterations; and wherever bdd-backward proves at
+   iteration 0, bdd-combined does exactly its BDD work, having never built
+   the relation. Each engine runs on a manager of its own. *)
+let combined_departures label cone =
+  let proof engine =
+    match snd (bdd_work cone engine) () with
+    | Mc.Reach.Proved s -> Some s
+    | Mc.Reach.Failed _ -> None
+  in
+  let f = proof "forward" and b = proof "backward" in
+  let c = proof "combined" in
+  let expect what want get =
+    if Some want = Option.map get c then []
+    else [ Printf.sprintf "%s: combined %s, want %d" label what want ]
+  in
+  (match (f, b) with
+   | Some f, Some b ->
+     expect "iterations"
+       (min f.Mc.Reach.iterations b.Mc.Reach.iterations)
+       (fun s -> s.Mc.Reach.iterations)
+   | _ -> [])
+  @
+  match b with
+  | Some b when b.Mc.Reach.iterations = 0 ->
+    expect "nodes" b.Mc.Reach.bdd_nodes (fun s -> s.Mc.Reach.bdd_nodes)
+  | _ -> []
+
+(* one module of every cell of the seeded chip: every property cone of
+   each distinct module structure, prepared as the campaign prepares it *)
+let test_combined_follows_sides () =
+  let cells = Hashtbl.create 32 and by_module = Hashtbl.create 128 in
+  let order = ref [] in
+  List.iter
+    (fun (w : Core.Campaign.work) ->
+      let name = w.Core.Campaign.w_mdl.Rtl.Mdl.name in
+      let prop =
+        (w.Core.Campaign.w_prop_name, w.Core.Campaign.w_assert,
+         w.Core.Campaign.w_assumes)
+      in
+      match Hashtbl.find_opt by_module name with
+      | Some props -> Hashtbl.replace by_module name (prop :: props)
+      | None ->
+        Hashtbl.add by_module name [ prop ];
+        order := w.Core.Campaign.w_mdl :: !order)
+    (Lazy.force seeded_chip);
+  List.iter
+    (fun (mdl : Rtl.Mdl.t) ->
+      let props = List.rev (Hashtbl.find by_module mdl.Rtl.Mdl.name) in
+      let key =
+        ( { mdl with Rtl.Mdl.name = "" },
+          List.map (fun (_, a, s) -> (a, s)) props )
+      in
+      if not (Hashtbl.mem cells key) then
+        Hashtbl.add cells key (Mc.Engine.prepare_module mdl ~props))
+    (List.rev !order);
+  let cones = Hashtbl.fold (fun _ cell acc -> cell @ acc) cells [] in
+  Alcotest.(check (pair int int)) "cells and cones" (22, 603)
+    (Hashtbl.length cells, List.length cones);
+  Alcotest.(check (list string)) "departures" []
+    (List.concat_map (fun (name, cone) -> combined_departures name cone) cones)
 
 (* IC3 agrees with BDD reachability on the seeded-bug counter: same
    falsifications, and every IC3 trace replays in the simulator *)
@@ -739,6 +804,10 @@ let prop_engines_match_brute_force =
             Mc.Engine.Bdd_combined; Mc.Engine.Pobdd; Mc.Engine.Bmc;
             Mc.Engine.Kind; Mc.Engine.Ic3 ]
       in
+      (* bdd-combined follows its two sides *)
+      let combined_ok =
+        combined_departures "rand" (cone m ~assert_ ~assumes:[]) = []
+      in
       (* and the symbolic reachable-set size must equal the BFS count *)
       let nl = elaborated m in
       let sym = Mc.Sym.create nl in
@@ -754,7 +823,7 @@ let prop_engines_match_brute_force =
         Bdd.sat_count man only_states
         /. (2.0 ** float_of_int (Bdd.nvars man - nregs))
       in
-      engines_ok
+      engines_ok && combined_ok
       && abs_float (count -. float_of_int reachable_count) < 0.5)
 
 (* ---- proof obligations and the structural result cache ---- *)
@@ -947,7 +1016,9 @@ let () =
          Alcotest.test_case "canonical resource-out causes" `Quick
            test_canonical_ro_causes;
          Alcotest.test_case "problem size" `Quick test_obligation_size;
-         Alcotest.test_case "BDD work counters" `Quick test_bdd_pinned_work ]);
+         Alcotest.test_case "BDD work counters" `Quick test_bdd_pinned_work;
+         Alcotest.test_case "combined follows its sides" `Quick
+           test_combined_follows_sides ]);
       ("induction",
        [ Alcotest.test_case "k-induction basics" `Quick test_kinduction;
          Alcotest.test_case "agrees with BDD on bug modules" `Slow
