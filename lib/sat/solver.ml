@@ -29,19 +29,24 @@
    literals ascending and learnt clauses keep analysis order for the same
    reason: both decide which literals are watched first.
 
-   Decision order. A decision takes the unassigned variable of highest
-   activity, the lowest index first among equals: a strict total order,
-   kept by a max-heap with lazy deletion. Because the order is strict,
-   the variables a decision pops (stale assigned ones, then the winner)
-   are fixed by the heap's contents alone, so any valid layout decides
-   alike and the heap may move its elements however is cheapest. Its
-   sifts carry a hole, and a pop sends the hole to a leaf along the
-   preceding children before the last element climbs into it. The one
-   event that reorders the keys, an activity rescale that underflows some
-   activities to 0, rebuilds the heap.
+   Decision order. Decisions follow a move-to-front queue (VMTF, the
+   queue heuristic of Siege): every variable sits in one doubly linked
+   list, and a decision takes the frontmost unassigned one. A conflict
+   moves every variable its analysis touched to the front, keeping their
+   relative order. Variables first seen between two solves join the front
+   at the next solve, the lowest index frontmost: a fresh solver decides
+   in index order, and the frame an incremental model checker adds
+   between two depths is decided before the older ones. Each queued
+   variable carries a stamp, and a search pointer marks where the last
+   decision stopped. Stamps strictly increase toward the front, and every
+   variable in front of the pointer is assigned, so a decision walks back
+   from the pointer and a backjump moves the pointer only forward, to the
+   newest variable it unassigns. The decision is the frontmost unassigned
+   variable whatever the pointer, so the queue's order alone fixes the
+   search.
 
    The solver is persistent/incremental: a [t] keeps its clause database,
-   learnt clauses, VSIDS activities and saved phases across
+   learnt clauses, decision queue and saved phases across
    [solve_assuming] calls, and solving under assumption literals answers
    "is the database satisfiable together with these temporary units"
    without permanently committing them. Assumptions are installed as the
@@ -55,8 +60,8 @@
    the trail before the solver returns to the root.
 
    Restart discipline (the retention-killer fixed here): restarts backtrack
-   to the assumption prefix, never below it, and neither activities,
-   saved phases nor the learnt database are cleared between calls — a
+   to the assumption prefix, never below it, and neither the decision
+   queue, saved phases nor the learnt database are cleared between calls — a
    restart re-orders the search inside one call but must not throw away the
    warm-start state that makes incremental solving pay off. *)
 
@@ -84,7 +89,6 @@ type t = {
   mutable cap : int;         (* allocated capacity of the per-var arrays *)
   mutable arena : int array;         (* every clause: header, then literals *)
   mutable arena_size : int;          (* used prefix of [arena] *)
-  mutable num_problem_clauses : int; (* clauses added by the intake *)
   mutable watch_head : int array;    (* per literal: first clause, or -1 *)
   mutable scratch : int array;       (* literals of the clause being built *)
   mutable assigns : int array;       (* -1 / 0 / 1 per var *)
@@ -100,22 +104,22 @@ type t = {
      unrollings push thousands of decisions. *)
   mutable trail_lim : int array;
   mutable n_levels : int;
-  mutable activity : float array;
-  mutable var_inc : float;
-  (* VSIDS order heap: a max-heap of candidate decision variables keyed by
-     (activity desc, var index asc) — the same total order the decision
-     rule always used, so the heap picks exactly what a full scan would,
-     in O(log n) instead of O(n) per decision. Lazy deletion: assigned
-     vars linger until popped; every unassigned var is always present
-     (inserted on creation and on unassignment at backtrack). *)
-  mutable heap : int array;
-  mutable heap_size : int;
-  mutable heap_pos : int array;  (* var -> heap slot, -1 when absent *)
+  (* The decision queue: the queued variables, linked both ways from the
+     front, [q_last], to the oldest, with -1 at either end. Stamps strictly
+     increase toward the front; every variable in front of [q_search] is
+     assigned. *)
+  mutable prev : int array;          (* the next older variable *)
+  mutable next : int array;          (* the next newer variable *)
+  mutable stamp : int array;
+  mutable q_last : int;
+  mutable q_search : int;
+  mutable clock : int;               (* the last stamp handed out *)
+  mutable queued : int;              (* variables 0 .. queued-1 are queued *)
+  mutable bumped : int array;        (* the variables analysis marked *)
   mutable phase : bool array;
   mutable seen : bool array;
   mutable unsat : bool;              (* root-level conflict: unsat forever *)
   mutable failed : int list;         (* the last Unsat's core, DIMACS *)
-  mutable n_solves : int;
   (* per-solve work counters: solver-local, so concurrent solves on
      different domains never race (unlike the old stats_last globals) *)
   mutable n_decisions : int;
@@ -135,16 +139,16 @@ let header = 3
 let fresh () =
   let cap = 64 in
   { nvars = 0; cap; arena = Array.make 1024 0; arena_size = 0;
-    num_problem_clauses = 0; watch_head = Array.make (2 * cap) (-1);
-    scratch = Array.make 16 0;
+    watch_head = Array.make (2 * cap) (-1); scratch = Array.make 16 0;
     assigns = Array.make cap (-1); level = Array.make cap 0;
     reason = Array.make cap (-1); trail = Array.make cap 0; trail_size = 0;
     qhead = 0; trail_lim = Array.make cap 0; n_levels = 0;
-    activity = Array.make cap 0.0; var_inc = 1.0;
+    prev = Array.make cap (-1); next = Array.make cap (-1);
+    stamp = Array.make cap 0; q_last = -1; q_search = -1;
+    clock = 0; queued = 0; bumped = Array.make cap 0;
     phase = Array.make cap false; seen = Array.make cap false;
-    heap = Array.make cap 0; heap_size = 0; heap_pos = Array.make cap (-1);
     unsat = false; failed = [];
-    n_solves = 0; n_decisions = 0; n_conflicts = 0; n_propagations = 0;
+    n_decisions = 0; n_conflicts = 0; n_propagations = 0;
     n_restarts = 0; n_learned = 0 }
 
 (* The solver last released on this domain, whose arrays the next [create]
@@ -155,8 +159,9 @@ let release t = Domain.DLS.set spare (Some t)
 
 (* Turn [t] into an empty solver that keeps its capacity. A per-variable
    array is written only below [nvars], so clearing that prefix restores
-   its fresh contents; the arena, scratch, trail, level stack and order
-   heap are read only below their sizes, which restart at 0. Capacity
+   its fresh contents; the arena, scratch, trail and level stack are read
+   only below their sizes, which restart at 0, and a variable's queue
+   links and stamp are written when it joins the emptied queue. Capacity
    never steers the search, so the solver then searches as a fresh one. *)
 let recycle t =
   let n = t.nvars in
@@ -164,21 +169,19 @@ let recycle t =
   Array.fill t.assigns 0 n (-1);
   Array.fill t.level 0 n 0;
   Array.fill t.reason 0 n (-1);
-  Array.fill t.activity 0 n 0.0;
   Array.fill t.phase 0 n false;
   Array.fill t.seen 0 n false;
-  Array.fill t.heap_pos 0 n (-1);
   t.nvars <- 0;
   t.arena_size <- 0;
-  t.num_problem_clauses <- 0;
   t.trail_size <- 0;
   t.qhead <- 0;
   t.n_levels <- 0;
-  t.var_inc <- 1.0;
-  t.heap_size <- 0;
+  t.q_last <- -1;
+  t.q_search <- -1;
+  t.clock <- 0;
+  t.queued <- 0;
   t.unsat <- false;
   t.failed <- [];
-  t.n_solves <- 0;
   t.n_decisions <- 0;
   t.n_conflicts <- 0;
   t.n_propagations <- 0;
@@ -192,93 +195,6 @@ let create () =
   | Some t ->
     Domain.DLS.set spare None;
     recycle t
-
-(* The order heap sifts a hole rather than swapping: the moving variable
-   and its activity are read once, each level it passes costs one write,
-   and the variable is written once where it stops. Variable [v] precedes
-   [u] when its activity is higher, or equal with a lower index. *)
-let heap_up t i v =
-  let h = t.heap and pos = t.heap_pos and act = t.activity in
-  let av = act.(v) in
-  let i = ref i and climbing = ref true in
-  while !climbing && !i > 0 do
-    let p = (!i - 1) / 2 in
-    let u = h.(p) in
-    let au = act.(u) in
-    if av > au || (av = au && v < u) then begin
-      h.(!i) <- u;
-      pos.(u) <- !i;
-      i := p
-    end
-    else climbing := false
-  done;
-  h.(!i) <- v;
-  pos.(v) <- !i
-
-(* Of slot i's children below size n (it has at least one), the one that
-   precedes. *)
-let[@inline] heap_child t n i =
-  let l = (2 * i) + 1 in
-  if l + 1 < n then begin
-    let x = t.heap.(l) and y = t.heap.(l + 1) in
-    let ax = t.activity.(x) and ay = t.activity.(y) in
-    if ay > ax || (ay = ax && y < x) then l + 1 else l
-  end
-  else l
-
-let heap_down t i =
-  let h = t.heap and pos = t.heap_pos and act = t.activity in
-  let n = t.heap_size in
-  let v = h.(i) in
-  let av = act.(v) in
-  let i = ref i and sinking = ref true in
-  while !sinking && (2 * !i) + 1 < n do
-    let c = heap_child t n !i in
-    let u = h.(c) in
-    let au = act.(u) in
-    if au > av || (au = av && u < v) then begin
-      h.(!i) <- u;
-      pos.(u) <- !i;
-      i := c
-    end
-    else sinking := false
-  done;
-  h.(!i) <- v;
-  pos.(v) <- !i
-
-let heap_insert t v =
-  if t.heap_pos.(v) < 0 then begin
-    t.heap_size <- t.heap_size + 1;
-    heap_up t (t.heap_size - 1) v
-  end
-
-(* Bottom-up pop: the hole left at the root descends along the preceding
-   child to a leaf, one comparison a level, and the last element fills it
-   and climbs. Coming from the bottom, that element rarely climbs far,
-   where sifting it down from the root compares it at every level. *)
-let heap_pop t =
-  let h = t.heap and pos = t.heap_pos in
-  let v = h.(0) in
-  pos.(v) <- -1;
-  let n = t.heap_size - 1 in
-  t.heap_size <- n;
-  if n > 0 then begin
-    let i = ref 0 in
-    while (2 * !i) + 1 < n do
-      let c = heap_child t n !i in
-      let u = h.(c) in
-      h.(!i) <- u;
-      pos.(u) <- !i;
-      i := c
-    done;
-    heap_up t !i h.(n)
-  end;
-  v
-
-let heap_rebuild t =
-  for i = (t.heap_size / 2) - 1 downto 0 do
-    heap_down t i
-  done
 
 let grow_to t want =
   let cap = ref t.cap in
@@ -298,27 +214,21 @@ let grow_to t want =
   t.reason <- copy_int t.reason (-1);
   t.trail <- copy_int t.trail 0;
   t.trail_lim <- copy_int t.trail_lim 0;
-  let activity = Array.make cap 0.0 in
-  Array.blit t.activity 0 activity 0 t.cap;
-  t.activity <- activity;
+  t.prev <- copy_int t.prev (-1);
+  t.next <- copy_int t.next (-1);
+  t.stamp <- copy_int t.stamp 0;
+  t.bumped <- copy_int t.bumped 0;
   let copy_bool a =
     let b = Array.make cap false in
     Array.blit a 0 b 0 t.cap; b
   in
   t.phase <- copy_bool t.phase;
   t.seen <- copy_bool t.seen;
-  t.heap <- copy_int t.heap 0;
-  t.heap_pos <- copy_int t.heap_pos (-1);
   t.cap <- cap
 
 let ensure_vars t n =
   if n > t.cap then grow_to t n;
-  if n > t.nvars then begin
-    for v = t.nvars to n - 1 do
-      heap_insert t v
-    done;
-    t.nvars <- n
-  end
+  if n > t.nvars then t.nvars <- n
 
 (* Room for [n] literals in the scratch buffer. Growth keeps the contents:
    conflict analysis grows the buffer under a half-built learnt clause. *)
@@ -329,9 +239,6 @@ let reserve_scratch t n =
     Array.blit t.scratch 0 bigger 0 len;
     t.scratch <- bigger
   end
-
-let num_vars t = t.nvars
-let num_clauses t = t.num_problem_clauses
 
 let[@inline] value t l =
   let a = t.assigns.(var_of l) in
@@ -463,7 +370,6 @@ let intake t n =
 
 let add_clause t clause =
   check_dimacs "Solver.add_clause" clause;
-  t.num_problem_clauses <- t.num_problem_clauses + 1;
   if not t.unsat then begin
     reserve_scratch t (List.length clause);
     intake t (fill t.scratch 0 clause)
@@ -476,7 +382,6 @@ let add_clause_slice t buf off len =
     if buf.(i) = 0 then
       invalid_arg "Solver.add_clause_slice: 0 is not a DIMACS literal"
   done;
-  t.num_problem_clauses <- t.num_problem_clauses + 1;
   if not t.unsat then begin
     reserve_scratch t len;
     let s = t.scratch in
@@ -542,30 +447,53 @@ let propagate t =
   done;
   !conflict
 
-let bump t v =
-  t.activity.(v) <- t.activity.(v) +. t.var_inc;
-  if t.activity.(v) > 1e100 then begin
-    (* Uniform rescale. It keeps the (activity, index) order except where
-       an activity underflows to 0: about four rescales after its last
-       bump a variable ties with the never-bumped ones, and the index
-       then decides. The heap is rebuilt under the new order, so it stays
-       valid and the decisions stay those of the order alone. *)
-    for i = 0 to t.nvars - 1 do
-      t.activity.(i) <- t.activity.(i) *. 1e-100
+(* Link [v] in at the front of the decision queue with a fresh stamp. *)
+let push_front t v =
+  t.clock <- t.clock + 1;
+  t.stamp.(v) <- t.clock;
+  t.prev.(v) <- t.q_last;
+  t.next.(v) <- -1;
+  if t.q_last >= 0 then t.next.(t.q_last) <- v;
+  t.q_last <- v
+
+let unlink t v =
+  let p = t.prev.(v) and n = t.next.(v) in
+  if p >= 0 then t.next.(p) <- n;
+  if n >= 0 then t.prev.(n) <- p else t.q_last <- p
+
+(* Move the [n] variables analysis recorded in [bumped] to the front,
+   oldest stamp first, so they keep their order among themselves. They
+   are sorted by stamp in place, so analysis still allocates nothing: an
+   insertion sort, since a conflict bumps a few dozen variables (at most
+   a few hundred on the seeded chip and the fuzz stream), where it beat a
+   heapsort. They are all assigned, so none can be an unassigned variable
+   in front of the search pointer. *)
+let bump_recorded t n =
+  let b = t.bumped and stamp = t.stamp in
+  for i = 1 to n - 1 do
+    let v = b.(i) in
+    let sv = stamp.(v) in
+    let j = ref (i - 1) in
+    while !j >= 0 && stamp.(b.(!j)) > sv do
+      b.(!j + 1) <- b.(!j);
+      decr j
     done;
-    t.var_inc <- t.var_inc *. 1e-100;
-    heap_rebuild t
-  end
-  else if t.heap_pos.(v) >= 0 then heap_up t t.heap_pos.(v) v
+    b.(!j + 1) <- v
+  done;
+  for i = 0 to n - 1 do
+    unlink t b.(i);
+    push_front t b.(i)
+  done
 
 (* First-UIP analysis of the conflict clause at [confl]. Leaves the learnt
    clause in scratch.(0 .. n-1) and returns n: the negated UIP first, then
    the other literals newest first, except that one of the highest level
    among them is swapped into slot 1, so slot 1's level is the backjump
-   level. *)
+   level. Every variable it marks moves to the front of the queue. *)
 let analyze t confl =
   let a = t.arena in
   let n = ref 1 in
+  let n_bumped = ref 0 in
   let path_count = ref 0 in
   let p = ref (-1) in
   let index = ref (t.trail_size - 1) in
@@ -580,7 +508,8 @@ let analyze t confl =
       let v = var_of q in
       if (not t.seen.(v)) && t.level.(v) > 0 then begin
         t.seen.(v) <- true;
-        bump t v;
+        t.bumped.(!n_bumped) <- v;
+        incr n_bumped;
         if t.level.(v) >= current_level then incr path_count
         else begin
           reserve_scratch t (!n + 1);
@@ -621,6 +550,7 @@ let analyze t confl =
     s.(1) <- s.(!swap_pos);
     s.(!swap_pos) <- x
   end;
+  bump_recorded t !n_bumped;
   n
 
 let backtrack t lvl =
@@ -628,12 +558,16 @@ let backtrack t lvl =
      everything at or above that index belongs to levels > lvl *)
   if decision_level t > lvl then begin
     let bound = t.trail_lim.(lvl) in
+    (* the search pointer moves to the newest variable unassigned here, if
+       that is newer than where it stands *)
+    let search = ref t.q_search in
     for i = t.trail_size - 1 downto bound do
       let v = var_of t.trail.(i) in
       t.assigns.(v) <- -1;
       t.reason.(v) <- -1;
-      heap_insert t v
+      if t.stamp.(v) > t.stamp.(!search) then search := v
     done;
+    t.q_search <- !search;
     t.trail_size <- bound;
     t.qhead <- bound;
     t.n_levels <- lvl
@@ -648,8 +582,8 @@ let mark_final t v = if t.level.(v) > 0 then t.seen.(v) <- true
    assumption level; every open level is an assumption level, so a marked
    assignment without a reason is an assumption, and an implied one marks
    its reason's other variables. Reads the trail and reasons only and
-   unmarks as it goes: activities, phases, the heap and [seen] end as they
-   were, so the search is unchanged. *)
+   unmarks as it goes: the queue, phases and [seen] end as they were, so
+   the search is unchanged. *)
 let final_core t core =
   let a = t.arena in
   let core = ref core in
@@ -692,24 +626,22 @@ let decide t assumps =
       assert ok;
       Decided
   end
+  (* every variable is queued and the trail holds the assigned ones *)
+  else if t.trail_size = t.nvars then All_assigned
   else begin
-    (* pop stale (already assigned) entries until the heap yields the live
-       maximum — the same variable a full (activity desc, index asc) scan
-       over the unassigned vars would select *)
-    let best = ref (-1) in
-    while !best < 0 && t.heap_size > 0 do
-      let v = heap_pop t in
-      if t.assigns.(v) < 0 then best := v
+    (* the frontmost unassigned variable: at the search pointer or behind
+       it, where the walk leaves the pointer *)
+    let v = ref t.q_search in
+    while t.assigns.(!v) >= 0 do
+      v := t.prev.(!v)
     done;
-    if !best < 0 then All_assigned
-    else begin
-      t.n_decisions <- t.n_decisions + 1;
-      push_level t;
-      let l = lit_of_var !best t.phase.(!best) in
-      let ok = enqueue t l (-1) in
-      assert ok;
-      Decided
-    end
+    let v = !v in
+    t.q_search <- v;
+    t.n_decisions <- t.n_decisions + 1;
+    push_level t;
+    let ok = enqueue t (lit_of_var v t.phase.(v)) (-1) in
+    assert ok;
+    Decided
   end
 
 (* The CDCL loop under assumption literals [assumps], from the root; it
@@ -736,7 +668,6 @@ let search ~max_conflicts ~should_stop t assumps =
       incr conflicts_total;
       incr conflicts_since_restart;
       t.n_conflicts <- t.n_conflicts + 1;
-      t.var_inc <- t.var_inc /. 0.95;
       if decision_level t = 0 then begin
         (* conflict under no decisions at all: unsat regardless of
            assumptions, now and forever *)
@@ -806,7 +737,6 @@ let search ~max_conflicts ~should_stop t assumps =
 let solve_assuming_stats ?(max_conflicts = max_int)
     ?(should_stop = fun () -> false) t assumptions =
   check_dimacs "Solver.solve_assuming" assumptions;
-  t.n_solves <- t.n_solves + 1;
   t.n_decisions <- 0;
   t.n_conflicts <- 0;
   t.n_propagations <- 0;
@@ -821,6 +751,13 @@ let solve_assuming_stats ?(max_conflicts = max_int)
   if t.unsat then (Unsat, stats_of t)
   else begin
     List.iter (fun l -> ensure_vars t (abs l)) assumptions;
+    (* the variables first seen since the last solve join the front, the
+       lowest index frontmost *)
+    for v = t.nvars - 1 downto t.queued do
+      push_front t v
+    done;
+    t.queued <- t.nvars;
+    t.q_search <- t.q_last;
     let assumps = Array.of_list (List.map lit_of_dimacs assumptions) in
     (* every exit, an exception from [should_stop] included, leaves the
        solver at the root, where [add_clause] needs it *)
@@ -838,5 +775,3 @@ let solve_assuming ?max_conflicts ?should_stop t assumptions =
   fst (solve_assuming_stats ?max_conflicts ?should_stop t assumptions)
 
 let failed_assumptions t = t.failed
-
-let solves t = t.n_solves

@@ -1,10 +1,10 @@
 (** A CDCL SAT solver: two-watched-literal propagation, first-UIP conflict
-    analysis with clause learning, VSIDS-style activity decisions, and
+    analysis with clause learning, move-to-front queue decisions, and
     geometric restarts. Used as the bounded-model-checking backend (the
     "various formal solver algorithms" of the paper's commercial tool).
 
     The solver is incremental: {!create} makes a persistent solver whose
-    clause database, learnt clauses, variable activities and saved phases
+    clause database, learnt clauses, decision queue and saved phases
     survive across {!solve_assuming} calls, so the model checkers extend a
     live CNF (depth [k+1] reuses everything learnt at depth [k]) instead of
     rebuilding it. Restarts backtrack to the assumption prefix — never
@@ -25,16 +25,16 @@
     problem clauses and the literal order of learnt clauses, which analysis
     and the choice of watches read.
 
-    Decisions. The next decision variable is the unassigned one of highest
-    activity, the lowest index breaking ties. A binary max-heap under that
-    order holds the candidates, assigned ones lingering until a decision
-    pops them. Its sifts move a hole instead of swapping, and a pop walks
-    the hole from the root to a leaf before the last element climbs into
-    it. The order is strict and total, so which variables a decision pops
-    depends only on which variables the heap holds, never on where they
-    sit: any valid layout makes the same decisions. An activity rescale
-    can reorder variables whose activity underflows to 0, so the heap is
-    rebuilt after each one. *)
+    Decisions. The variables sit in one queue, and the next decision
+    variable is the frontmost unassigned one (VMTF, variable
+    move-to-front). Each conflict moves the variables its analysis touched
+    to the front, in the order they held. Variables first seen between two
+    solves join the front at the start of the next solve, the lowest index
+    frontmost: a fresh solver decides in index order, and the frame a
+    model checker adds between two solves is decided before the older
+    ones. A search pointer remembers where the last decision stopped, so a
+    decision costs O(1) amortized; the queue's order alone fixes which
+    variable is decided. *)
 
 type result =
   | Sat of bool array  (** [model.(v-1)] is the value of DIMACS variable [v] *)
@@ -60,8 +60,8 @@ val add_stats : stats -> stats -> stats
 (** {1 Incremental interface} *)
 
 type t
-(** A persistent solver: clause database, learnt clauses, activities and
-    phases are retained across calls. Not thread-safe; use one [t] per
+(** A persistent solver: clause database, learnt clauses, decision queue
+    and phases are retained across calls. Not thread-safe; use one [t] per
     obligation/domain. *)
 
 val create : unit -> t
@@ -122,13 +122,3 @@ val failed_assumptions : t -> int list
     [p] is false at the root; and it holds both [x] and [-x] when both were
     assumed. The core is read off the trail and the reason clauses before
     the call returns to the root; computing it changes no search state. *)
-
-val num_vars : t -> int
-(** Highest DIMACS variable seen so far. Models index [0 .. num_vars-1]. *)
-
-val num_clauses : t -> int
-(** Problem clauses added via {!add_clause} or {!add_clause_slice} (learnt
-    clauses excluded). *)
-
-val solves : t -> int
-(** Number of [solve_assuming] calls made on this solver so far. *)

@@ -282,20 +282,27 @@ let prop_template_equals_reference =
 
 (* ---- solve_assuming A == fresh solve of (CNF ∧ A), sequenced ---- *)
 
+(* Clauses arrive in batches with solves in between, as BMC adds a frame
+   per depth. Each batch raises the variable range, and each of its clauses
+   holds a variable of the new part, which no earlier clause used; its
+   other literals and the batch's assumption lists range over every
+   variable so far. *)
 let arb_inc_instance =
   let open QCheck.Gen in
-  let gen =
-    int_range 1 20 >>= fun nvars ->
-    int_range 0 60 >>= fun nclauses ->
-    let lit =
-      int_range 1 nvars >>= fun v -> map (fun b -> if b then v else -v) bool
-    in
-    list_repeat nclauses (int_range 1 4 >>= fun len -> list_repeat len lit)
+  let lit lo hi =
+    int_range lo hi >>= fun v -> map (fun b -> if b then v else -v) bool
+  in
+  let batch lo hi =
+    int_range 0 30 >>= fun nclauses ->
+    list_repeat nclauses
+      (int_range 0 3 >>= fun len ->
+       lit lo hi >>= fun fresh ->
+       list_repeat len (lit 1 hi) >|= fun old -> fresh :: old)
     >>= fun clauses ->
     int_range 1 4 >>= fun nsets ->
     list_repeat nsets
       (int_range 0 5 >>= fun n ->
-       list_repeat n lit >|= fun ls ->
+       list_repeat n (lit 1 hi) >|= fun ls ->
        (* one literal per variable: contradictory assumption pairs would
           only test the Assumption_false path, which crafted tests cover *)
        List.sort_uniq compare
@@ -304,46 +311,65 @@ let arb_inc_instance =
               List.for_all (fun l' -> abs l' <> abs l)
                 (List.filteri (fun j _ -> j < i) ls))
             ls))
-    >|= fun sets -> (nvars, clauses, sets)
+    >|= fun sets -> (hi, clauses, sets)
   in
+  let rec batches k top =
+    if k = 0 then return []
+    else
+      int_range (top + 1) (top + 12) >>= fun hi ->
+      batch (top + 1) hi >>= fun b ->
+      batches (k - 1) hi >|= fun rest -> b :: rest
+  in
+  let ints l = String.concat "," (List.map string_of_int l) in
   QCheck.make
-    ~print:(fun (nvars, clauses, sets) ->
-      Printf.sprintf "nvars=%d clauses=%s sets=%s" nvars
-        (String.concat ";"
-           (List.map
-              (fun c -> String.concat "," (List.map string_of_int c))
-              clauses))
-        (String.concat ";"
-           (List.map
-              (fun s -> String.concat "," (List.map string_of_int s))
-              sets)))
-    gen
+    ~print:(fun bs ->
+      String.concat " | "
+        (List.map
+           (fun (hi, clauses, sets) ->
+             Printf.sprintf "nvars=%d clauses=%s sets=%s" hi
+               (String.concat ";" (List.map ints clauses))
+               (String.concat ";" (List.map ints sets)))
+           bs))
+    (int_range 1 4 >>= fun k -> batches k 0)
 
+(* Every model satisfies the clauses so far and the assumptions; every
+   Unsat matches a fresh solve's, and its core is a subset of the
+   assumptions that refutes the clauses so far. *)
 let prop_solve_assuming_equiv =
   QCheck.Test.make
     ~name:"solve_assuming A == fresh solve of CNF ∧ A (sequenced)" ~count:300
-    arb_inc_instance (fun (nvars, clauses, sets) ->
+    arb_inc_instance (fun batches ->
       let t = Solver.create () in
-      List.iter (Solver.add_clause t) clauses;
+      let units = List.map (fun l -> [ l ]) in
+      let fresh_unsat nvars clauses =
+        match fst (Oneshot.solve ~nvars clauses) with
+        | Solver.Unsat -> true
+        | Solver.Sat _ | Solver.Unknown -> false
+      in
+      let so_far = ref [] in
       List.for_all
-        (fun assumps ->
-          let inc = Solver.solve_assuming t assumps in
-          let scratch =
-            fst
-              (Oneshot.solve ~nvars
-                 (clauses @ List.map (fun l -> [ l ]) assumps))
-          in
-          match (inc, scratch) with
-          | Solver.Sat model, Solver.Sat _ ->
-            let value l =
-              let v = model.(abs l - 1) in
-              if l > 0 then v else not v
-            in
-            List.for_all (fun c -> List.exists value c) clauses
-            && List.for_all value assumps
-          | Solver.Unsat, Solver.Unsat -> true
-          | (Solver.Sat _ | Solver.Unsat | Solver.Unknown), _ -> false)
-        sets)
+        (fun (nvars, batch, sets) ->
+          List.iter (Solver.add_clause t) batch;
+          so_far := !so_far @ batch;
+          let clauses = !so_far in
+          List.for_all
+            (fun assumps ->
+              match Solver.solve_assuming t assumps with
+              | Solver.Sat model ->
+                let value l =
+                  let v = model.(abs l - 1) in
+                  if l > 0 then v else not v
+                in
+                List.for_all (fun c -> List.exists value c) clauses
+                && List.for_all value assumps
+              | Solver.Unsat ->
+                let core = Solver.failed_assumptions t in
+                fresh_unsat nvars (clauses @ units assumps)
+                && List.for_all (fun l -> List.mem l assumps) core
+                && fresh_unsat nvars (clauses @ units core)
+              | Solver.Unknown -> false)
+            sets)
+        batches)
 
 (* ---- determinism and learnt-clause retention across restarts ---- *)
 
@@ -403,7 +429,7 @@ let test_learnt_retention () =
   Alcotest.(check bool) "unsat under activation" true (is_unsat r1);
   (* the whole point of clause persistence: the second identical query rides
      the learnt clauses (and the restart logic must not have thrown the
-     activity order away) — it must conflict strictly less *)
+     decision queue away) — it must conflict strictly less *)
   Alcotest.(check bool)
     (Printf.sprintf "second solve cheaper (%d -> %d conflicts)"
        s1.Solver.conflicts s2.Solver.conflicts)

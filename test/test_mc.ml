@@ -461,12 +461,12 @@ let test_ic3_pinned_search () =
   pin "wrap8"
     (cone m ~assert_ ~assumes:[])
     ~expected:
-      [ (4, 6, 6, 35, [ 27; 7; 1100; 0; 0 ]);
+      [ (4, 6, 6, 35, [ 32; 8; 1137; 0; 1 ]);
         (5, 15, 15, 85, [ 32; 10; 1010; 0; 0 ]) ];
   pin "E_leaf00.pNoError_1"
     (chip_cone "E_leaf00" "pNoError_1")
     ~expected:
-      [ (8, 118, 118, 794, [ 12472; 604; 71388; 0; 215 ]);
+      [ (8, 120, 120, 822, [ 13569; 608; 72324; 0; 223 ]);
         (8, 139, 139, 966, [ 17981; 3045; 83146; 0; 2650 ]) ]
 
 (* the reduced netlist of one obligation of a Qa.Gen fuzz design *)

@@ -1,9 +1,10 @@
 (* CDCL solver and Tseitin encoder: crafted instances, misuse of the
-   incremental interface, the failed-assumption core, a solver on a
-   released solver's storage, instances large enough to grow every buffer,
-   random CNFs checked against brute force, equisatisfiability of the
-   encoding, and the exact search counters of two BMC runs and of the
-   activity-rescale path. *)
+   incremental interface, the order in which the decision queue hands out
+   fresh variables, the failed-assumption core, a solver on a released
+   solver's storage, instances large enough to grow every buffer, random
+   CNFs checked against brute force, equisatisfiability of the encoding,
+   and the exact search counters of two BMC runs and of the decision queue
+   within one solve and across five. *)
 
 module X = Rtl.Bexpr
 
@@ -95,7 +96,6 @@ let test_literal_zero_rejected () =
   Alcotest.check_raises "slice past the buffer"
     (Invalid_argument "Solver.add_clause_slice: not a slice of the buffer")
     (fun () -> Solver.add_clause_slice t [| 3; 4 |] 1 2);
-  Alcotest.(check int) "rejected clauses not counted" 1 (Solver.num_clauses t);
   (* nothing of the rejected calls is left behind: [-1], taken from the
      middle of a buffer, is a root unit *)
   Solver.add_clause_slice t [| 0; -1; 0 |] 1 1;
@@ -121,6 +121,29 @@ let test_stop_exception_returns_to_root () =
   match Solver.solve_assuming t [] with
   | Solver.Sat m -> Alcotest.(check bool) "unit holds" true m.(0)
   | Solver.Unsat | Solver.Unknown -> Alcotest.fail "the chain is sat"
+
+(* The decision queue's two promises, read off the models: a fresh solver
+   decides the lowest index first, and variables first seen after a solve
+   are decided at the next solve before the older ones, the lowest index
+   first. A decision takes the saved phase, false for a variable never
+   assigned. *)
+let test_fresh_variables_first () =
+  let model t =
+    match Solver.solve_assuming t [] with
+    | Solver.Sat m -> Array.to_list m
+    | Solver.Unsat | Solver.Unknown -> Alcotest.fail "expected sat"
+  in
+  let t = Solver.create () in
+  Solver.add_clause t [ 1; 2 ];
+  (* x1 is decided false and x2 follows *)
+  Alcotest.(check (list bool)) "a fresh solver decides x1 first"
+    [ false; true ] (model t);
+  Solver.add_clause t [ 1; 3 ];
+  Solver.add_clause t [ 3; 4 ];
+  (* x3 is decided false, x1 and x4 follow, and x2 keeps its phase; had x1
+     come first, its saved phase would have made x3 true *)
+  Alcotest.(check (list bool)) "the new variables are decided first"
+    [ true; true; false; true ] (model t)
 
 (* --- the failed-assumption core --- *)
 
@@ -325,8 +348,6 @@ let test_released_storage () =
              (List.map string_of_int (Solver.failed_assumptions t)))
           (String.concat ";" (List.map string_of_int (row st))))
       [ [ 1 ]; []; [ 1 ]; [ -1; 2 ] ]
-    @ [ Printf.sprintf "vars=%d clauses=%d solves=%d" (Solver.num_vars t)
-          (Solver.num_clauses t) (Solver.solves t) ]
   in
   Alcotest.(check (list string)) "same answers, cores and counters"
     (transcript fresh) (transcript recycled)
@@ -364,22 +385,22 @@ let test_pinned_bmc_search () =
       (row s.Mc.Bmc.sat)
   in
   check "E_leaf00" "pNoError_0" ~violation:false
-    { decisions = 56930; conflicts = 1860; propagations = 244837;
-      restarts = 3; learned = 1840 };
+    { decisions = 18490; conflicts = 1900; propagations = 126799;
+      restarts = 6; learned = 1880 };
   check "e_dec0" "pNoError_0" ~violation:true
-    { decisions = 317; conflicts = 201; propagations = 9234; restarts = 1;
-      learned = 201 }
+    { decisions = 200; conflicts = 73; propagations = 4538; restarts = 0;
+      learned = 73 }
 
-(* The activity rescale: once an activity passes 1e100 every activity is
-   scaled by 1e-100, and the order heap is rebuilt. php(8,7) rescales once
-   in one solve. Five guarded copies of it on one persistent solver, solved
-   one after another, rescale four times, so an early copy's activities
-   shrink by up to 1e-400 and can underflow to 0. The decisions must be
-   those of the (activity, index) order throughout. *)
-let test_pinned_rescale () =
+(* The decision queue within one solve and across solves. php(8,7) alone
+   takes thousands of conflicts, each moving the variables its analysis
+   touched to the front. Five guarded copies of it on one persistent
+   solver, every clause added before the first solve, are then solved one
+   after another, each solve starting from the queue the earlier ones
+   left. *)
+let test_pinned_queue () =
   let _, st = Oneshot.solve ~nvars:56 (php_clauses 8 7) in
   Alcotest.(check (list int)) "php(8,7) sat stats"
-    [ 5413; 4656; 61648; 7; 4655 ] (row st);
+    [ 10450; 8968; 109337; 9; 8967 ] (row st);
   (* copy c on variables (4-c)*57+1 .. +56, each clause guarded by -a_c,
      a_c = (4-c)*57+57; every clause first, then one solve per copy *)
   let t = Solver.create () in
@@ -396,7 +417,7 @@ let test_pinned_rescale () =
     total := Solver.add_stats !total st
   done;
   Alcotest.(check (list int)) "five copies: decisions to restarts"
-    [ 25100; 20585; 267046; 34 ]
+    [ 43779; 36541; 462692; 41 ]
     (List.filteri (fun i _ -> i < 4) (row !total))
 
 (* --- random CNFs vs brute force --- *)
@@ -502,6 +523,8 @@ let () =
            test_literal_zero_rejected;
          Alcotest.test_case "stop exception returns to the root" `Quick
            test_stop_exception_returns_to_root;
+         Alcotest.test_case "fresh variables are decided first" `Quick
+           test_fresh_variables_first;
          Alcotest.test_case "failed-assumption core edge cases" `Quick
            test_core_edge_cases;
          Alcotest.test_case "released storage searches as new" `Quick
@@ -514,7 +537,8 @@ let () =
       ("pinned",
        [ Alcotest.test_case "BMC search counters" `Quick
            test_pinned_bmc_search;
-         Alcotest.test_case "activity rescale" `Quick test_pinned_rescale ]);
+         Alcotest.test_case "decision queue across solves" `Quick
+           test_pinned_queue ]);
       ("properties",
        List.map QCheck_alcotest.to_alcotest
          [ prop_solver_correct; prop_tseitin_equisat; prop_core_refutes ]) ]
