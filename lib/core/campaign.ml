@@ -129,6 +129,10 @@ type cell = {
   mutable c_prepared : (unit Mc.Obligation.t * string) array option;
 }
 
+(* a key's claim queue: tickets are issued in lookup order, and the ticket
+   [up] is the one allowed to read the store *)
+type claim_queue = { mutable up : int; mutable issued : int }
+
 let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
     ?jobs ?cache ?(max_retries = 2) ?fault_hook ?self_heal ?status
     (chip : G.t) =
@@ -158,9 +162,9 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
      item takes the pair at its position and gives the netlist its own
      module's name as [top]. One mutex per cell: the first worker to reach
      it prepares for all its items, the others block briefly and reuse —
-     whichever executor path (sequential, pool, racing) gets there first. A
-     crash during preparation leaves the cell empty, so a retrying item
-     re-prepares instead of inheriting a poisoned table.
+     whichever worker gets there first. A crash during preparation leaves
+     the cell empty, so a retrying item re-prepares instead of inheriting a
+     poisoned table.
 
      The store remembers each prepared cell: a cell record maps the cell's
      digest ({!Mc.Obligation.cell_digest}) to its ordered keys. An item
@@ -169,7 +173,7 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
      hits is never prepared. A cell prepared anyway checks its fresh keys
      against the record: a difference means preparation changed without a
      {!Mc.Engine.prep_version} bump, and the record is rewritten. *)
-  let slots =
+  let slots, cells =
     (* each module's item indices, in order *)
     let groups = Hashtbl.create 128 in
     for i = total - 1 downto 0 do
@@ -178,6 +182,7 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
         (i :: Option.value ~default:[] (Hashtbl.find_opt groups name))
     done;
     let cells = Hashtbl.create 64 and slots = Array.make total None in
+    let order = ref [] in
     Array.iter
       (fun w ->
         let name = w.w_mdl.Rtl.Mdl.name in
@@ -209,11 +214,12 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
                   c_keys = None; c_prepared = None }
               in
               Hashtbl.add cells key c;
+              order := c :: !order;
               c
           in
           List.iteri (fun j i -> slots.(i) <- Some (cell, j)) idx)
       items;
-    Array.map Option.get slots
+    (Array.map Option.get slots, Array.of_list (List.rev !order))
   in
   (* [prepared] and [keys] run under the cell's lock, taken by [locked] *)
   let locked c f =
@@ -287,6 +293,52 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
           { nl with Rtl.Netlist.top = items.(i).w_mdl.Rtl.Mdl.name } },
       key )
   in
+  (* The claim rule. Each key is a first-come queue: a lookup takes a
+     ticket and reads the store when its ticket comes up. A hit passes the
+     key on at once; a miss claims it, and the claim is released once the
+     key's verdict is recorded or the item ends without one. So one key's
+     siblings are answered in ticket order: the first runs the check and
+     the others read its verdict, or, after an [Error], the next runs its
+     own. The items take their tickets in index order ([tickets]), as one
+     job does, so every row but its wall time is the same at every job
+     count. *)
+  let lock = Mutex.create () and moved = Condition.create () in
+  let with_lock f =
+    Mutex.lock lock;
+    Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+  in
+  let queues = Hashtbl.create 64 in
+  let enqueue key =
+    with_lock (fun () ->
+        let q =
+          match Hashtbl.find_opt queues key with
+          | Some q -> q
+          | None ->
+            let q = { up = 0; issued = 0 } in
+            Hashtbl.add queues key q;
+            q
+        in
+        q.issued <- q.issued + 1;
+        (q, q.issued - 1))
+  in
+  let release key =
+    with_lock (fun () ->
+        let q = Hashtbl.find queues key in
+        q.up <- q.up + 1;
+        if q.up = q.issued then Hashtbl.remove queues key;
+        Condition.broadcast moved)
+  in
+  (* wait for the ticket to come up, then read the store; [None] leaves
+     [key] claimed by the caller *)
+  let await key (q, ticket) =
+    with_lock (fun () ->
+        while q.up <> ticket do
+          Condition.wait moved lock
+        done);
+    let hit = Mc.Cache.find cache ~key in
+    if Option.is_some hit then release key;
+    hit
+  in
   (* the run's only live counters: the caller's model, or a private one *)
   let status =
     match status with
@@ -344,15 +396,37 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
   let hold w key ~engine ~attempt =
     Obs.Telemetry.begin_obligation ~ob:(ob_name w) ~key ~engine ~attempt
   in
+  let take_ticket i =
+    let key = key_of i in
+    (key, enqueue key)
+  in
+  (* On a pool, every cell's keys are resolved before the items, cells in
+     parallel, and every item then takes its ticket, in index order,
+     before the first item opens: otherwise the items would take turns, and
+     a worker whose turn needs a cell another worker is preparing would
+     wait for it. One job takes each ticket as its item opens, in index
+     order too, and resolves a cell when its first item reaches it, which
+     keeps fewer cells alive at once. A crash while a ticket is taken is
+     the item's to report. *)
+  let tickets =
+    if Executor.jobs exec = 1 then None
+    else begin
+      ignore (Executor.map_result exec (fun c -> locked c keys) cells);
+      Some
+        (Array.init total (fun i ->
+             match take_ticket i with t -> Ok t | exception e -> Error e))
+    end
+  in
   (* Opening item [i] answers it from the cache, preparing it inside the
      worker only when its key misses, so instrumentation, elaboration and
      COI reduction parallelize along with the engine runs (the preparation
      is shared across every module of one structure, see [slots]). A key
      taken from a cell record that misses is asked again under the fresh
-     key when the record proves stale. Only a miss differs between the two
-     schedulers: [settled] wraps an answered row, [miss] runs the retry
-     ladder or opens the raced members. *)
-  let open_item ~settled ~miss i =
+     key when the record proves stale. A miss holds the key's claim into
+     [miss], which runs the retry ladder or opens the raced members and
+     releases it; every other path here releases it at once. The lane
+     holds the item while it waits for a claim. *)
+  let open_item ~miss i =
     let w = items.(i) in
     Obs.Telemetry.span ~cat:"obligation"
       ~args:
@@ -360,20 +434,33 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
           ("property", w.w_prop_name) ]
       (ob_name w)
     @@ fun () ->
-    let rec answer key =
+    let rec answer key ticket =
       hold w key ~engine:strat_name ~attempt:1;
-      match Mc.Cache.find cache ~key with
-      | Some outcome -> settled (finish w ~cache_hit:true ~attempts:0 outcome)
-      | None ->
-        let ob, fresh = obligation i in
-        if String.equal fresh key then miss w ob key else answer fresh
+      match await key ticket with
+      | Some outcome ->
+        Executor.Done (finish w ~cache_hit:true ~attempts:0 outcome)
+      | None -> (
+        match obligation i with
+        | ob, fresh when String.equal fresh key -> miss w ob key
+        | _, fresh ->
+          release key;
+          answer fresh (enqueue fresh)
+        | exception e ->
+          release key;
+          raise e)
     in
-    answer (key_of i)
+    let key, ticket =
+      match tickets with
+      | None -> take_ticket i
+      | Some ts -> Result.fold ~ok:Fun.id ~error:raise ts.(i)
+    in
+    answer key ticket
   in
   (* retry ladder: a crash gets capped re-runs with a halved budget after a
      short pause; a crash on the last rung becomes an [Error] verdict
      instead of taking the campaign down *)
   let ladder w ob key =
+    Fun.protect ~finally:(fun () -> release key) @@ fun () ->
     let rec attempt ob n =
       if n > 1 then hold w key ~engine:strat_name ~attempt:n;
       (* the hook runs inside the match scrutinee: a fault it injects is
@@ -410,7 +497,8 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
      group reports byte-identically to the same portfolio laddered on one
      domain. Member crashes become non-conclusive [Error] member outcomes —
      the race continues and the sibling verdicts still decide the
-     obligation. *)
+     obligation. A member's whole body answers, so every group reaches
+     [combine], which releases the key's claim. *)
   let race members w ob key =
     let outer =
       Mc.Deadline.of_budget ob.Mc.Obligation.budget.Mc.Engine.wall_deadline_s
@@ -421,15 +509,15 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
           (fun k ~cancel ->
             let m = members.(k) in
             let mname = Mc.Engine.strategy_name m.Mc.Engine.m_strategy in
-            hold w key ~engine:mname ~attempt:(k + 1);
             let out =
-              Obs.Telemetry.span ~cat:"race"
-                ~args:
-                  [ ("member", mname); ("module", w.w_mdl.Rtl.Mdl.name);
-                    ("property", w.w_prop_name) ]
-                (ob_name w ^ "#" ^ mname)
-              @@ fun () ->
               match
+                hold w key ~engine:mname ~attempt:(k + 1);
+                Obs.Telemetry.span ~cat:"race"
+                  ~args:
+                    [ ("member", mname); ("module", w.w_mdl.Rtl.Mdl.name);
+                      ("property", w.w_prop_name) ]
+                  (ob_name w ^ "#" ^ mname)
+                @@ fun () ->
                 fault w ~fingerprint:key (k + 1);
                 Mc.Engine.check_netlist ~budget:m.Mc.Engine.m_budget
                   ?constraint_signal:ob.Mc.Obligation.constraint_signal
@@ -446,6 +534,7 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
         conclusive = Mc.Engine.settles;
         combine =
           (fun outs ->
+            Fun.protect ~finally:(fun () -> release key) @@ fun () ->
             (* the group settles on whichever lane ran its deciding
                member *)
             hold w key ~engine:strat_name ~attempt:1;
@@ -461,14 +550,12 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
     (* the executor's per-item isolation is the outer safety net: anything
        that escapes the retry ladder (a crash in prepare, a raising progress
        callback) still yields a row instead of losing the campaign *)
-    (let idx = Array.init total Fun.id in
-     match race_members with
-     | Some members ->
-       Executor.race_map_result exec
-         (open_item ~settled:(fun r -> Executor.Done r) ~miss:(race members))
-         idx
-     | None ->
-       Executor.map_result exec (open_item ~settled:Fun.id ~miss:ladder) idx)
+    (let miss =
+       match race_members with
+       | Some members -> race members
+       | None -> fun w ob key -> Executor.Done (ladder w ob key)
+     in
+     Executor.race_map_result exec (open_item ~miss) (Array.init total Fun.id))
     |> Array.mapi (fun i -> function
          | Ok r -> r
          | Error exn ->
@@ -488,7 +575,8 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
      original resource-out record, so the store's later-record-wins load
      hands a resumed run the healed outcome without re-proving anything.
      Healing an obligation is deterministic (pieces run sequentially inside
-     its worker), so seq ≡ pool ≡ raced. *)
+     its worker and claim their keys like obligations), so every job count,
+     raced or not, heals alike and solves each piece once. *)
   let results, healing =
     match self_heal with
     | None -> (results, None)
@@ -513,11 +601,12 @@ let run ?budget ?strategy ?(progress = fun (_ : Status.snapshot) -> ())
             ~assert_:p.Heal.p_assert ~assumes:p.Heal.p_assumes ~meta:()
         in
         let key = Mc.Obligation.fingerprint ~salt:p.Heal.p_salt ob in
-        match Mc.Cache.find cache ~key with
+        match await key (enqueue key) with
         | Some outcome ->
           Obs.Telemetry.count "heal.piece.cached";
           outcome
         | None ->
+          Fun.protect ~finally:(fun () -> release key) @@ fun () ->
           let outcome = Mc.Obligation.run ob in
           record ~key outcome;
           Obs.Telemetry.count "heal.piece.solved";
@@ -663,10 +752,9 @@ let failed_results t =
   List.filter (fun r -> verdict_class r.outcome = `Failed) t.results
 
 (* Work totals over every result row — cached rows carry the perf of the
-   run that produced them, so these totals do not depend on how
-   the executor scheduled the campaign (unlike live sink counters, where a
-   pool can run two structurally identical obligations concurrently and
-   miss the cache twice). *)
+   run that produced them and the claim rule runs each key once, so these
+   totals do not depend on the job count (unlike live sink counters, which
+   also count the work of cancelled racing losers). *)
 type perf_totals = {
   engine_time_s : float;
   engine_attempts : int;

@@ -4,12 +4,24 @@
 
     The campaign is a scheduler over first-class proof obligations
     ({!Mc.Obligation}): enumeration produces one work item per assert,
-    preparation + execution run on a pluggable {!Executor} (sequential or an
-    OCaml 5 domain pool via [?jobs]), and every check is answered through a
-    structural result cache ({!Mc.Cache}) keyed on the reduced netlist's
-    canonical fingerprint — so the N structurally identical subunits of a
-    category are proved once. Results are index-ordered, so verdicts are
-    identical whatever the backend or job count.
+    preparation + execution run on the {!Executor}'s [?jobs] workers (OCaml
+    5 domains), and every check is answered through a structural result
+    cache ({!Mc.Cache}) keyed on the reduced netlist's canonical
+    fingerprint — so the N structurally identical subunits of a category
+    are proved once.
+
+    {b The claim rule.} A lookup that misses claims its key, and the claim
+    is released once the key's verdict is recorded, or when the item ends
+    without one (an [Error], a crash in preparation, a stale cell record
+    asked again under its fresh key). A lookup of a claimed key waits for
+    the release and then reads the store again, so a structural sibling
+    becomes a cache hit; after an [Error] the next sibling runs its own
+    check. Items look their keys up in index order, as one job does, and
+    healing pieces claim their keys the same way. Only wall time depends
+    on the schedule: every other column of a row, [cache_hit] and
+    [attempts] included, and the cache's hit and miss counts are the same
+    at every job count. A waiting sibling holds its lane, with its key, in
+    the live status ([dicheck top]) until it is answered.
 
     Preparation is shared by every module of one structure (a cell: the
     module with its name blanked plus its properties' formulas), and a cell
@@ -148,19 +160,20 @@ val run :
   ?status:Status.t ->
   Chip.Generator.t ->
   t
-(** [jobs] selects the executor backend: absent or [<= 1] runs sequentially,
-    [n] runs on a pool of [n] domains. [cache] is the structural result
-    cache; a private one is created per run when absent (deduplicating
-    within the run), while passing a shared cache additionally reuses
-    verdicts across runs — e.g. the post-fix re-campaign. A cache opened
-    on a file ({!Mc.Cache.open_file}) is the run's checkpoint: each
-    recorded verdict is on disk before the obligation counts as done.
+(** [jobs] is the number of workers: absent or [<= 1] runs on the calling
+    domain alone, [n] on [n] domains, and with more than one every cell's
+    keys are resolved, cells in parallel, before the items are opened.
+    [cache] is the structural result cache; a private one is created per
+    run when absent (deduplicating within the run), while passing a shared
+    cache additionally reuses verdicts across runs — e.g. the post-fix
+    re-campaign. A cache opened on a file ({!Mc.Cache.open_file}) is the
+    run's checkpoint: each recorded verdict is on disk before the
+    obligation counts as done.
 
-    [strategy] (default [Auto]) picks the engines. A [Portfolio p] on a
-    pool switches the campaign to the racing scheduler
-    ({!Executor.race_map_result}): each cache-missing obligation fans out
-    into one speculative engine run per member, the first conclusive
-    verdict cancels the surviving siblings, and
+    [strategy] (default [Auto]) picks the engines. A [Portfolio p] on more
+    than one job races its members ({!Executor.race_map_result}): each
+    cache-missing obligation fans out into one speculative engine run per
+    member, the first conclusive verdict cancels the surviving siblings, and
     {!Mc.Engine.combine_portfolio} folds the attributed prefix. On one job
     the same portfolio runs as the engine's sequential short-circuiting
     ladder, and [Auto] runs its members one at a time whatever the job
@@ -188,7 +201,7 @@ val run :
     (including racing members, retry rungs and healing), and the model's
     snapshots read their in-flight rows from the lanes. It is
     purely observational — it never affects scheduling, verdicts or keys,
-    so seq ≡ pool determinism holds with or without it. [progress]
+    so every job count reports the same rows with or without it. [progress]
     receives the model's {!Status.snapshot} after every completed
     obligation, possibly from a worker domain but serialized under a lock,
     so [s_done] counts 1, 2, …, [s_total] in order. The runtime also
@@ -209,8 +222,8 @@ val run :
     key after the original resource-out record — so a rerun on the same
     cache file gets the healed verdict without re-proving any piece. The
     pass is parallelized across obligations on the same executor and is
-    deterministic: sequential, pooled and raced campaigns heal to
-    identical verdicts. *)
+    deterministic: at every job count, raced or not, a campaign heals to
+    identical verdicts and solves each piece once. *)
 
 val failed_results : t -> prop_result list
 
@@ -237,8 +250,8 @@ type perf_totals = {
 }
 (** Engine-work totals summed (or maxed) over every result row. Cached
     rows carry the perf of the run that originally produced them,
-    so these totals are schedule-independent: a sequential run and a domain
-    pool over the same chip agree exactly. *)
+    so these totals are schedule-independent: one job and a pool over the
+    same chip agree exactly. *)
 
 val aggregate_perf : t -> perf_totals
 
@@ -252,7 +265,7 @@ val wins_by_engine : t -> (string * int) list
     name. Under a portfolio this is the per-strategy win count — which
     member's verdict each obligation was attributed to. Cached rows count
     the engine of the producing run, so the tally is
-    schedule-independent (seq ≡ race). *)
+    schedule-independent (one job ≡ race). *)
 
 val perf_json : t -> (string * Obs.Json.t) list
 (** {!aggregate_perf} as JSON fields: the ["perf"] object of

@@ -1,12 +1,13 @@
-type t = Sequential | Pool of int
+type t = int
 
 module Telemetry = Obs.Telemetry
 
 (* Per-worker telemetry: one span covering the worker's whole drain (so each
-   pool domain gets a lane in the trace) plus utilization counters. [run]
-   executes one item and returns its wall time; item work itself shows up as
-   the obligation spans nested inside the worker span. The lane is idle
-   again once an item ends, however it ends. *)
+   worker domain gets a lane in the trace) plus utilization counters. [run]
+   executes one unit of work (an opening or an attempt) and counts its wall
+   time as busy; the work itself shows up as the obligation spans nested
+   inside the worker span. The lane is idle again once a unit ends, however
+   it ends. *)
 let with_worker_telemetry ~w body =
   let t0 = Unix.gettimeofday () in
   let busy = ref 0.0 in
@@ -36,111 +37,8 @@ let with_worker_telemetry ~w body =
   Telemetry.event "worker.done"
     ~detail:(Printf.sprintf "%d items=%d" w !items)
 
-let sequential = Sequential
-let pool ~jobs = if jobs <= 1 then Sequential else Pool jobs
-let of_jobs = function None -> Sequential | Some j -> pool ~jobs:j
-let jobs = function Sequential -> 1 | Pool n -> n
-
-(* One contiguous index range per worker: the owner pops from [lo], thieves
-   pop from [hi], so an owner keeps cache-friendly front-to-back order and
-   stealing takes the work the owner would reach last. *)
-type range = { mutable lo : int; mutable hi : int; lock : Mutex.t }
-
-let locked r f =
-  Mutex.lock r.lock;
-  let v = f r in
-  Mutex.unlock r.lock;
-  v
-
-let pop_own r =
-  locked r (fun r ->
-      if r.lo < r.hi then begin
-        let i = r.lo in
-        r.lo <- i + 1;
-        Some i
-      end
-      else None)
-
-let steal r =
-  locked r (fun r ->
-      if r.lo < r.hi then begin
-        r.hi <- r.hi - 1;
-        Some r.hi
-      end
-      else None)
-
-let remaining r = locked r (fun r -> r.hi - r.lo)
-
-let parallel_map_result ~workers f xs =
-  let n = Array.length xs in
-  let ranges =
-    Array.init workers (fun w ->
-        { lo = w * n / workers; hi = (w + 1) * n / workers;
-          lock = Mutex.create () })
-  in
-  let results = Array.make n None in
-  let rec next w =
-    match pop_own ranges.(w) with
-    | Some i -> Some i
-    | None ->
-      (* steal from whichever other range has the most left; rescan on a
-         lost race until everything is empty *)
-      let victim = ref (-1) and best = ref 0 in
-      Array.iteri
-        (fun v r ->
-          if v <> w then begin
-            let rem = remaining r in
-            if rem > !best then begin
-              best := rem;
-              victim := v
-            end
-          end)
-        ranges;
-      if !victim < 0 then None
-      else (match steal ranges.(!victim) with
-            | Some i -> Some i
-            | None -> next w)
-  in
-  let worker w () =
-    with_worker_telemetry ~w (fun run ->
-        let rec loop () =
-          match next w with
-          | None -> ()
-          | Some i ->
-            results.(i) <-
-              Some
-                (match run (fun () -> f xs.(i)) with
-                 | v -> Ok v
-                 | exception e -> Error e);
-            loop ()
-        in
-        loop ())
-  in
-  let helpers =
-    Array.init (workers - 1) (fun k -> Domain.spawn (worker (k + 1)))
-  in
-  worker 0 ();
-  Array.iter Domain.join helpers;
-  Array.map (function Some r -> r | None -> assert false) results
-
-let map_result t f xs =
-  match t with
-  | Sequential ->
-    let results = ref [||] in
-    with_worker_telemetry ~w:0 (fun run ->
-        results :=
-          Array.map
-            (fun x ->
-              match run (fun () -> f x) with
-              | v -> Ok v
-              | exception e -> Error e)
-            xs);
-    !results
-  | Pool j ->
-    let n = Array.length xs in
-    if n = 0 then [||] else parallel_map_result ~workers:(min j n) f xs
-
-(* ---- speculative task groups (portfolio racing) ---- *)
+let of_jobs = function Some j when j > 1 -> j | _ -> 1
+let jobs t = t
 
 type ('b, 'c) group =
   | Done of 'c
@@ -151,45 +49,12 @@ type ('b, 'c) group =
       combine : 'b list -> 'c;
     }
 
-let tick ?n name = if Telemetry.active () then Telemetry.count ?n name
+let tick name = if Telemetry.active () then Telemetry.count name
 
 (* An attempt decides its group if it is conclusive or crashed: either way
    no higher-indexed sibling can appear in the attributed prefix, so they
    are cancelled. *)
 let deciding conclusive = function Ok b -> conclusive b | Error _ -> true
-
-(* Sequential semantics: the reference the racing scheduler must agree
-   with. Attempts run in index order until one decides; the combined value
-   covers exactly the attempts that ran. *)
-let race_seq open_ xs =
-  let results = ref [||] in
-  with_worker_telemetry ~w:0 (fun run ->
-      results :=
-        Array.map
-          (fun x ->
-            match
-              run (fun () ->
-                  match open_ x with
-                  | Done c -> Ok c
-                  | Race r ->
-                    tick "exec.race_groups";
-                    let rec go acc k =
-                      if k >= r.attempts then Ok (r.combine (List.rev acc))
-                      else begin
-                        tick "exec.race_attempts";
-                        match r.run k ~cancel:(fun () -> false) with
-                        | b when r.conclusive b ->
-                          Ok (r.combine (List.rev (b :: acc)))
-                        | b -> go (b :: acc) (k + 1)
-                        | exception e -> Error e
-                      end
-                    in
-                    go [] 0)
-            with
-            | v -> v
-            | exception e -> Error e)
-          xs);
-  !results
 
 type ('b, 'c) gstate = {
   g_item : int;
@@ -204,13 +69,14 @@ type ('b, 'c) gstate = {
   mutable g_settled : bool;
 }
 
-(* The racing scheduler. One lock + condition guards all bookkeeping;
-   attempt bodies run unlocked with a per-attempt cancel hook reading the
-   group's [cancel_from] atomic. Dispatch policy: a free worker takes the
-   next undispatched, uncancelled attempt of the oldest open group, so a
-   group's attempts start in index order, at most [workers] at once.
-   Started groups are preferred over opening new ones, so hard obligations
-   get their racers early instead of at the tail. *)
+(* The scheduler, at every job count. One lock + condition guards all
+   bookkeeping; openings and attempt bodies run unlocked, each attempt with
+   a cancel hook reading its group's [cancel_from] atomic. Dispatch policy:
+   a free worker takes the next undispatched, uncancelled attempt of the
+   oldest open group, so a group's attempts start in index order, at most
+   [workers] at once. Started groups are preferred over opening new ones,
+   so hard obligations get their racers early instead of at the tail, and
+   items open in index order. *)
 let race_pool ~workers open_ xs =
   let n = Array.length xs in
   let results = Array.make n None in
@@ -252,13 +118,13 @@ let race_pool ~workers open_ xs =
     if g.g_settled then None
     else begin
       let rec walk i acc =
-        if i >= g.g_attempts then Some (`Combine (List.rev acc))
+        if i >= g.g_attempts then Some (Ok (List.rev acc))
         else
           match g.g_results.(i) with
           | None -> None
-          | Some (Error e) -> Some (`Err e)
+          | Some (Error e) -> Some (Error e)
           | Some (Ok b) ->
-            if g.g_conclusive b then Some (`Combine (List.rev (b :: acc)))
+            if g.g_conclusive b then Some (Ok (List.rev (b :: acc)))
             else walk (i + 1) (b :: acc)
       in
       match walk 0 [] with
@@ -270,43 +136,37 @@ let race_pool ~workers open_ xs =
   in
   let worker w () =
     with_worker_telemetry ~w (fun run ->
+        (* [run] is monomorphic within the worker body, so openers and
+           attempts alike call it at type [unit] and hand their result back
+           through a ref *)
+        let capture f =
+          let out = ref (Error Exit) in
+          run (fun () ->
+              out := match f () with v -> Ok v | exception e -> Error e);
+          !out
+        in
+        (* record item [i]'s value; returns with the lock held *)
+        let settle i value =
+          results.(i) <- Some value;
+          Mutex.lock lock;
+          decr unsettled;
+          Condition.broadcast cond
+        in
+        let combined combine bs =
+          match combine bs with c -> Ok c | exception e -> Error e
+        in
         Mutex.lock lock;
         let rec loop () =
           match pick () with
           | None -> Mutex.unlock lock
           | Some (`Open i) -> (
             Mutex.unlock lock;
-            (* [run] is monomorphic within the worker body, so both the
-               opener and the attempts thread their results through refs
-               and call it at type [unit]. *)
-            let opened = ref None in
-            match
-              run (fun () -> opened := Some (open_ xs.(i)));
-              Option.get !opened
-            with
-            | exception e ->
-              results.(i) <- Some (Error e);
-              Mutex.lock lock;
-              decr unsettled;
-              Condition.broadcast cond;
-              loop ()
-            | Done c ->
-              results.(i) <- Some (Ok c);
-              Mutex.lock lock;
-              decr unsettled;
-              Condition.broadcast cond;
-              loop ()
-            | Race r when r.attempts <= 0 ->
-              results.(i) <-
-                Some
-                  (match r.combine [] with
-                   | c -> Ok c
-                   | exception e -> Error e);
-              Mutex.lock lock;
-              decr unsettled;
-              Condition.broadcast cond;
-              loop ()
-            | Race r ->
+            match capture (fun () -> open_ xs.(i)) with
+            | Error e -> settle i (Error e); loop ()
+            | Ok (Done c) -> settle i (Ok c); loop ()
+            | Ok (Race r) when r.attempts <= 0 ->
+              settle i (combined r.combine []); loop ()
+            | Ok (Race r) ->
               tick "exec.race_groups";
               let g =
                 { g_item = i; g_attempts = r.attempts; g_run = r.run;
@@ -323,15 +183,7 @@ let race_pool ~workers open_ xs =
             Mutex.unlock lock;
             tick "exec.race_attempts";
             let cancel () = Atomic.get g.g_cancel_from <= a in
-            let res =
-              let out = ref None in
-              match
-                run (fun () -> out := Some (g.g_run a ~cancel));
-                Option.get !out
-              with
-              | b -> Ok b
-              | exception e -> Error e
-            in
+            let res = capture (fun () -> g.g_run a ~cancel) in
             Mutex.lock lock;
             g.g_results.(a) <- Some res;
             if Atomic.get g.g_cancel_from <= a then begin
@@ -354,22 +206,12 @@ let race_pool ~workers open_ xs =
                loop ()
              | Some outcome ->
                Mutex.unlock lock;
-               let value =
-                 match outcome with
-                 | `Err e -> Error e
-                 | `Combine bs -> (
-                   match g.g_combine bs with
-                   | c -> Ok c
-                   | exception e -> Error e)
-               in
-               results.(g.g_item) <- Some value;
-               Mutex.lock lock;
-               decr unsettled;
-               Condition.broadcast cond;
+               settle g.g_item (Result.bind outcome (combined g.g_combine));
                loop ())
         in
         loop ())
   in
+  (* at one job the calling domain is the only worker *)
   let helpers =
     Array.init (workers - 1) (fun k -> Domain.spawn (worker (k + 1)))
   in
@@ -377,11 +219,10 @@ let race_pool ~workers open_ xs =
   Array.iter Domain.join helpers;
   Array.map (function Some r -> r | None -> assert false) results
 
-let race_map_result t open_ xs =
-  match t with
-  | Sequential -> race_seq open_ xs
-  | Pool workers ->
-    (* unlike [map_result], one item is not one unit of work: a group fans
-       out into sibling attempts, so the pool keeps its full worker count
-       even when there are fewer items than workers *)
-    if Array.length xs = 0 then [||] else race_pool ~workers open_ xs
+(* one item is not one unit of work: a group fans out into sibling
+   attempts, so the pool keeps its full worker count even when there are
+   fewer items than workers *)
+let race_map_result workers open_ xs =
+  if Array.length xs = 0 then [||] else race_pool ~workers open_ xs
+
+let map_result t f xs = race_map_result t (fun x -> Done (f x)) xs

@@ -1,31 +1,24 @@
-(** Pluggable obligation executor.
+(** Obligation executor: one scheduler at every job count.
 
-    Two backends behind one {!map_result}: a sequential one, and an OCaml 5
-    domain pool with a work-stealing index queue. Results land at their
-    input's index, so ordering is deterministic and identical across
-    backends — the campaign's verdicts do not depend on how the work was
-    scheduled. *)
+    Every call runs the same loop: [jobs] workers (the calling domain
+    counts as one, so one job spawns no domain) open items in index order
+    and run the attempts of open groups. Results land at their input's
+    index, so ordering is deterministic and identical at every job count,
+    and an item that raises becomes [Error exn] at its index while every
+    other item still runs to completion. *)
 
 type t
-
-val sequential : t
-
-val pool : jobs:int -> t
-(** A pool of [jobs] worker domains (the calling domain counts as one).
-    [jobs <= 1] degrades to {!sequential}. *)
+(** A job count. *)
 
 val of_jobs : int option -> t
-(** [None] and [Some j] for [j <= 1] are {!sequential}. *)
+(** [None] and [Some j] for [j <= 1] are one job. *)
 
 val jobs : t -> int
 
 val map_result : t -> ('a -> 'b) -> 'a array -> ('b, exn) result array
-(** Order-preserving parallel map with per-item crash isolation. The input
-    is split into contiguous per-worker ranges; a worker drains its own
-    range from the front and, when empty, steals from the back of the
-    busiest remaining range. An application that raises becomes [Error exn]
-    at its index — every other item still runs to completion, so one
-    poisoned obligation cannot lose the rest of a campaign. *)
+(** Order-preserving map with per-item crash isolation:
+    {!race_map_result} with every item [Done]. One poisoned obligation
+    cannot lose the rest of a campaign. *)
 
 type ('b, 'c) group =
   | Done of 'c  (** settled at open time (a cache hit) *)
@@ -47,21 +40,26 @@ type ('b, 'c) group =
 
 val race_map_result :
   t -> ('a -> ('b, 'c) group) -> 'a array -> ('c, exn) result array
-(** Order-preserving map over speculative task groups — the portfolio-racing
-    generalization of {!map_result}. [open_ x] prepares item [x] (outside
-    the scheduler lock; cache lookups belong here) and either
-    settles it immediately ([Done]) or fans it out into [attempts]
+(** Order-preserving map over speculative task groups. [open_ x] prepares
+    item [x] (outside the scheduler lock; cache lookups belong here) and
+    either settles it immediately ([Done]) or fans it out into [attempts]
     alternative runs ([Race]).
+
+    {b Scheduling.} A free worker takes the next undispatched attempt of
+    the oldest open group, and opens the next item only when no open group
+    has one, so items open in index order, a group's attempts start in
+    index order, and at most [jobs] attempts, of one group or several, run
+    at once. At one job each group runs its attempts one after another
+    before the next item opens.
 
     {b Determinism.} A group settles on the smallest attempt index [w]
     whose result is conclusive (or whose run raised) once attempts
     [0..w-1] have all completed; [combine] then receives exactly the
     results of attempts [0..w] in index order (or all attempts when none
     conclude) — never a result from a speculative attempt beyond the
-    first conclusive one. The sequential backend runs attempts in index
-    order and stops at the first conclusive one, producing the same
-    prefix, so the settled value of every group is identical across
-    backends and across runs: racing changes wall time, not answers.
+    first conclusive one. One job produces the same prefix, so the settled
+    value of every group is identical at every job count and across runs:
+    racing changes wall time, not answers.
 
     {b Cancellation.} The moment an attempt completes conclusively (or
     raises), every higher-indexed sibling's [cancel] hook starts
@@ -69,13 +67,8 @@ val race_map_result :
     attempts still complete cooperatively and their results are dropped
     from attribution (but any side effects — perf counters an attempt
     records into its own result — were observed by the attempt itself).
-    On the sequential backend [cancel] never fires.
-
-    {b Scheduling.} On a pool, a free worker takes the next undispatched
-    attempt of the oldest open group, so a group's attempts start in index
-    order and racing is capped at the pool size: at most [jobs] attempts,
-    of one group or several, run at once. Workers prefer advancing
-    already-open groups over opening new ones.
+    At one job no sibling is running when an attempt concludes, so
+    [cancel] never fires.
 
     Emits [exec.race_groups], [exec.race_attempts], [exec.race_cancelled]
     telemetry counters and the [exec.race_cancel_s] histogram of

@@ -75,5 +75,5 @@ val heal_one :
     [Invalid_argument] is counted in [h_bad_cuts], logged via the
     [heal.bad_cuts] telemetry counter and skipped — never a crash. The
     function is deterministic for a fixed [run_piece]: pieces run
-    sequentially in a fixed order, so a sequential and a pooled campaign
-    heal identically. *)
+    sequentially in a fixed order, so a campaign heals identically at every
+    job count. *)

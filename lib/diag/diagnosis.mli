@@ -10,8 +10,8 @@
     and a human-readable explanation.
 
     Everything here is deterministic: no timestamps, no randomness, results
-    independent of the executor backend — a sequential and a pooled
-    diagnosis of the same campaign produce byte-identical artifacts. *)
+    independent of the job count — a one-job and a pooled diagnosis of the
+    same campaign produce byte-identical artifacts. *)
 
 type validation = {
   status : [ `Confirmed | `Not_confirmed of string ];
@@ -92,6 +92,6 @@ val failed_work :
 val diagnose_campaign :
   ?jobs:int -> Chip.Generator.t -> Core.Campaign.t -> diagnosed list
 (** Diagnose every falsified obligation of a campaign, in result order.
-    [jobs] selects the {!Core.Executor} backend; per-item crash isolation
+    [jobs] is the {!Core.Executor}'s job count; per-item crash isolation
     turns a diagnosis crash into a [`Not_confirmed] record instead of losing
     the rest. Output is identical for any [jobs]. *)

@@ -57,8 +57,10 @@ let test_mini_campaign () =
        (String.length header > 0 && String.sub header 0 8 = "category")
    | [] -> Alcotest.fail "empty csv")
 
-(* everything a verdict row asserts, minus wall-clock time and cache-hit
-   placement (both legitimately schedule-dependent) *)
+(* a row's identity and verdict, without its engine measures and cache
+   attribution: what a warm rerun or a healed run must keep. Across job
+   counts only wall time may differ, and [scheduled_rows] compares the rest
+   of the row *)
 let result_key (r : Core.Campaign.prop_result) =
   let verdict =
     match r.Core.Campaign.outcome.Mc.Engine.verdict with
@@ -547,29 +549,30 @@ let test_executor_map () =
   let f i = (i * 37) mod 101 in
   let expected = Array.map (fun i -> Ok (f i)) input in
   let results = Alcotest.(array (result int reject)) in
+  let exec jobs = Core.Executor.of_jobs (Some jobs) in
   List.iter
     (fun jobs ->
       Alcotest.check results
-        (Printf.sprintf "pool of %d preserves order" jobs)
+        (Printf.sprintf "%d jobs preserve order" jobs)
         expected
-        (Core.Executor.map_result (Core.Executor.pool ~jobs) f input))
+        (Core.Executor.map_result (exec jobs) f input))
     [ 1; 2; 3; 8 ];
   Alcotest.check results "empty input" [||]
-    (Core.Executor.map_result (Core.Executor.pool ~jobs:4) f [||]);
-  Alcotest.(check int) "of_jobs None is sequential" 1
+    (Core.Executor.map_result (exec 4) f [||]);
+  Alcotest.(check int) "of_jobs None is one job" 1
     Core.Executor.(jobs (of_jobs None));
   Alcotest.(check int) "of_jobs clamps" 1 Core.Executor.(jobs (of_jobs (Some 0)));
   (* an exception raised in a worker domain comes back at its index *)
   match
-    (Core.Executor.map_result (Core.Executor.pool ~jobs:3)
+    (Core.Executor.map_result (exec 3)
        (fun i -> if i = 150 then raise Exit else i)
        input).(150)
   with
   | Error Exit -> ()
   | _ -> Alcotest.fail "worker exception must come back as Error Exit"
 
-(* race_map_result: every backend and job count must settle every group on
-   the same attributed prefix — racing changes wall time, not answers *)
+(* race_map_result: every job count must settle every group on the same
+   attributed prefix — racing changes wall time, not answers *)
 let test_executor_race_groups () =
   let n = 60 in
   let input = Array.init n (fun i -> i) in
@@ -601,18 +604,15 @@ let test_executor_race_groups () =
                        (Printexc.to_string e))
       results
   in
-  Alcotest.(check (array (list int))) "sequential backend" expected
-    (values "seq" (Core.Executor.race_map_result Core.Executor.sequential
-                     open_ input));
+  let exec jobs = Core.Executor.of_jobs (Some jobs) in
   List.iter
     (fun jobs ->
-      let label = Printf.sprintf "pool %d" jobs in
+      let label = Printf.sprintf "%d jobs" jobs in
       Alcotest.(check (array (list int))) label expected
         (values label
-           (Core.Executor.race_map_result (Core.Executor.pool ~jobs) open_
-              input)))
-    [ 2; 3; 4; 8 ];
-  (* a raising attempt decides its group as Error on every backend *)
+           (Core.Executor.race_map_result (exec jobs) open_ input)))
+    [ 1; 2; 3; 4; 8 ];
+  (* a raising attempt decides its group as Error at every job count *)
   let open_err i =
     Core.Executor.Race
       { attempts = 3;
@@ -633,10 +633,9 @@ let test_executor_race_groups () =
           | _, Ok [ 0; 1; 2 ] -> ()
           | _, _ -> Alcotest.fail "healthy group settled wrong")
         rs)
-    [ Core.Executor.sequential; Core.Executor.pool ~jobs:4 ];
+    [ exec 1; exec 4 ];
   Alcotest.(check int) "empty input" 0
-    (Array.length
-       (Core.Executor.race_map_result (Core.Executor.pool ~jobs:4) open_ [||]))
+    (Array.length (Core.Executor.race_map_result (exec 4) open_ [||]))
 
 (* a conclusive attempt cancels its running sibling, and the sibling's
    cooperative return is observed within the 100ms latency bound *)
@@ -674,7 +673,8 @@ let test_executor_race_cancellation () =
         combine = (fun vs -> vs) }
   in
   match
-    Core.Executor.race_map_result (Core.Executor.pool ~jobs:3) open_ [| () |]
+    Core.Executor.race_map_result (Core.Executor.of_jobs (Some 3)) open_
+      [| () |]
   with
   | [| Ok prefix |] ->
     Alcotest.(check (list int)) "attribution stops at the winner" [ 0; 1 ]
@@ -750,6 +750,42 @@ let test_racing_matches_sequential_portfolio () =
   in
   Alcotest.(check (list (pair string int)))
     "aggregate perf identical under racing" (fields p_seq) (fields p_race)
+
+(* a run's CSV rows with the one schedule-dependent column, wall_ms,
+   blanked, and its private cache's misses *)
+let scheduled_rows ?strategy ~jobs chip =
+  let cache = Mc.Cache.create () in
+  let t = Core.Campaign.run ?strategy ~jobs ~cache chip in
+  ( List.map
+      (fun line ->
+        String.split_on_char ',' line
+        |> List.mapi (fun i f -> if i = 8 then "" else f)
+        |> String.concat ",")
+      (String.split_on_char '\n' (Core.Campaign.to_csv t)),
+    Mc.Cache.misses cache )
+
+(* the campaign claims each key, so a pool reports one job's rows: the
+   same cache hits and attempts, not only the same verdicts *)
+let test_pool_reports_one_jobs_rows () =
+  let full = Lazy.force chip in
+  let one, misses = scheduled_rows ~jobs:1 full in
+  Alcotest.(check int) "one job misses 139 keys" 139 misses;
+  List.iter
+    (fun jobs ->
+      let rows, misses = scheduled_rows ~jobs full in
+      Alcotest.(check (list string))
+        (Printf.sprintf "%d jobs report one job's rows" jobs) one rows;
+      Alcotest.(check int) (Printf.sprintf "%d jobs miss 139 keys" jobs) 139
+        misses)
+    [ 2; 4 ];
+  let strategy =
+    Mc.Engine.Portfolio (Mc.Engine.default_portfolio Mc.Engine.default_budget)
+  in
+  let mini = mini_chip () in
+  Alcotest.(check (pair (list string) int))
+    "a raced portfolio reports the laddered rows"
+    (scheduled_rows ~strategy ~jobs:1 mini)
+    (scheduled_rows ~strategy ~jobs:4 mini)
 
 (* a portfolio strategy races exactly when the pool has more than one job;
    [Auto] runs its members one at a time whatever the pool *)
@@ -982,6 +1018,8 @@ let () =
            test_executor_race_cancellation;
          Alcotest.test_case "racing matches sequential portfolio" `Slow
            test_racing_matches_sequential_portfolio;
+         Alcotest.test_case "a pool reports one job's rows" `Slow
+           test_pool_reports_one_jobs_rows;
          Alcotest.test_case "racing follows the strategy" `Slow
            test_racing_follows_strategy;
          Alcotest.test_case "trace vcd export" `Quick test_trace_vcd_export ]);

@@ -343,10 +343,18 @@ let test_campaign_recovers () =
    | [] -> Alcotest.fail "empty csv")
 
 let test_campaign_seq_matches_pool () =
-  (* byte-identical healing between the sequential backend and a domain
-     pool: verdicts, attribution, healed flags and the recovery totals *)
-  let seq = run_heal_chip ~self_heal:4 () in
-  let pool = run_heal_chip ~jobs:4 ~self_heal:4 () in
+  (* byte-identical healing on one job and on four: verdicts, attribution,
+     healed flags, the recovery totals and the cache misses, the healing
+     pieces' included, since a piece's key is claimed like an obligation's
+     and so solved once *)
+  let run jobs =
+    let cache = Mc.Cache.create () in
+    let t = run_heal_chip ~jobs ~cache ~self_heal:4 () in
+    (t, Mc.Cache.misses cache)
+  in
+  let seq, seq_misses = run 1 in
+  let pool, pool_misses = run 4 in
+  Alcotest.(check int) "same cache misses" seq_misses pool_misses;
   Alcotest.(check (list string)) "same healed verdicts in the same order"
     (List.map result_key seq.Core.Campaign.results)
     (List.map result_key pool.Core.Campaign.results);

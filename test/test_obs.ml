@@ -752,7 +752,7 @@ let test_lane_cell () =
   Alcotest.(check bool) "ending removes the row" true (row () = None);
   (* however a unit of work ends, the executor idles its lane *)
   ignore
-    (Core.Executor.map_result Core.Executor.sequential
+    (Core.Executor.map_result (Core.Executor.of_jobs (Some 1))
        (fun () ->
          T.begin_obligation ~ob:"m.r" ~key:"k3" ~engine:"auto" ~attempt:1;
          failwith "crash")

@@ -839,6 +839,53 @@ let test_journal_partial_resume () =
     (keys first) (keys second);
   Sys.remove path
 
+(* a raced key whose every member crashes: the group still reaches its
+   combine, which releases the key's claim, so each sibling queued behind
+   it runs its own check and the run ends; the key's rows are errors and
+   every other row is the clean run's *)
+let test_raced_crash_releases_claim () =
+  let mini = mini_chip () in
+  let strategy =
+    Mc.Engine.Portfolio (Mc.Engine.default_portfolio Mc.Engine.default_budget)
+  in
+  let keys =
+    List.map
+      (fun (w : Core.Campaign.work) ->
+        Mc.Obligation.fingerprint
+          (Mc.Obligation.prepare ~strategy w.Core.Campaign.w_mdl
+             ~assert_:w.Core.Campaign.w_assert
+             ~assumes:w.Core.Campaign.w_assumes ~meta:()))
+      (Core.Campaign.work_items mini)
+  in
+  let rows k = List.length (List.filter (String.equal k) keys) in
+  let target =
+    List.fold_left
+      (fun best k -> if rows k > rows best then k else best)
+      (List.hd keys) keys
+  in
+  Alcotest.(check bool) "the crashing key has siblings" true (rows target > 1);
+  let crash ~module_name:_ ~prop_name:_ ~fingerprint ~attempt:_ =
+    if fingerprint = target then failwith "injected fault"
+  in
+  let run ?fault_hook () =
+    Core.Campaign.run ~strategy ~jobs:4 ?fault_hook
+      ~cache:(Mc.Cache.create ()) mini
+  in
+  let clean = run () and crashed = run ~fault_hook:crash () in
+  List.iter2
+    (fun key
+         ((c : Core.Campaign.prop_result), (r : Core.Campaign.prop_result)) ->
+      if key = target then
+        match r.Core.Campaign.outcome.Mc.Engine.verdict with
+        | Mc.Engine.Error _ -> ()
+        | _ -> Alcotest.failf "%s: a crashed key's row is not an error"
+                 (result_key r)
+      else
+        Alcotest.(check string) "other obligations unaffected" (result_key c)
+          (result_key r))
+    keys
+    (List.combine clean.Core.Campaign.results crashed.Core.Campaign.results)
+
 (* ---- executor crash isolation ---- *)
 
 let test_executor_map_result () =
@@ -846,7 +893,9 @@ let test_executor_map_result () =
   let f i = if i mod 10 = 3 then failwith "boom" else i * 2 in
   List.iter
     (fun jobs ->
-      let r = Core.Executor.map_result (Core.Executor.pool ~jobs) f input in
+      let r =
+        Core.Executor.map_result (Core.Executor.of_jobs (Some jobs)) f input
+      in
       Array.iteri
         (fun i x ->
           match x with
@@ -924,7 +973,9 @@ let () =
        [ Alcotest.test_case "injected crash becomes an Error row" `Quick
            test_crash_isolation;
          Alcotest.test_case "retry recovers a transient crash" `Quick
-           test_retry_recovers_transient_crash ]);
+           test_retry_recovers_transient_crash;
+         Alcotest.test_case "a raced key whose members all crash" `Quick
+           test_raced_crash_releases_claim ]);
       ("resume",
        [ Alcotest.test_case "full journal replays everything" `Quick
            test_journal_resume_proves_nothing_twice;
